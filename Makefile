@@ -10,23 +10,24 @@ all: build
 # the parallel runs are bit-identical, gates the disabled-path
 # instrumentation overhead and the serving layer's warm >= 2x cache
 # speedup, and records BENCH_parallel.json / BENCH_instr.json /
-# BENCH_serve.json / BENCH_obs.json), the rlcserved demo round-trip,
-# and the observability gate below
+# BENCH_serve.json), the rlcserved demo round-trip, and the
+# observability gate below
 check: build test test-jobs4 stats-check bench-smoke serve-demo obs-check
 
 # observability self-check: journal a short rlcserved run, roll it up
-# with rlcstat, and self-diff the freshly written BENCH_obs.json (the
-# bench smoke gates journaling overhead < 2% and bitwise identity) —
-# identical snapshots must produce zero findings and exit 0
+# with rlcstat, and self-diff the freshly written BENCH_instr.json (the
+# bench smoke gates disabled metrics/journal overhead < 2% and bitwise
+# identity with recording and journaling on) — identical snapshots
+# must produce zero findings and exit 0
 # standalone runs need the snapshot the bench smoke writes
-BENCH_obs.json:
+BENCH_instr.json:
 	dune exec bench/main.exe -- --smoke
 
-obs-check: BENCH_obs.json
+obs-check: BENCH_instr.json
 	dune exec bin/rlcserved.exe -- --jobs-file examples/jobs/demo.jobs -q \
 	  --journal _obs_demo.jsonl > /dev/null
 	dune exec bin/rlcstat.exe -- _obs_demo.jsonl
-	dune exec bin/rlcstat.exe -- diff BENCH_obs.json BENCH_obs.json
+	dune exec bin/rlcstat.exe -- diff BENCH_instr.json BENCH_instr.json
 	rm -f _obs_demo.jsonl
 
 build:

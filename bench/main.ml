@@ -59,7 +59,12 @@ let jobs =
   find 1
 
 let pool = Rlc_parallel.Pool.create ~domains:jobs ()
-let section title = Rlc_report.Report.section title
+(* Every section starts from a zeroed registry, so the "metrics" block
+   of the BENCH file it writes holds that section's work alone (and a
+   --stats/--trace dump at exit covers the last section). *)
+let section title =
+  Rlc_instr.Metrics.reset ();
+  Rlc_report.Report.section title
 
 (* ------------------------------------------------------------------ *)
 (* Paper experiments                                                    *)
@@ -209,8 +214,14 @@ let ladder_case ~segments ~steps =
   let dt = t_end /. float_of_int steps in
   let probes = [ Transient.Node_v far ] in
   let run backend () =
-    Transient.run ~backend ~record_every:(Int.max 1 (steps / 20)) nl ~t_end
-      ~dt ~probes
+    Transient.simulate
+      ~config:
+        {
+          Transient.Config.default with
+          backend;
+          record_every = Int.max 1 (steps / 20);
+        }
+      nl ~t_end ~dt ~probes
   in
   let rd, dense_s = wall (run Transient.Dense) in
   let rb, banded_s = wall (run Transient.Banded) in
@@ -221,8 +232,9 @@ let ladder_case ~segments ~steps =
     vd;
   let ra, auto_s =
     wall (fun () ->
-        Transient.run_adaptive ~rtol:1e-4 nl ~t_end ~dt_max:(t_end /. 64.0)
-          ~probes)
+        Transient.simulate_adaptive
+          ~config:{ Transient.Config.default with rtol = 1e-4 }
+          nl ~t_end ~dt_max:(t_end /. 64.0) ~probes)
   in
   ( {
       segments;
@@ -237,8 +249,8 @@ let ladder_case ~segments ~steps =
       a_segments = segments;
       a_unknowns = unknowns;
       accepted = Transient.steps_taken ra;
-      rejected = Transient.rejected_steps ra;
-      factorizations = Transient.lu_factorizations ra;
+      rejected = (Transient.stats ra).Transient.Stats.rejected_steps;
+      factorizations = (Transient.stats ra).Transient.Stats.lu_factorizations;
       auto_s;
     } )
 
@@ -249,7 +261,7 @@ let write_bench_json path (fixed, adaptive) =
   write_meta oc ~jobs;
   field
     "  \"description\": \"Dense vs banded MNA backend on step-driven RLC \
-     ladders (Transient.run, trapezoidal; adaptive rtol=1e-4, auto \
+     ladders (Transient.simulate, trapezoidal; adaptive rtol=1e-4, auto \
      backend). Times in seconds.\",\n";
   field "  \"fixed_step\": [\n";
   List.iteri
@@ -756,7 +768,9 @@ let mor_case ~segments ~order =
   let probes = [ Transient.Node_v far ] in
   let r, transient_s =
     wall_best 2 (fun () ->
-        Transient.run ~backend:Transient.Banded nl ~t_end ~dt ~probes)
+        Transient.simulate
+          ~config:{ Transient.Config.default with backend = Transient.Banded }
+          nl ~t_end ~dt ~probes)
   in
   let w = Transient.get r (Transient.Node_v far) in
   let times = Rlc_waveform.Waveform.times w in
@@ -849,10 +863,10 @@ let run_mor_bench ~json =
 type instr_row = {
   i_segments : int;
   i_steps : int;
-  i_identical : bool;
-  i_step_s : float; (* per-step transient time, recording off *)
-  i_call_s : float; (* per-call cost of a disabled record call *)
-  i_overhead_pct : float; (* calls_per_step * call_s vs step_s *)
+  i_step_s : float; (* per-step transient time, recording + journal off *)
+  i_metrics_call_s : float; (* per-call cost of a disabled Metrics.incr *)
+  i_journal_call_s : float; (* per-call cost of a disabled Journal.record *)
+  i_events : int; (* journal events captured in the journaling pass *)
 }
 
 (* Record calls on the fixed-step transient hot path while recording is
@@ -861,157 +875,71 @@ type instr_row = {
    counter -- call it 8 per step to stay conservative. *)
 let calls_per_step = 8
 
+(* calls_per_step x the measured per-call cost, against the measured
+   per-step time of the same loop *)
+let overhead_pct (r : instr_row) call_s =
+  100.0 *. (float_of_int calls_per_step *. call_s) /. r.i_step_s
+
 let write_instr_json path (r : instr_row) =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   write_meta oc ~jobs;
   Printf.fprintf oc
     "  \"description\": \"Instrumentation gate: fixed-step banded transient \
-     on a step-driven RLC ladder, run with recording disabled and enabled \
-     (waveforms must be bit-identical), plus the measured per-call cost of \
-     a disabled record call against the per-step cost of the transient hot \
-     loop. Times in seconds.\",\n";
+     on a step-driven RLC ladder, run with recording and journaling \
+     disabled, with metrics recording enabled and with journaling+health \
+     enabled (waveforms must be bit-identical across all three), plus the \
+     measured per-call cost of a disabled Metrics.incr and a disabled \
+     Journal.record against the per-step cost of the transient hot loop. \
+     Times in seconds.\",\n";
   Printf.fprintf oc "  \"segments\": %d,\n  \"steps\": %d,\n" r.i_segments
     r.i_steps;
-  Printf.fprintf oc "  \"bit_identical\": %b,\n" r.i_identical;
+  Printf.fprintf oc "  \"bit_identical\": true,\n";
   Printf.fprintf oc "  \"per_step_s\": %.9f,\n" r.i_step_s;
-  Printf.fprintf oc "  \"disabled_call_s\": %.3e,\n" r.i_call_s;
   Printf.fprintf oc "  \"calls_per_step\": %d,\n" calls_per_step;
-  Printf.fprintf oc "  \"overhead_pct\": %.4f\n}\n" r.i_overhead_pct;
+  Printf.fprintf oc "  \"metrics_call_s\": %.3e,\n" r.i_metrics_call_s;
+  Printf.fprintf oc "  \"metrics_overhead_pct\": %.4f,\n"
+    (overhead_pct r r.i_metrics_call_s);
+  Printf.fprintf oc "  \"journal_call_s\": %.3e,\n" r.i_journal_call_s;
+  Printf.fprintf oc "  \"journal_overhead_pct\": %.4f,\n"
+    (overhead_pct r r.i_journal_call_s);
+  Printf.fprintf oc "  \"journal_events\": %d\n}\n" r.i_events;
   close_out oc
 
-(* The acceptance gate for the instrumentation layer itself: recording
-   must never change the computed waveforms (bitwise), and the disabled
-   record path must cost well under 2% of a transient step.  The
-   overhead is estimated as measured-per-call cost x a conservative
-   calls-per-step count, against the measured per-step time of the same
-   loop -- machine noise inflates the step time, so the gate can only
-   get easier to pass on a loaded box, never spuriously fail. *)
+(* The acceptance gate for the instrumentation layer itself: neither
+   metrics recording nor journal/health capture may change the computed
+   waveforms (bitwise; the probes only read factorisation by-products),
+   a disabled Metrics.incr and a disabled Journal.record must each cost
+   well under 2% of a transient step, and every captured journal line
+   must round-trip through the rlcstat parser.  Machine noise inflates
+   the step time, so the overhead gates can only get easier to pass on
+   a loaded box, never spuriously fail. *)
 let run_instr_bench ~segments ~steps ~json =
-  section "Instrumentation: disabled overhead + waveform identity";
+  section "Instrumentation: disabled metrics/journal overhead + waveform \
+           identity";
   let open Rlc_circuit in
   let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
   let t_end = 1e-9 in
   let dt = t_end /. float_of_int steps in
-  let probes = [ Transient.Node_v far ] in
+  let probe = Transient.Node_v far in
   let run () =
-    Transient.run ~backend:Transient.Banded ~record_every:1 nl ~t_end ~dt
-      ~probes
+    Transient.simulate
+      ~config:{ Transient.Config.default with backend = Transient.Banded }
+      nl ~t_end ~dt ~probes:[ probe ]
   in
-  let was = Rlc_instr.Control.enabled () in
-  Rlc_instr.Control.set_enabled false;
-  let r_off, off_s = wall_best 3 run in
-  Rlc_instr.Control.set_enabled true;
-  let r_on, on_s = wall run in
-  Rlc_instr.Control.set_enabled false;
-  let probe_counter = Rlc_instr.Metrics.counter "bench.disabled_probe" in
-  let calls = 10_000_000 in
-  let (), loop_s =
-    wall (fun () ->
-        for _ = 1 to calls do
-          Rlc_instr.Metrics.incr probe_counter
-        done)
-  in
-  Rlc_instr.Control.set_enabled was;
-  let values r = Rlc_waveform.Waveform.values (Transient.get r (Transient.Node_v far)) in
-  let v_off = values r_off and v_on = values r_on in
-  let identical =
-    Array.length v_off = Array.length v_on
+  let values r = Rlc_waveform.Waveform.values (Transient.get r probe) in
+  let same a b =
+    Array.length a = Array.length b
     && Array.for_all2
-         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-         v_off v_on
-  in
-  let step_s = off_s /. float_of_int steps in
-  let call_s = loop_s /. float_of_int calls in
-  let overhead_pct =
-    100.0 *. (float_of_int calls_per_step *. call_s) /. step_s
-  in
-  let row =
-    {
-      i_segments = segments;
-      i_steps = steps;
-      i_identical = identical;
-      i_step_s = step_s;
-      i_call_s = call_s;
-      i_overhead_pct = overhead_pct;
-    }
-  in
-  Printf.printf "%8s %7s %12s %12s %14s %13s %10s\n" "segments" "steps"
-    "off [s]" "on [s]" "bit-identical" "call [ns]" "overhead";
-  Printf.printf "%8d %7d %12.5f %12.5f %14s %13.2f %9.4f%%\n" segments steps
-    off_s on_s
-    (if identical then "yes" else "NO")
-    (call_s *. 1e9) overhead_pct;
-  if not identical then
-    failwith
-      "instr bench: waveforms differ between recording enabled and disabled";
-  if overhead_pct > 2.0 then
-    failwith
-      (Printf.sprintf
-         "instr bench: disabled-path overhead %.4f%% of a transient step \
-          exceeds the 2%% budget"
-         overhead_pct);
-  (match json with
-  | Some path ->
-      write_instr_json path row;
-      Printf.printf "\nrecorded baseline in %s\n" path
-  | None -> ());
-  row
-
-(* ------------------------------------------------------------------ *)
-(* Observability: journaling overhead + waveform identity gate         *)
-(* ------------------------------------------------------------------ *)
-
-type obs_row = {
-  o_segments : int;
-  o_steps : int;
-  o_identical : bool;
-  o_step_s : float; (* per-step transient time, journaling off *)
-  o_call_s : float; (* per-call cost of a disabled Journal.record *)
-  o_overhead_pct : float;
-  o_events : int; (* journal events captured in the enabled pass *)
-}
-
-let write_obs_json path (r : obs_row) =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  write_meta oc ~jobs;
-  Printf.fprintf oc
-    "  \"description\": \"Observability gate: fixed-step banded transient \
-     on a step-driven RLC ladder, run with journaling+health disabled and \
-     enabled (waveforms must be bit-identical), plus the measured per-call \
-     cost of a disabled Journal.record against the per-step cost of the \
-     transient hot loop. Times in seconds.\",\n";
-  Printf.fprintf oc "  \"segments\": %d,\n  \"steps\": %d,\n" r.o_segments
-    r.o_steps;
-  Printf.fprintf oc "  \"bit_identical\": %b,\n" r.o_identical;
-  Printf.fprintf oc "  \"per_step_s\": %.9f,\n" r.o_step_s;
-  Printf.fprintf oc "  \"disabled_call_s\": %.3e,\n" r.o_call_s;
-  Printf.fprintf oc "  \"calls_per_step\": %d,\n" calls_per_step;
-  Printf.fprintf oc "  \"journal_events\": %d,\n" r.o_events;
-  Printf.fprintf oc "  \"overhead_pct\": %.4f\n}\n" r.o_overhead_pct;
-  close_out oc
-
-(* Acceptance gate for the journal/health layer: capturing must never
-   change computed waveforms (the probes only read factorisation
-   by-products), the disabled Journal.record path must cost well under
-   2% of a transient step, and every captured event line must
-   round-trip through the rlcstat parser. *)
-let run_obs_bench ~segments ~steps ~json =
-  section "Observability: disabled journal overhead + waveform identity";
-  let open Rlc_circuit in
-  let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
-  let t_end = 1e-9 in
-  let dt = t_end /. float_of_int steps in
-  let probes = [ Transient.Node_v far ] in
-  let run () =
-    Transient.run ~backend:Transient.Banded ~record_every:1 nl ~t_end ~dt
-      ~probes
+         (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+         a b
   in
   let was = Rlc_instr.Control.enabled () in
   Rlc_instr.Journal.stop ();
   Rlc_instr.Control.set_enabled false;
   let r_off, off_s = wall_best 3 run in
+  Rlc_instr.Control.set_enabled true;
+  let r_rec, rec_s = wall run in
   Rlc_instr.Journal.start ();
   (* one synthetic event with every field type keeps the round-trip
      check meaningful even when all solves classify Ok (healthy solves
@@ -1022,73 +950,81 @@ let run_obs_bench ~segments ~steps ~json =
       ("x", Rlc_instr.Journal.Num 0.5);
       ("s", Rlc_instr.Journal.Str "ok");
     ];
-  let r_on, on_s = wall run in
+  let r_jnl, jnl_s = wall run in
   let lines = Rlc_instr.Journal.to_lines () in
-  let entries, skipped = Rlc_instr.Stat.entries_of_lines lines in
   Rlc_instr.Journal.stop ();
   Rlc_instr.Control.set_enabled false;
   let calls = 10_000_000 in
-  let (), loop_s =
-    wall (fun () ->
-        for _ = 1 to calls do
-          Rlc_instr.Journal.record "bench.obs_probe" []
-        done)
+  let per_call record =
+    let (), loop_s =
+      wall (fun () ->
+          for _ = 1 to calls do
+            record ()
+          done)
+    in
+    loop_s /. float_of_int calls
+  in
+  let probe_counter = Rlc_instr.Metrics.counter "bench.disabled_probe" in
+  let metrics_call_s =
+    per_call (fun () -> Rlc_instr.Metrics.incr probe_counter)
+  in
+  let journal_call_s =
+    per_call (fun () -> Rlc_instr.Journal.record "bench.obs_probe" [])
   in
   Rlc_instr.Control.set_enabled was;
-  let values r =
-    Rlc_waveform.Waveform.values (Transient.get r (Transient.Node_v far))
-  in
-  let v_off = values r_off and v_on = values r_on in
-  let identical =
-    Array.length v_off = Array.length v_on
-    && Array.for_all2
-         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-         v_off v_on
-  in
-  let step_s = off_s /. float_of_int steps in
-  let call_s = loop_s /. float_of_int calls in
-  let overhead_pct =
-    100.0 *. (float_of_int calls_per_step *. call_s) /. step_s
-  in
+  let v_off = values r_off in
+  let rec_identical = same v_off (values r_rec) in
+  let jnl_identical = same v_off (values r_jnl) in
   let row =
     {
-      o_segments = segments;
-      o_steps = steps;
-      o_identical = identical;
-      o_step_s = step_s;
-      o_call_s = call_s;
-      o_overhead_pct = overhead_pct;
-      o_events = List.length lines;
+      i_segments = segments;
+      i_steps = steps;
+      i_step_s = off_s /. float_of_int steps;
+      i_metrics_call_s = metrics_call_s;
+      i_journal_call_s = journal_call_s;
+      i_events = List.length lines;
     }
   in
-  Printf.printf "%8s %7s %12s %12s %14s %13s %10s %7s\n" "segments" "steps"
-    "off [s]" "on [s]" "bit-identical" "call [ns]" "overhead" "events";
-  Printf.printf "%8d %7d %12.5f %12.5f %14s %13.2f %9.4f%% %7d\n" segments
-    steps off_s on_s
-    (if identical then "yes" else "NO")
-    (call_s *. 1e9) overhead_pct row.o_events;
-  if not identical then
+  let yes b = if b then "yes" else "NO" in
+  Printf.printf "%8s %7s %10s %10s %10s %9s %9s %9s %9s %7s\n" "segments"
+    "steps" "off [s]" "rec [s]" "jnl [s]" "rec-same" "jnl-same" "incr ovh"
+    "jnl ovh" "events";
+  Printf.printf "%8d %7d %10.5f %10.5f %10.5f %9s %9s %8.4f%% %8.4f%% %7d\n"
+    segments steps off_s rec_s jnl_s (yes rec_identical) (yes jnl_identical)
+    (overhead_pct row metrics_call_s)
+    (overhead_pct row journal_call_s)
+    row.i_events;
+  if not rec_identical then
     failwith
-      "obs bench: waveforms differ between journaling enabled and disabled";
-  if overhead_pct > 2.0 then
+      "instr bench: waveforms differ between recording enabled and disabled";
+  if not jnl_identical then
     failwith
-      (Printf.sprintf
-         "obs bench: disabled journal overhead %.4f%% of a transient step \
-          exceeds the 2%% budget"
-         overhead_pct);
+      "instr bench: waveforms differ between journaling enabled and disabled";
+  List.iter
+    (fun (what, call_s) ->
+      let pct = overhead_pct row call_s in
+      if pct > 2.0 then
+        failwith
+          (Printf.sprintf
+             "instr bench: disabled %s overhead %.4f%% of a transient step \
+              exceeds the 2%% budget"
+             what pct))
+    [ ("Metrics.incr", metrics_call_s); ("Journal.record", journal_call_s) ];
+  let entries, skipped = Rlc_instr.Stat.entries_of_lines lines in
   if skipped > 0 then
     failwith
       (Printf.sprintf
-         "obs bench: %d journal line(s) failed to round-trip through the \
+         "instr bench: %d journal line(s) failed to round-trip through the \
           rlcstat parser"
          skipped);
-  if entries = [] then failwith "obs bench: journal round-trip lost all events";
+  if entries = [] then
+    failwith "instr bench: journal round-trip lost all events";
   let rollup = Rlc_instr.Stat.rollup ~skipped entries in
   if rollup.Rlc_instr.Stat.events <> List.length entries then
-    failwith "obs bench: rollup event count mismatch";
+    failwith "instr bench: rollup event count mismatch";
   (match json with
   | Some path ->
-      write_obs_json path row;
+      write_instr_json path row;
       Printf.printf "\nrecorded baseline in %s\n" path
   | None -> ());
   row
@@ -1294,7 +1230,7 @@ let bechamel_tests () =
             length = 0.011; segments = 10 }
           ~from_node:src ~to_node:far;
         let _ =
-          Rlc_circuit.Transient.run nl ~t_end:1e-9 ~dt:1e-12
+          Rlc_circuit.Transient.simulate nl ~t_end:1e-9 ~dt:1e-12
             ~probes:[ Rlc_circuit.Transient.Node_v far ]
         in
         ()))
@@ -1765,8 +1701,6 @@ let () =
     ignore
       (run_instr_bench ~segments:200 ~steps:400
          ~json:(Some "BENCH_instr.json"));
-    ignore
-      (run_obs_bench ~segments:200 ~steps:400 ~json:(Some "BENCH_obs.json"));
     ignore (run_parallel_bench ~json:(Some "BENCH_parallel.json"));
     run_whatif_bench ~json:(Some "BENCH_whatif.json");
     run_serve_bench ~json:(Some "BENCH_serve.json");
@@ -1798,8 +1732,6 @@ let () =
     ignore
       (run_instr_bench ~segments:800 ~steps:1000
          ~json:(Some "BENCH_instr.json"));
-    ignore
-      (run_obs_bench ~segments:800 ~steps:1000 ~json:(Some "BENCH_obs.json"));
     ignore (run_parallel_bench ~json:(Some "BENCH_parallel.json"));
     run_whatif_bench ~json:(Some "BENCH_whatif.json");
     run_serve_bench ~json:(Some "BENCH_serve.json");

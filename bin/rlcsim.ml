@@ -28,10 +28,9 @@ let ac_arg =
 let jobs_arg =
   Instr_cli.jobs_arg
     ~doc:
-      "Worker domains for parallel fan-outs (AC frequency points; \
-       speculative steps of the adaptive transient). Default: \
-       $(b,RLC_JOBS) or the machine's recommended domain count. \
-       Results are bit-identical for any value."
+      "Worker domains for the AC sweep's frequency points (the transient \
+       analysis is sequential). Default: $(b,RLC_JOBS) or the machine's \
+       recommended domain count. Results are bit-identical for any value."
 
 let instr_term = Instr_cli.term
 
@@ -56,11 +55,8 @@ let summarize deck result probe =
       (Rlc_waveform.Measure.rms w)
   end
 
-let run_transient deck pool csv =
-  let config =
-    { Rlc_circuit.Transient.Config.default with pool = Some pool }
-  in
-  let result = Rlc_circuit.Parser.run ~config deck in
+let run_transient deck csv =
+  let result = Rlc_circuit.Parser.run deck in
   Printf.printf "transient: %d steps\n\n"
     (Rlc_circuit.Transient.steps_taken result);
   List.iter (summarize deck result) deck.Rlc_circuit.Parser.probes;
@@ -176,7 +172,7 @@ let run () file ac jobs csv =
       (match deck.Rlc_circuit.Parser.title with
       | Some t -> Printf.printf "* %s\n" t
       | None -> ());
-      if ac then run_ac deck pool csv else run_transient deck pool csv
+      if ac then run_ac deck pool csv else run_transient deck csv
 
 let cmd =
   Cmd.v

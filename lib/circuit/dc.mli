@@ -82,6 +82,6 @@ val operating_point : ?max_state_iterations:int -> Netlist.t -> float array
 
 val initial_conditions :
   ?max_state_iterations:int -> Netlist.t -> (Netlist.node * float) list
-(** The operating point as an [initial_voltages] list for
-    {!Transient.run} — start a transient from the settled DC state
-    instead of all-zeros. *)
+(** The operating point as a {!Transient.Config.t} [initial_voltages]
+    list for {!Transient.simulate} — start a transient from the settled
+    DC state instead of all-zeros. *)

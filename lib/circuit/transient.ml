@@ -25,7 +25,6 @@ module Config = struct
     rtol : float;
     atol : float;
     dt_min : float option;
-    pool : Rlc_parallel.Pool.t option;
     plan_hint : Solver.plan option;
   }
 
@@ -39,7 +38,6 @@ module Config = struct
       rtol = 1e-3;
       atol = 1e-6;
       dt_min = None;
-      pool = None;
       plan_hint = None;
     }
 end
@@ -100,11 +98,6 @@ let stats r =
     nonconverged_steps = r.nonconverged_steps;
     lu_factorizations = r.lu_factorizations;
   }
-
-(* deprecated wrappers over [stats]; see the interface *)
-let rejected_steps r = (stats r).Stats.rejected_steps
-let nonconverged_steps r = (stats r).Stats.nonconverged_steps
-let lu_factorizations r = (stats r).Stats.lu_factorizations
 
 (* Counters mirror the per-run [Stats.t] into the registry at the end
    of each driver.  LU factorizations are *not* re-added here — every
@@ -638,7 +631,7 @@ let validate_probes eng probes =
             invalid_arg "Transient: probe on unknown node"
       | Branch_i name ->
           if resolve_probe_element eng name = None then
-            invalid_arg ("Transient.run: unknown element " ^ name))
+            invalid_arg ("Transient.simulate: unknown element " ^ name))
     probes
 
 (* ---------------- fixed-step driver ---------------- *)
@@ -646,9 +639,9 @@ let validate_probes eng probes =
 let simulate_impl ?(config = Config.default) netlist ~t_end ~dt ~probes =
   let integration = config.Config.integration in
   let record_every = config.Config.record_every in
-  if t_end <= 0.0 then invalid_arg "Transient.run: t_end <= 0";
-  if dt <= 0.0 || dt >= t_end then invalid_arg "Transient.run: bad dt";
-  if record_every < 1 then invalid_arg "Transient.run: record_every < 1";
+  if t_end <= 0.0 then invalid_arg "Transient.simulate: t_end <= 0";
+  if dt <= 0.0 || dt >= t_end then invalid_arg "Transient.simulate: bad dt";
+  if record_every < 1 then invalid_arg "Transient.simulate: record_every < 1";
   let eng = make_engine config netlist in
   validate_probes eng probes;
   let n_steps = int_of_float (Float.ceil (t_end /. dt)) in
@@ -699,29 +692,18 @@ let simulate ?config netlist ~t_end ~dt ~probes =
 let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     ~probes =
   let rtol = config.Config.rtol and atol = config.Config.atol in
-  if t_end <= 0.0 then invalid_arg "Transient.run_adaptive: t_end <= 0";
+  if t_end <= 0.0 then invalid_arg "Transient.simulate_adaptive: t_end <= 0";
   if dt_max <= 0.0 || dt_max >= t_end then
-    invalid_arg "Transient.run_adaptive: bad dt_max";
+    invalid_arg "Transient.simulate_adaptive: bad dt_max";
   if rtol <= 0.0 || atol <= 0.0 then
-    invalid_arg "Transient.run_adaptive: tolerances must be positive";
+    invalid_arg "Transient.simulate_adaptive: tolerances must be positive";
   let dt_min =
     match config.Config.dt_min with Some d -> d | None -> dt_max /. 4096.0
   in
   if dt_min <= 0.0 || dt_min > dt_max then
-    invalid_arg "Transient.run_adaptive: bad dt_min";
+    invalid_arg "Transient.simulate_adaptive: bad dt_min";
   let eng = make_engine config netlist in
   validate_probes eng probes;
-  (* With a pool of capacity >= 2 the speculative full step of the
-     step-doubling control runs on a mirror engine (same netlist, same
-     ordering, hence bit-identical factors) in a second domain, while
-     this domain takes the two half steps.  The error estimate and
-     every committed state are the same floats either way. *)
-  let mirror =
-    match config.Config.pool with
-    | Some p when Rlc_parallel.Pool.domains p >= 2 ->
-        Some (p, make_engine config netlist)
-    | Some _ | None -> None
-  in
   (* Step-doubling error control: one dt step vs two dt/2 steps, both
      trapezoidal.  dt is tracked as a level k with dt = dt_max / 2^k,
      so every step (except a final partial one reaching exactly t_end)
@@ -751,29 +733,13 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     let t_next = !t +. dt_now in
     let meth = if !first then Backward_euler else Trapezoidal in
     blit_state ~src:eng.state ~dst:saved;
-    (match mirror with
-    | None ->
-        (* full step *)
-        advance eng meth dt_now t_next;
-        Array.blit eng.state.v 0 v_full 0 eng.n_nodes;
-        (* two half steps from the saved state *)
-        blit_state ~src:saved ~dst:eng.state;
-        advance eng meth (dt_now /. 2.0) (!t +. (dt_now /. 2.0));
-        advance eng
-          (if !first then Backward_euler else Trapezoidal)
-          (dt_now /. 2.0) t_next
-    | Some (p, meng) ->
-        blit_state ~src:eng.state ~dst:meng.state;
-        let (), () =
-          Rlc_parallel.Pool.both p
-            (fun () -> advance meng meth dt_now t_next)
-            (fun () ->
-              advance eng meth (dt_now /. 2.0) (!t +. (dt_now /. 2.0));
-              advance eng
-                (if !first then Backward_euler else Trapezoidal)
-                (dt_now /. 2.0) t_next)
-        in
-        Array.blit meng.state.v 0 v_full 0 eng.n_nodes);
+    (* full step *)
+    advance eng meth dt_now t_next;
+    Array.blit eng.state.v 0 v_full 0 eng.n_nodes;
+    (* two half steps from the saved state *)
+    blit_state ~src:saved ~dst:eng.state;
+    advance eng meth (dt_now /. 2.0) (!t +. (dt_now /. 2.0));
+    advance eng meth (dt_now /. 2.0) t_next;
     (* error estimate over node voltages *)
     let err = ref 0.0 in
     for node = 1 to eng.n_nodes - 1 do
@@ -796,17 +762,6 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
       level := Int.min k_max (!level + 1)
     end
   done;
-  (* fold the mirror engine's diagnostics in, so the pooled run reports
-     the same amount of work (its cache is separate, so
-     lu_factorizations can exceed the sequential count) *)
-  (match mirror with
-  | Some (_, meng) ->
-      Array.iteri
-        (fun i v -> eng.histogram.(i) <- eng.histogram.(i) + v)
-        meng.histogram;
-      eng.nonconverged <- eng.nonconverged + meng.nonconverged;
-      eng.factorizations <- eng.factorizations + meng.factorizations
-  | None -> ());
   let time = Array.of_list (List.rev !times) in
   let r =
     {
@@ -827,43 +782,3 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
 let simulate_adaptive ?config netlist ~t_end ~dt_max ~probes =
   Rlc_instr.Span.with_ "transient.simulate_adaptive" (fun () ->
       simulate_adaptive_impl ?config netlist ~t_end ~dt_max ~probes)
-
-(* ---------------- deprecated labelled wrappers ---------------- *)
-
-let run ?integration ?initial_voltages ?max_state_iterations ?record_every
-    ?backend netlist ~t_end ~dt ~probes =
-  let d = Config.default in
-  let config =
-    {
-      d with
-      Config.integration =
-        Option.value ~default:d.Config.integration integration;
-      backend = Option.value ~default:d.Config.backend backend;
-      max_state_iterations =
-        Option.value ~default:d.Config.max_state_iterations
-          max_state_iterations;
-      record_every = Option.value ~default:d.Config.record_every record_every;
-      initial_voltages =
-        Option.value ~default:d.Config.initial_voltages initial_voltages;
-    }
-  in
-  simulate ~config netlist ~t_end ~dt ~probes
-
-let run_adaptive ?initial_voltages ?max_state_iterations ?rtol ?atol ?dt_min
-    ?backend netlist ~t_end ~dt_max ~probes =
-  let d = Config.default in
-  let config =
-    {
-      d with
-      Config.backend = Option.value ~default:d.Config.backend backend;
-      max_state_iterations =
-        Option.value ~default:d.Config.max_state_iterations
-          max_state_iterations;
-      initial_voltages =
-        Option.value ~default:d.Config.initial_voltages initial_voltages;
-      rtol = Option.value ~default:d.Config.rtol rtol;
-      atol = Option.value ~default:d.Config.atol atol;
-      dt_min = (match dt_min with Some _ -> dt_min | None -> d.Config.dt_min);
-    }
-  in
-  simulate_adaptive ~config netlist ~t_end ~dt_max ~probes

@@ -65,14 +65,6 @@ module Config : sig
         (default 1e-6) *)
     dt_min : float option;  (** adaptive step floor
         (default [dt_max /. 4096.]) *)
-    pool : Rlc_parallel.Pool.t option;
-        (** when given with capacity >= 2, {!simulate_adaptive}
-            evaluates the speculative full step of its step-doubling
-            error control on a second domain, concurrently with the
-            two half steps.  Waveforms, accepted/rejected step counts
-            and final voltages are bit-identical with or without the
-            pool; only the {!lu_factorizations} diagnostic may differ
-            (the two engines keep separate caches). *)
     plan_hint : Rlc_numerics.Solver.plan option;
         (** a {!structure_plan} of a structurally identical deck
             (equal {!Netlist.structural_signature}): skips the
@@ -120,42 +112,13 @@ val simulate_adaptive :
     sizes are tracked as levels on the dt_max / 2^k grid (k bounded by
     [dt_min]) so MNA factorisations are reused; only the final partial
     step reaching exactly [t_end] may leave the grid.
-    The result's time axis is non-uniform; [rejected_steps] counts
-    error-control rollbacks. *)
-
-val run :
-  ?integration:integration ->
-  ?initial_voltages:(Netlist.node * float) list ->
-  ?max_state_iterations:int ->
-  ?record_every:int ->
-  ?backend:backend ->
-  Netlist.t ->
-  t_end:float ->
-  dt:float ->
-  probes:probe list ->
-  result
-(** @deprecated Thin wrapper over {!simulate} kept so existing callers
-    don't break; new code should build a {!Config.t}. *)
-
-val run_adaptive :
-  ?initial_voltages:(Netlist.node * float) list ->
-  ?max_state_iterations:int ->
-  ?rtol:float ->
-  ?atol:float ->
-  ?dt_min:float ->
-  ?backend:backend ->
-  Netlist.t ->
-  t_end:float ->
-  dt_max:float ->
-  probes:probe list ->
-  result
-(** @deprecated Thin wrapper over {!simulate_adaptive} kept so existing
-    callers don't break; new code should build a {!Config.t}. *)
+    The result's time axis is non-uniform; [(stats r).Stats.rejected_steps]
+    counts error-control rollbacks. *)
 
 val time : result -> float array
 
 val get : result -> probe -> Rlc_waveform.Waveform.t
-(** Waveform of a probe that was requested in [run]; raises
+(** Waveform of a probe that was requested in the run; raises
     [Not_found] otherwise. *)
 
 val final_voltages : result -> float array
@@ -189,15 +152,6 @@ module Stats : sig
 end
 
 val stats : result -> Stats.t
-
-val rejected_steps : result -> int
-(** @deprecated Use [(stats r).Stats.rejected_steps]. *)
-
-val nonconverged_steps : result -> int
-(** @deprecated Use [(stats r).Stats.nonconverged_steps]. *)
-
-val lu_factorizations : result -> int
-(** @deprecated Use [(stats r).Stats.lu_factorizations]. *)
 
 val state_iteration_histogram : result -> int array
 (** [h.(i)] counts steps that needed [i+1] fixed-point passes —

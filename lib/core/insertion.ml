@@ -14,7 +14,8 @@ let optimal_k_for_h ?f node ~l ~h =
     Rlc_opt.objective ?f node ~l ~h ~k:(Float.exp x.(0))
   in
   let sol =
-    Rlc_numerics.Nelder_mead.minimize ~max_iter:2000 ~f:objective
+    Rlc_numerics.Nelder_mead.minimize_ctx ~max_iter:2000 ~ctx:()
+      ~f:(fun () -> objective)
       ~x0:[| Float.log rc.Rc_opt.k_opt |] ()
   in
   Float.exp sol.Rlc_numerics.Nelder_mead.x.(0)

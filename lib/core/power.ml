@@ -63,8 +63,9 @@ let optimize_weighted ?params ?f node ~l ~lambda =
     else dpl *. (per_length ?params node ~h ~k ** lambda)
   in
   let sol =
-    Rlc_numerics.Nelder_mead.minimize ~max_iter:4000 ~ftol:1e-14 ~xtol:1e-9
-      ~f:objective
+    Rlc_numerics.Nelder_mead.minimize_ctx ~max_iter:4000 ~ftol:1e-14
+      ~xtol:1e-9 ~ctx:()
+      ~f:(fun () -> objective)
       ~x0:[| Float.log delay_only.Rlc_opt.h; Float.log delay_only.Rlc_opt.k |]
       ()
   in

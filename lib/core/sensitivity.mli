@@ -27,13 +27,10 @@ type t = {
 val of_stage : ?f:float -> Stage.t -> t
 (** Raises [Invalid_argument] for a degenerate stage (dv/dt = 0 at the
     crossing, which cannot happen for the first crossing of a stable
-    stage).
-
-    @deprecated the bare stage-model shape: it answers only for the
-    four built-in parameters of a single analytic stage.  New call
-    sites should compile the deck into a {!Rlc_circuit.Whatif}
-    workspace and use {!gradient}, which handles any element
-    parameter of any deck and offers the adjoint method. *)
+    stage).  This is the closed-form stage model: it answers for the
+    four built-in parameters of a single analytic stage.  For any
+    element parameter of an arbitrary deck, compile it into a
+    {!Rlc_circuit.Whatif} workspace and use {!gradient}. *)
 
 val gradient :
   ?set:(Rlc_circuit.Whatif.param * float) list ->

@@ -72,8 +72,8 @@ let chain_through_wire ?f node ~l ~wire_length ~load =
     end
   in
   let sol =
-    Rlc_numerics.Nelder_mead.minimize ~max_iter:2000
-      ~f:(fun x -> total (Float.exp x.(0)))
+    Rlc_numerics.Nelder_mead.minimize_ctx ~max_iter:2000 ~ctx:()
+      ~f:(fun () x -> total (Float.exp x.(0)))
       ~x0:[| Float.log 100.0 |] ()
   in
   let k = Float.exp sol.Rlc_numerics.Nelder_mead.x.(0) in

@@ -109,10 +109,11 @@ type summary = {
   p95 : float;
 }
 
-let quantile ~count buckets q =
-  (* upper edge of the bucket containing the q-th sample: an
+let quantile ~count ~lo ~hi buckets q =
+  (* upper edge of the bucket containing the q-th sample -- an
      overestimate by at most 2x, which is all a log-bucketed histogram
-     promises *)
+     promises -- clamped to the observed [lo, hi]: no quantile may
+     exceed the max (nor undercut the min) *)
   let target = Float.to_int (Float.ceil (q *. Float.of_int count)) in
   let target = Int.max 1 (Int.min count target) in
   let rec go b seen =
@@ -122,7 +123,7 @@ let quantile ~count buckets q =
       if seen >= target then Shard.bucket_upper b else go (b + 1) seen
     end
   in
-  go 0 0
+  Float.min hi (Float.max lo (go 0 0))
 
 let merged_buckets h =
   let count = ref 0
@@ -155,9 +156,9 @@ let hist_quantiles h qs =
       if not (q >= 0.0 && q <= 1.0) then
         invalid_arg "Rlc_instr.Metrics.hist_quantiles: quantile outside [0,1]")
     qs;
-  let count, _, _, _, buckets = merged_buckets h in
+  let count, _, lo, hi, buckets = merged_buckets h in
   if count = 0 then None
-  else Some (Array.map (quantile ~count buckets) qs)
+  else Some (Array.map (quantile ~count ~lo ~hi buckets) qs)
 
 let hist_summary h =
   let count, sum, mn, mx, buckets = merged_buckets h in
@@ -170,8 +171,8 @@ let hist_summary h =
         mean = sum /. Float.of_int count;
         min = mn;
         max = mx;
-        p50 = quantile ~count buckets 0.50;
-        p95 = quantile ~count buckets 0.95;
+        p50 = quantile ~count ~lo:mn ~hi:mx buckets 0.50;
+        p95 = quantile ~count ~lo:mn ~hi:mx buckets 0.95;
       }
 
 type snapshot_entry =
@@ -229,6 +230,11 @@ let json_num v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
+let has_data = function
+  | Counter_v v -> v <> 0.0
+  | Gauge_v g -> g <> None
+  | Hist_v s -> s <> None
+
 let json_snapshot () =
   let buf = Buffer.create 512 in
   Buffer.add_char buf '{';
@@ -249,7 +255,7 @@ let json_snapshot () =
                "{\"count\":%d,\"sum\":%s,\"mean\":%s,\"min\":%s,\"p50\":%s,\"p95\":%s,\"max\":%s}"
                s.count (json_num s.sum) (json_num s.mean) (json_num s.min)
                (json_num s.p50) (json_num s.p95) (json_num s.max)))
-    (snapshot ());
+    (List.filter (fun (_, v) -> has_data v) (snapshot ()));
   Buffer.add_char buf '}';
   Buffer.contents buf
 

@@ -38,7 +38,8 @@ val set : gauge -> float -> unit
 
 val observe : hist -> float -> unit
 (** Values land in base-2 log buckets covering ~5e-13 .. 8e6; quantile
-    estimates are upper bucket edges (within 2x of exact). *)
+    estimates are upper bucket edges (within 2x of exact) clamped to
+    the observed [\[min, max\]]. *)
 
 val timed : hist -> (unit -> 'a) -> 'a
 (** [timed h f] runs [f] and observes its wall-clock duration in
@@ -58,8 +59,12 @@ type summary = {
   mean : float;
   min : float;
   max : float;
-  p50 : float;  (** upper bucket edge containing the median *)
-  p95 : float;  (** upper bucket edge containing the 95th percentile *)
+  p50 : float;
+      (** upper bucket edge containing the median, clamped to
+          [\[min, max\]] *)
+  p95 : float;
+      (** upper bucket edge containing the 95th percentile, clamped to
+          [\[min, max\]] *)
 }
 
 val hist_summary : hist -> summary option
@@ -67,7 +72,8 @@ val hist_summary : hist -> summary option
 
 val hist_quantiles : hist -> float array -> float array option
 (** [hist_quantiles h qs] is the upper bucket edge containing each
-    requested quantile (each in [\[0, 1\]]), merged over all shards —
+    requested quantile (each in [\[0, 1\]]), clamped to the observed
+    [\[min, max\]] and merged over all shards —
     the same estimate [hist_summary] reports for p50/p95, for any
     quantile list (the serving layer reads p50/p90/p99).  [None] if no
     samples were recorded; raises [Invalid_argument] on a quantile
@@ -86,8 +92,10 @@ val dump : Format.formatter -> unit
 
 val json_snapshot : unit -> string
 (** Compact single-line JSON object, name -> value (histograms as
-    [{count, sum, mean, min, p50, p95, max}]); suitable for embedding
-    in the bench's [BENCH_*.json] files. *)
+    [{count, sum, mean, min, p50, p95, max}]) of the metrics that hold
+    data since the last {!reset}: zero counters, unset gauges and empty
+    histograms are left out.  Suitable for embedding in the bench's
+    [BENCH_*.json] files. *)
 
 val reset : unit -> unit
 (** Zero all shards (metrics, span trees, trace buffers). Call only at

@@ -19,7 +19,7 @@ let m_diverged = M.counter "nelder_mead.diverged"
 let minimize_ctx ?(max_iter = 2000) ?(ftol = 1e-12) ?(xtol = 1e-10)
     ?(initial_step = 0.05) ~ctx ~f:fc ~x0 () =
   let n = Array.length x0 in
-  if n = 0 then invalid_arg "Nelder_mead.minimize: empty x0";
+  if n = 0 then invalid_arg "Nelder_mead.minimize_ctx: empty x0";
   let f = guard (fun x -> fc ctx x) in
   (* simplex of n+1 vertices *)
   let vertices =
@@ -145,9 +145,3 @@ let minimize_ctx ?(max_iter = 2000) ?(ftol = 1e-12) ?(xtol = 1e-10)
     iterations = !iter;
     converged = !converged;
   }
-
-let minimize ?max_iter ?ftol ?xtol ?initial_step ~f ~x0 () =
-  (* legacy closure shape over the one real implementation — same
-     float operations in the same order *)
-  minimize_ctx ?max_iter ?ftol ?xtol ?initial_step ~ctx:()
-    ~f:(fun () x -> f x) ~x0 ()

@@ -31,21 +31,3 @@ val minimize_ctx :
     1e-10, relative) to collapse.  Objective values of [nan] are
     treated as +infinity, so the objective may simply reject invalid
     regions. *)
-
-val minimize :
-  ?max_iter:int ->
-  ?ftol:float ->
-  ?xtol:float ->
-  ?initial_step:float ->
-  f:(float array -> float) ->
-  x0:float array ->
-  unit ->
-  result
-(** [minimize ~f ~x0 ()] — {!minimize_ctx} with the workspace captured
-    in the closure.
-
-    @deprecated the bare-closure shape; new call sites should carry
-    their evaluation context explicitly (or through a
-    [Rlc_circuit.Whatif.objective] record) and use {!minimize_ctx}.
-    This wrapper threads a unit context through the same
-    implementation, so existing callers are bit-identical. *)

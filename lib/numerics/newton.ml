@@ -92,10 +92,3 @@ let solve_ctx ?(max_iter = 60) ?(tol = 1e-10) ?jacobian ?lower ?upper ~ctx
       ~reason:(if !stalled then "stalled" else "max iterations")
   end;
   { x = !x; residual_norm = r; iterations = !iter; converged }
-
-let solve ?max_iter ?tol ?jacobian ?lower ?upper ~f ~x0 () =
-  (* legacy closure shape: thread a unit context through the one real
-     implementation — same float operations in the same order *)
-  let jacobian = Option.map (fun j () x -> j x) jacobian in
-  solve_ctx ?max_iter ?tol ?jacobian ?lower ?upper ~ctx:() ~f:(fun () x -> f x)
-    ~x0 ()

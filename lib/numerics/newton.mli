@@ -36,21 +36,3 @@ val solve_ctx :
     absolutely below [tol].  When [jacobian] is omitted a central
     finite-difference Jacobian is used.  [lower] / [upper] clamp every
     iterate componentwise. *)
-
-val solve :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?jacobian:(float array -> Matrix.t) ->
-  ?lower:float array ->
-  ?upper:float array ->
-  f:(float array -> float array) ->
-  x0:float array ->
-  unit ->
-  result
-(** [solve ~f ~x0 ()] — {!solve_ctx} with the workspace captured in
-    the closure.
-
-    @deprecated the bare-closure shape; new call sites should build a
-    context (or a [Rlc_circuit.Whatif.residuals] record) and use
-    {!solve_ctx}.  This wrapper threads a unit context through the
-    same implementation, so existing callers are bit-identical. *)

@@ -137,27 +137,3 @@ let map_list ?chunk pool f xs =
 
 let map_reduce ?chunk pool ~map:f ~reduce ~init xs =
   Array.fold_left reduce init (map ?chunk pool f xs)
-
-let both pool fa fb =
-  if pool.capacity <= 1 then begin
-    let a = fa () in
-    let b = fb () in
-    (a, b)
-  end
-  else
-    match Domain.spawn fa with
-    | exception _ ->
-        M.incr m_spawn_fallback;
-        let a = fa () in
-        let b = fb () in
-        (a, b)
-    | d -> (
-        let b =
-          try Ok (fb ())
-          with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        (* joining first means fa's exception (if any) takes priority *)
-        let a = Domain.join d in
-        match b with
-        | Ok b -> (a, b)
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)

@@ -2,7 +2,7 @@
     fan-outs (sweep points, Monte-Carlo samples, corners, bench cases).
 
     A pool is a *capacity*, not a set of live threads: each [map] /
-    [map_reduce] / [both] call spawns up to [domains - 1] short-lived
+    [map_reduce] call spawns up to [domains - 1] short-lived
     domains (the calling domain always works too) and joins them before
     returning.  Results are written into a preallocated slot array by
     index, so the output is bit-identical regardless of the domain
@@ -56,10 +56,3 @@ val map_reduce :
     [reduce (... (reduce init y0) ...) y_{n-1}] in index order — the
     fold order is fixed, so non-associative float reductions are still
     deterministic. *)
-
-val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** Evaluate two independent thunks, the first on a spawned domain when
-    the pool has capacity (and spawning succeeds), the second on the
-    calling domain; sequentially otherwise.  Exceptions from either
-    thunk re-raise in the caller (the first thunk's wins if both
-    raise). *)

@@ -100,7 +100,7 @@ let simulate ?dt ?(cycles = 6) cfg =
       Transient.Node_v monitor_out;
     ]
   in
-  let r = Transient.run nl ~t_end ~dt ~probes in
+  let r = Transient.simulate nl ~t_end ~dt ~probes in
   {
     config = cfg;
     input = Transient.get r (Transient.Node_v drive);

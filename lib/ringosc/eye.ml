@@ -94,7 +94,9 @@ let run ?dt cfg =
   let dt =
     match dt with Some d -> d | None -> Float.min (tau /. 200.0) (rise /. 4.0)
   in
-  let result = Transient.run nl ~t_end ~dt ~probes:[ Transient.Node_v far ] in
+  let result =
+    Transient.simulate nl ~t_end ~dt ~probes:[ Transient.Node_v far ]
+  in
   let w = Transient.get result (Transient.Node_v far) in
   (* sample each bit at 3/4 of its period, offset by the nominal delay *)
   let sample i =

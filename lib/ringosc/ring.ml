@@ -125,7 +125,13 @@ let simulate ?dt ?t_end ?(record_every = 1) cfg =
     ]
   in
   let result =
-    Transient.run ~initial_voltages:built.initial_voltages ~record_every
+    Transient.simulate
+      ~config:
+        {
+          Transient.Config.default with
+          initial_voltages = built.initial_voltages;
+          record_every;
+        }
       built.netlist ~t_end ~dt ~probes
   in
   {

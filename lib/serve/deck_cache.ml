@@ -67,8 +67,6 @@ let find_key t (probe : Netlist.structural_key) =
       M.incr m_miss;
       Miss
 
-let find t ~hash ~signature = find_key t { Netlist.hash; signature }
-
 (* Eviction scans for the stalest slot: O(capacity), but only on the
    (rare) insert past capacity of a cache that is small by design. *)
 let evict_lru t =
@@ -86,18 +84,15 @@ let evict_lru t =
       M.incr m_evict
   | None -> ()
 
-let insert t ~hash entry =
+let insert_key t (key : Netlist.structural_key) entry =
+  if not (String.equal entry.signature key.Netlist.signature) then
+    invalid_arg "Deck_cache.insert_key: entry signature disagrees with key";
   if t.cap > 0 then begin
-    Hashtbl.replace t.table hash { entry; last_use = tick t };
+    Hashtbl.replace t.table key.Netlist.hash { entry; last_use = tick t };
     while Hashtbl.length t.table > t.cap do
       evict_lru t
     done
   end
-
-let insert_key t (key : Netlist.structural_key) entry =
-  if not (String.equal entry.signature key.Netlist.signature) then
-    invalid_arg "Deck_cache.insert_key: entry signature disagrees with key";
-  insert t ~hash:key.Netlist.hash entry
 
 type stats = {
   hits : int;

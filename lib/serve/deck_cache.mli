@@ -56,26 +56,11 @@ val find_key : t -> Rlc_circuit.Netlist.structural_key -> lookup
     entry's LRU position on a hit. *)
 
 val insert_key : t -> Rlc_circuit.Netlist.structural_key -> entry -> unit
-(** {!insert} keyed by a structural key.  Raises [Invalid_argument]
-    when [entry.signature] disagrees with the key's signature — the
-    mismatch that used to be possible when callers threaded hash and
-    signature separately. *)
-
-val find : t -> hash:string -> signature:string -> lookup
-(** {!find_key} over a key assembled from loose parts.
-
-    @deprecated carries the hash/signature pairing in two separate
-    arguments, which is exactly how a hash from one netlist ends up
-    paired with a signature from another.  Use {!find_key} with
-    {!Rlc_circuit.Netlist.structural_key}. *)
-
-val insert : t -> hash:string -> entry -> unit
 (** Inserts (or replaces — the alias path refreshing a poisoned
-    family) and evicts the least-recently-used entry beyond capacity,
-    counting [serve.cache.evict].
-
-    @deprecated same loose-pairing hazard as {!find}; use
-    {!insert_key}. *)
+    family) under the key's hash and evicts the least-recently-used
+    entry beyond capacity, counting [serve.cache.evict].  Raises
+    [Invalid_argument] when [entry.signature] disagrees with the key's
+    signature. *)
 
 type stats = {
   hits : int;

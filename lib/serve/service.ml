@@ -195,9 +195,11 @@ let memo_assembly (m : Memo.entry) plan_hint =
 
 (* Build the artifacts [query] needs that [e] still lacks — runs at
    most once per (family, query kind), sequentially, so the entry
-   mutation is domain-safe.  Failures (singular deck, empty circuit)
-   are swallowed: execution hits the same condition on the same values
-   and reports it per job, keeping cold and warm passes identical. *)
+   mutation is domain-safe.  The failures its three calls raise on a
+   bad deck (a singular matrix, an empty circuit) are swallowed:
+   execution hits the same condition on the same values and reports it
+   per job, keeping cold and warm passes identical.  Anything else
+   ([Out_of_memory], [Stack_overflow], a bug) propagates. *)
 let ensure_artifacts e netlist query asm =
   try
     match query with
@@ -213,7 +215,10 @@ let ensure_artifacts e netlist query asm =
     | Protocol.Q_tran _ | Protocol.Q_delay _ ->
         if e.Deck_cache.tran_plan = None then
           e.Deck_cache.tran_plan <- Some (Transient.structure_plan netlist)
-  with _ -> ()
+  with
+  | Failure _ | Invalid_argument _ | Lu.Singular | Clu.Singular
+  | Banded.Singular | Cbanded.Singular | Sparse.Singular ->
+      ()
 
 let kind_name = function
   | Protocol.Q_dc _ -> "dc"

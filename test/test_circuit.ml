@@ -187,7 +187,9 @@ let test_dc_initial_conditions () =
   Netlist.add_capacitor nl mid Netlist.ground 1e-9;
   let ics = Dc.initial_conditions nl in
   let r =
-    Transient.run ~initial_voltages:ics nl ~t_end:1e-6 ~dt:1e-9
+    Transient.simulate
+      ~config:{ Transient.Config.default with initial_voltages = ics }
+      nl ~t_end:1e-6 ~dt:1e-9
       ~probes:[ Transient.Node_v mid ]
   in
   let w = Transient.get r (Transient.Node_v mid) in
@@ -259,7 +261,7 @@ let test_transient_rc_charge () =
   Netlist.add_resistor nl src out 1e3;
   Netlist.add_capacitor nl out Netlist.ground 1e-9;
   let r =
-    Transient.run nl ~t_end:5e-6 ~dt:1e-9 ~probes:[ Transient.Node_v out ]
+    Transient.simulate nl ~t_end:5e-6 ~dt:1e-9 ~probes:[ Transient.Node_v out ]
   in
   let w = Transient.get r (Transient.Node_v out) in
   List.iter
@@ -279,7 +281,8 @@ let test_transient_rl_current () =
   Netlist.add_rl_branch ~name:"rl" nl src Netlist.ground ~ohms:10.0
     ~henries:1e-6;
   let r =
-    Transient.run nl ~t_end:1e-6 ~dt:2e-10 ~probes:[ Transient.Branch_i "rl" ]
+    Transient.simulate nl ~t_end:1e-6 ~dt:2e-10
+      ~probes:[ Transient.Branch_i "rl" ]
   in
   let w = Transient.get r (Transient.Branch_i "rl") in
   List.iter
@@ -302,7 +305,7 @@ let test_transient_rlc_ringing () =
   Netlist.add_rl_branch nl src out ~ohms:rr ~henries:ll;
   Netlist.add_capacitor nl out Netlist.ground cc;
   let r =
-    Transient.run nl ~t_end:3e-6 ~dt:5e-11 ~probes:[ Transient.Node_v out ]
+    Transient.simulate nl ~t_end:3e-6 ~dt:5e-11 ~probes:[ Transient.Node_v out ]
   in
   let w = Transient.get r (Transient.Node_v out) in
   let zeta = rr /. 2.0 *. Float.sqrt (cc /. ll) in
@@ -327,9 +330,9 @@ let test_transient_capacitor_conservation () =
   Netlist.add_capacitor nl b Netlist.ground 3e-9;
   Netlist.add_resistor nl a b 1e3;
   let r =
-    Transient.run nl
-      ~initial_voltages:[ (a, 2.0) ]
-      ~t_end:5e-5 ~dt:1e-8
+    Transient.simulate
+      ~config:{ Transient.Config.default with initial_voltages = [ (a, 2.0) ] }
+      nl ~t_end:5e-5 ~dt:1e-8
       ~probes:[ Transient.Node_v a; Transient.Node_v b ]
   in
   let v = Transient.final_voltages r in
@@ -347,7 +350,7 @@ let test_transient_inverter_switches () =
     (Devices.inverter ~r_on:100.0 ~c_in:1e-15 ~c_out:10e-15 ~vdd:1.2
        ~t_transition:1e-12 ());
   let r =
-    Transient.run nl ~t_end:10e-9 ~dt:5e-12
+    Transient.simulate nl ~t_end:10e-9 ~dt:5e-12
       ~probes:[ Transient.Node_v output ]
   in
   let w = Transient.get r (Transient.Node_v output) in
@@ -369,7 +372,9 @@ let test_transient_record_every () =
   Netlist.add_vsource nl a Netlist.ground (Stimulus.Dc 1.0);
   Netlist.add_resistor nl a Netlist.ground 1.0;
   let r =
-    Transient.run ~record_every:10 nl ~t_end:1e-6 ~dt:1e-9
+    Transient.simulate
+      ~config:{ Transient.Config.default with record_every = 10 }
+      nl ~t_end:1e-6 ~dt:1e-9
       ~probes:[ Transient.Node_v a ]
   in
   Alcotest.(check int) "decimated samples" 101 (Array.length (Transient.time r))
@@ -379,13 +384,13 @@ let test_transient_validation () =
   let a = Netlist.fresh_node nl in
   Netlist.add_vsource nl a Netlist.ground (Stimulus.Dc 1.0);
   Netlist.add_resistor nl a Netlist.ground 1.0;
-  Alcotest.check_raises "bad dt" (Invalid_argument "Transient.run: bad dt")
+  Alcotest.check_raises "bad dt" (Invalid_argument "Transient.simulate: bad dt")
     (fun () ->
-      ignore (Transient.run nl ~t_end:1.0 ~dt:2.0 ~probes:[]));
+      ignore (Transient.simulate nl ~t_end:1.0 ~dt:2.0 ~probes:[]));
   Alcotest.check_raises "unknown probe"
-    (Invalid_argument "Transient.run: unknown element zz") (fun () ->
+    (Invalid_argument "Transient.simulate: unknown element zz") (fun () ->
       ignore
-        (Transient.run nl ~t_end:1e-6 ~dt:1e-9
+        (Transient.simulate nl ~t_end:1e-6 ~dt:1e-9
            ~probes:[ Transient.Branch_i "zz" ]))
 
 let test_transient_be_vs_trap () =
@@ -402,7 +407,9 @@ let test_transient_be_vs_trap () =
   let value integration =
     let nl, out = build () in
     let r =
-      Transient.run ~integration nl ~t_end:2e-6 ~dt:1e-9
+      Transient.simulate
+        ~config:{ Transient.Config.default with integration }
+        nl ~t_end:2e-6 ~dt:1e-9
         ~probes:[ Transient.Node_v out ]
     in
     Rlc_waveform.Waveform.value_at (Transient.get r (Transient.Node_v out)) 1e-6
@@ -474,7 +481,7 @@ let test_ladder_delay_convergence () =
       ~from_node:drv ~to_node:far;
     Netlist.add_capacitor nl far Netlist.ground 4e-13;
     let r =
-      Transient.run nl ~t_end:1.2e-9 ~dt:2e-13
+      Transient.simulate nl ~t_end:1.2e-9 ~dt:2e-13
         ~probes:[ Transient.Node_v far ]
     in
     match
@@ -515,11 +522,13 @@ let build_ringer () =
 let test_adaptive_matches_fixed () =
   let nl, b = build_ringer () in
   let fixed =
-    Transient.run nl ~t_end:3e-6 ~dt:5e-11 ~probes:[ Transient.Node_v b ]
+    Transient.simulate nl ~t_end:3e-6 ~dt:5e-11 ~probes:[ Transient.Node_v b ]
   in
   let nl2, b2 = build_ringer () in
   let adaptive =
-    Transient.run_adaptive ~rtol:1e-4 nl2 ~t_end:3e-6 ~dt_max:2e-7
+    Transient.simulate_adaptive
+      ~config:{ Transient.Config.default with rtol = 1e-4 }
+      nl2 ~t_end:3e-6 ~dt_max:2e-7
       ~probes:[ Transient.Node_v b2 ]
   in
   let wf = Transient.get fixed (Transient.Node_v b) in
@@ -538,7 +547,9 @@ let test_adaptive_matches_fixed () =
 let test_adaptive_peak_accuracy () =
   let nl, b = build_ringer () in
   let r =
-    Transient.run_adaptive ~rtol:1e-4 nl ~t_end:3e-6 ~dt_max:2e-7
+    Transient.simulate_adaptive
+      ~config:{ Transient.Config.default with rtol = 1e-4 }
+      nl ~t_end:3e-6 ~dt_max:2e-7
       ~probes:[ Transient.Node_v b ]
   in
   let w = Transient.get r (Transient.Node_v b) in
@@ -562,11 +573,11 @@ let test_adaptive_refines_on_edges () =
     (Devices.inverter ~r_on:100.0 ~c_in:1e-15 ~c_out:50e-15 ~vdd:1.2
        ~t_transition:50e-12 ());
   let r =
-    Transient.run_adaptive nl ~t_end:10e-9 ~dt_max:1e-9
+    Transient.simulate_adaptive nl ~t_end:10e-9 ~dt_max:1e-9
       ~probes:[ Transient.Node_v output ]
   in
   Alcotest.(check bool) "edges cause rejections" true
-    (Transient.rejected_steps r > 0);
+    ((Transient.stats r).Transient.Stats.rejected_steps > 0);
   let w = Transient.get r (Transient.Node_v output) in
   Alcotest.(check bool) "output switched" true
     (Rlc_waveform.Waveform.value_at w 9.5e-9 < 0.1
@@ -576,10 +587,13 @@ let test_adaptive_validation () =
   let nl, b = build_ringer () in
   ignore b;
   Alcotest.check_raises "bad tolerances"
-    (Invalid_argument "Transient.run_adaptive: tolerances must be positive")
+    (Invalid_argument
+       "Transient.simulate_adaptive: tolerances must be positive")
     (fun () ->
       ignore
-        (Transient.run_adaptive ~rtol:0.0 nl ~t_end:1e-6 ~dt_max:1e-8
+        (Transient.simulate_adaptive
+          ~config:{ Transient.Config.default with rtol = 0.0 }
+          nl ~t_end:1e-6 ~dt_max:1e-8
            ~probes:[]))
 
 (* ---------------- solver backends & engine regressions ---------------- *)
@@ -592,7 +606,9 @@ let test_banded_dense_agree_on_ladder () =
      and banded factorisations, to near machine precision *)
   let nl, _src, far = Ladder.driven_line (rlc_ladder_spec 40) in
   let run backend =
-    Transient.run ~backend nl ~t_end:1.2e-9 ~dt:4e-13
+    Transient.simulate
+      ~config:{ Transient.Config.default with backend }
+      nl ~t_end:1.2e-9 ~dt:4e-13
       ~probes:[ Transient.Node_v far; Ladder.input_current_probe () ]
   in
   let rd = run Transient.Dense and rb = run Transient.Banded in
@@ -618,7 +634,9 @@ let test_banded_dense_agree_auto_backend () =
      before the joints, so this also covers the RCM reordering *)
   let nl, _src, far = Ladder.driven_line (rlc_ladder_spec 64) in
   let run backend =
-    Transient.run ~backend nl ~t_end:1e-9 ~dt:1e-12
+    Transient.simulate
+      ~config:{ Transient.Config.default with backend }
+      nl ~t_end:1e-9 ~dt:1e-12
       ~probes:[ Transient.Node_v far ]
   in
   let ra = run Transient.Auto and rd = run Transient.Dense in
@@ -655,7 +673,9 @@ let test_banded_dense_agree_coupled () =
     }
     ~from1:a1 ~to1:b1 ~from2:a2 ~to2:b2;
   let run backend =
-    Transient.run ~backend nl ~t_end:2e-9 ~dt:2e-12
+    Transient.simulate
+      ~config:{ Transient.Config.default with backend }
+      nl ~t_end:2e-9 ~dt:2e-12
       ~probes:[ Transient.Branch_i "pair_seg5#1"; Transient.Branch_i "pair_seg5#2" ]
   in
   let rd = run Transient.Dense and rb = run Transient.Banded in
@@ -679,7 +699,7 @@ let test_vsource_probe_current () =
   Netlist.add_vsource ~name:"V1" nl a Netlist.ground (Stimulus.Dc 1.0);
   Netlist.add_resistor ~name:"R1" nl a Netlist.ground 2.0;
   let r =
-    Transient.run nl ~t_end:1e-6 ~dt:1e-9
+    Transient.simulate nl ~t_end:1e-6 ~dt:1e-9
       ~probes:[ Transient.Branch_i "V1"; Transient.Branch_i "R1" ]
   in
   let wv = Transient.get r (Transient.Branch_i "V1") in
@@ -698,13 +718,17 @@ let test_fixed_step_factorization_count () =
      a backward-Euler run exactly once *)
   let nl, b = build_ringer () in
   ignore b;
-  let r = Transient.run nl ~t_end:1e-6 ~dt:1e-9 ~probes:[] in
-  Alcotest.(check int) "trapezoidal run" 2 (Transient.lu_factorizations r);
+  let r = Transient.simulate nl ~t_end:1e-6 ~dt:1e-9 ~probes:[] in
+  Alcotest.(check int) "trapezoidal run" 2
+    (Transient.stats r).Transient.Stats.lu_factorizations;
   let r_be =
-    Transient.run ~integration:Transient.Backward_euler nl ~t_end:1e-6
-      ~dt:1e-9 ~probes:[]
+    Transient.simulate
+      ~config:
+        { Transient.Config.default with integration = Transient.Backward_euler }
+      nl ~t_end:1e-6 ~dt:1e-9 ~probes:[]
   in
-  Alcotest.(check int) "backward-euler run" 1 (Transient.lu_factorizations r_be)
+  Alcotest.(check int) "backward-euler run" 1
+    (Transient.stats r_be).Transient.Stats.lu_factorizations
 
 let test_adaptive_two_dt_levels_reuse_cache () =
   (* regression for the (meth, dt)-keyed cache and the dt_max/2^k
@@ -714,11 +738,14 @@ let test_adaptive_two_dt_levels_reuse_cache () =
      trajectory *)
   let nl, b = build_ringer () in
   let fixed =
-    Transient.run nl ~t_end:2.83e-6 ~dt:5e-11 ~probes:[ Transient.Node_v b ]
+    Transient.simulate nl ~t_end:2.83e-6 ~dt:5e-11
+      ~probes:[ Transient.Node_v b ]
   in
   let nl2, b2 = build_ringer () in
   let adaptive =
-    Transient.run_adaptive ~rtol:1e-4 nl2 ~t_end:2.83e-6 ~dt_max:3e-7
+    Transient.simulate_adaptive
+      ~config:{ Transient.Config.default with rtol = 1e-4 }
+      nl2 ~t_end:2.83e-6 ~dt_max:3e-7
       ~probes:[ Transient.Node_v b2 ]
   in
   let wf = Transient.get fixed (Transient.Node_v b) in
@@ -735,7 +762,7 @@ let test_adaptive_two_dt_levels_reuse_cache () =
      costing at most one BE and one trapezoidal factorisation (plus
      half-step and final-partial entries) — the count is bounded by
      the level grid, not by the step count *)
-  let n_factor = Transient.lu_factorizations adaptive in
+  let n_factor = (Transient.stats adaptive).Transient.Stats.lu_factorizations in
   Alcotest.(check bool)
     (Printf.sprintf "bounded factorisations (%d)" n_factor)
     true (n_factor <= (2 * (12 + 2)) + 4);
@@ -759,11 +786,13 @@ let test_nonconvergence_counter () =
   in
   let nl, output = build () in
   let starved =
-    Transient.run ~max_state_iterations:1 nl ~t_end:6e-9 ~dt:5e-12
+    Transient.simulate
+      ~config:{ Transient.Config.default with max_state_iterations = 1 }
+      nl ~t_end:6e-9 ~dt:5e-12
       ~probes:[ Transient.Node_v output ]
   in
   Alcotest.(check bool) "starved iteration is reported" true
-    (Transient.nonconverged_steps starved > 0);
+    ((Transient.stats starved).Transient.Stats.nonconverged_steps > 0);
   (* the committed state stays physical: inverter output in rails *)
   Array.iter
     (fun v ->
@@ -771,11 +800,11 @@ let test_nonconvergence_counter () =
     (Transient.final_voltages starved);
   let nl2, output2 = build () in
   let healthy =
-    Transient.run nl2 ~t_end:6e-9 ~dt:5e-12
+    Transient.simulate nl2 ~t_end:6e-9 ~dt:5e-12
       ~probes:[ Transient.Node_v output2 ]
   in
   Alcotest.(check int) "default budget converges" 0
-    (Transient.nonconverged_steps healthy);
+    (Transient.stats healthy).Transient.Stats.nonconverged_steps;
   let w = Transient.get healthy (Transient.Node_v output2) in
   Alcotest.(check bool) "output switched low" true
     (Rlc_waveform.Waveform.value_at w 5.5e-9 < 0.1)

@@ -258,7 +258,7 @@ let build_coupled_pair drive2 p ~h ~k ~segments =
   Netlist.add_capacitor nl f1 Netlist.ground (Rlc_tech.Driver.scaled_c0 driver ~k);
   Netlist.add_capacitor nl f2 Netlist.ground (Rlc_tech.Driver.scaled_c0 driver ~k);
   let r =
-    Transient.run nl ~t_end:1.5e-9 ~dt:2.5e-13
+    Transient.simulate nl ~t_end:1.5e-9 ~dt:2.5e-13
       ~probes:[ Transient.Node_v f1; Transient.Node_v f2 ]
   in
   (Transient.get r (Transient.Node_v f1), Transient.get r (Transient.Node_v f2))

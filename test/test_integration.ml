@@ -36,7 +36,7 @@ let simulate_stage ?(segments = 24) (stage : Rlc_core.Stage.t) ~t_end ~dt =
     }
     ~from_node:drv ~to_node:far;
   Netlist.add_capacitor nl far Netlist.ground (Rlc_core.Stage.cl stage);
-  let r = Transient.run nl ~t_end ~dt ~probes:[ Transient.Node_v far ] in
+  let r = Transient.simulate nl ~t_end ~dt ~probes:[ Transient.Node_v far ] in
   Transient.get r (Transient.Node_v far)
 
 let delay_50 w =

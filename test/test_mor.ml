@@ -403,7 +403,7 @@ let test_prima_step_vs_transient () =
   Alcotest.(check bool) "stable" true model.Prima.stable;
   let t_end = 8e-9 and dt = 4e-12 in
   let r =
-    Transient.run nl ~t_end ~dt ~probes:[ Transient.Node_v far ]
+    Transient.simulate nl ~t_end ~dt ~probes:[ Transient.Node_v far ]
   in
   let w = Transient.get r (Transient.Node_v far) in
   let times = Rlc_waveform.Waveform.times w in
@@ -453,7 +453,7 @@ let test_laplace_step_vs_transient () =
   let output = far_output m far in
   let h = Mna.transfer m ~input:0 ~output in
   let t_end = 8e-9 and dt = 4e-12 in
-  let r = Transient.run nl ~t_end ~dt ~probes:[ Transient.Node_v far ] in
+  let r = Transient.simulate nl ~t_end ~dt ~probes:[ Transient.Node_v far ] in
   let w = Transient.get r (Transient.Node_v far) in
   List.iter
     (fun t ->

@@ -485,7 +485,7 @@ let prop_brent_finds_root =
 let test_newton2d () =
   (* intersection of circle x^2+y^2=4 and line y=x: (sqrt2, sqrt2) *)
   let f x = [| (x.(0) *. x.(0)) +. (x.(1) *. x.(1)) -. 4.0; x.(1) -. x.(0) |] in
-  let r = Newton.solve ~f ~x0:[| 1.0; 0.5 |] () in
+  let r = Newton.solve_ctx ~ctx:() ~f:(fun () -> f) ~x0:[| 1.0; 0.5 |] () in
   Alcotest.(check bool) "converged" true r.Newton.converged;
   check_close "x" (Float.sqrt 2.0) r.Newton.x.(0) ~tol:1e-7;
   check_close "y" (Float.sqrt 2.0) r.Newton.x.(1) ~tol:1e-7
@@ -494,7 +494,8 @@ let test_newton2d_bounds () =
   (* same system but clamped away from the negative branch *)
   let f x = [| (x.(0) *. x.(0)) -. 4.0; x.(1) -. 1.0 |] in
   let r =
-    Newton.solve ~lower:[| 0.1; 0.1 |] ~f ~x0:[| 0.5; 0.5 |] ()
+    Newton.solve_ctx ~lower:[| 0.1; 0.1 |] ~ctx:() ~f:(fun () -> f)
+      ~x0:[| 0.5; 0.5 |] ()
   in
   Alcotest.(check bool) "converged" true r.Newton.converged;
   check_close "positive root" 2.0 r.Newton.x.(0) ~tol:1e-7
@@ -502,7 +503,10 @@ let test_newton2d_bounds () =
 let test_newton_analytic_jacobian () =
   let f x = [| Float.exp x.(0) -. 2.0 |] in
   let jacobian x = Matrix.of_arrays [| [| Float.exp x.(0) |] |] in
-  let r = Newton.solve ~jacobian ~f ~x0:[| 0.0 |] () in
+  let r =
+    Newton.solve_ctx ~jacobian:(fun () -> jacobian) ~ctx:() ~f:(fun () -> f)
+      ~x0:[| 0.0 |] ()
+  in
   check_close "ln 2" (Float.log 2.0) r.Newton.x.(0) ~tol:1e-9
 
 (* ---------------- Nelder-Mead ---------------- *)
@@ -512,14 +516,17 @@ let test_nelder_mead_rosenbrock () =
     let a = 1.0 -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
     (a *. a) +. (100.0 *. b *. b)
   in
-  let r = Nelder_mead.minimize ~max_iter:5000 ~f ~x0:[| -1.2; 1.0 |] () in
+  let r =
+    Nelder_mead.minimize_ctx ~max_iter:5000 ~ctx:() ~f:(fun () -> f)
+      ~x0:[| -1.2; 1.0 |] ()
+  in
   check_close "x" 1.0 r.Nelder_mead.x.(0) ~tol:1e-4;
   check_close "y" 1.0 r.Nelder_mead.x.(1) ~tol:1e-4
 
 let test_nelder_mead_rejects_nan_region () =
   (* objective undefined (nan) for x < 0; minimum at x = 1 *)
   let f x = if x.(0) < 0.0 then nan else (x.(0) -. 1.0) ** 2.0 in
-  let r = Nelder_mead.minimize ~f ~x0:[| 0.5 |] () in
+  let r = Nelder_mead.minimize_ctx ~ctx:() ~f:(fun () -> f) ~x0:[| 0.5 |] () in
   check_close "min" 1.0 r.Nelder_mead.x.(0) ~tol:1e-5
 
 let prop_nelder_mead_quadratic =
@@ -528,7 +535,9 @@ let prop_nelder_mead_quadratic =
     QCheck2.Gen.(pair (float_range (-5.0) 5.0) (float_range (-5.0) 5.0))
     (fun (cx, cy) ->
       let f x = ((x.(0) -. cx) ** 2.0) +. (2.0 *. ((x.(1) -. cy) ** 2.0)) in
-      let r = Nelder_mead.minimize ~f ~x0:[| 0.0; 0.0 |] () in
+      let r =
+        Nelder_mead.minimize_ctx ~ctx:() ~f:(fun () -> f) ~x0:[| 0.0; 0.0 |] ()
+      in
       Float.abs (r.Nelder_mead.x.(0) -. cx) < 1e-3
       && Float.abs (r.Nelder_mead.x.(1) -. cy) < 1e-3)
 

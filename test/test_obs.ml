@@ -190,7 +190,8 @@ let test_newton_divergence_probe () =
   with_journal (fun () ->
       (* constant residual: the jacobian is singular, Newton stalls *)
       let r =
-        Rlc_numerics.Newton.solve ~max_iter:5 ~f:(fun _ -> [| 1.0 |])
+        Rlc_numerics.Newton.solve_ctx ~max_iter:5 ~ctx:()
+          ~f:(fun () _ -> [| 1.0 |])
           ~x0:[| 0.0 |] ()
       in
       Alcotest.(check bool) "did not converge" false r.Rlc_numerics.Newton.converged;
@@ -401,16 +402,13 @@ let step_ladder segments =
     ~from_node:src ~to_node:far;
   (nl, far)
 
-let waveform ~domains ~journaled =
+let waveform ~journaled =
   let was = Control.enabled () in
   M.reset ();
   if journaled then Journal.start ();
   let nl, far = step_ladder 12 in
-  let config =
-    { Transient.Config.default with pool = Some (Pool.create ~domains ()) }
-  in
   let r =
-    Transient.simulate ~config nl ~t_end:1e-9 ~dt:1e-12
+    Transient.simulate nl ~t_end:1e-9 ~dt:1e-12
       ~probes:[ Transient.Node_v far ]
   in
   Journal.stop ();
@@ -419,14 +417,10 @@ let waveform ~domains ~journaled =
     (Rlc_waveform.Waveform.values (Transient.get r (Transient.Node_v far)))
 
 let test_transient_identity_with_journal () =
-  List.iter
-    (fun domains ->
-      Alcotest.(check (list int64))
-        (Printf.sprintf "journaled waveform bit-identical (%d domains)"
-           domains)
-        (List.map Int64.bits_of_float (waveform ~domains ~journaled:false))
-        (List.map Int64.bits_of_float (waveform ~domains ~journaled:true)))
-    [ 1; 4 ]
+  Alcotest.(check (list int64))
+    "journaled waveform bit-identical"
+    (List.map Int64.bits_of_float (waveform ~journaled:false))
+    (List.map Int64.bits_of_float (waveform ~journaled:true))
 
 (* ---------------- trace cap overflow ---------------- *)
 

@@ -89,14 +89,6 @@ let test_map_reduce () =
         expected total)
     (pools ())
 
-let test_both () =
-  List.iter
-    (fun pool ->
-      let a, b = Pool.both pool (fun () -> 6 * 7) (fun () -> "ok") in
-      Alcotest.(check int) "first" 42 a;
-      Alcotest.(check string) "second" "ok" b)
-    (pools ())
-
 let test_exception_propagation () =
   List.iter
     (fun pool ->
@@ -105,9 +97,7 @@ let test_exception_propagation () =
           ignore
             (Pool.map pool
                (fun x -> if x = 5.0 then failwith "boom" else x)
-               (Array.init 20 float_of_int)));
-      Alcotest.check_raises ("both raises " ^ tag) (Failure "left") (fun () ->
-          ignore (Pool.both pool (fun () -> failwith "left") (fun () -> 1))))
+               (Array.init 20 float_of_int))))
     (pools ())
 
 (* ---------------- Determinism of the pooled consumers ------------- *)
@@ -197,56 +187,6 @@ let test_ac_determinism () =
       check_bits "1 vs 4 domains" one four
   | _ -> assert false
 
-(* ---------------- Transient Config + pooled adaptive -------------- *)
-
-let step_ladder segments =
-  let open Rlc_circuit in
-  let nl = Netlist.create () in
-  let src = Netlist.fresh_node nl in
-  Netlist.add_vsource nl src Netlist.ground
-    (Stimulus.Step { v0 = 0.0; v1 = 1.0; t_delay = 0.0; t_rise = 20e-12 });
-  let far = Netlist.fresh_node nl in
-  Ladder.make nl
-    { Ladder.r = 4400.0; l = 1.5e-6; c = 123.33e-12; length = 0.011; segments }
-    ~from_node:src ~to_node:far;
-  (nl, far)
-
-let test_config_matches_legacy_run () =
-  let open Rlc_circuit in
-  let nl, far = step_ladder 10 in
-  let probes = [ Transient.Node_v far ] in
-  let legacy = Transient.run ~record_every:2 nl ~t_end:1e-9 ~dt:1e-12 ~probes in
-  let cfg = { Transient.Config.default with record_every = 2 } in
-  let fresh = Transient.simulate ~config:cfg nl ~t_end:1e-9 ~dt:1e-12 ~probes in
-  check_bits "waveforms identical"
-    (Array.to_list
-       (Rlc_waveform.Waveform.values (Transient.get legacy (Transient.Node_v far))))
-    (Array.to_list
-       (Rlc_waveform.Waveform.values (Transient.get fresh (Transient.Node_v far))));
-  Alcotest.(check int) "steps identical" (Transient.steps_taken legacy)
-    (Transient.steps_taken fresh)
-
-let test_pooled_adaptive_identical () =
-  let open Rlc_circuit in
-  let nl, far = step_ladder 10 in
-  let probes = [ Transient.Node_v far ] in
-  let run pool =
-    let config = { Transient.Config.default with pool } in
-    Transient.simulate_adaptive ~config nl ~t_end:1e-9 ~dt_max:1e-11 ~probes
-  in
-  let seq = run None in
-  let par = run (Some (Pool.create ~domains:2 ())) in
-  check_bits "adaptive waveform identical with a mirror domain"
-    (Array.to_list
-       (Rlc_waveform.Waveform.values (Transient.get seq (Transient.Node_v far))))
-    (Array.to_list
-       (Rlc_waveform.Waveform.values (Transient.get par (Transient.Node_v far))));
-  Alcotest.(check int) "accepted steps identical" (Transient.steps_taken seq)
-    (Transient.steps_taken par);
-  Alcotest.(check int) "rejected steps identical"
-    (Transient.rejected_steps seq)
-    (Transient.rejected_steps par)
-
 (* ---------------- Formatter capture ---------------- *)
 
 let capture f =
@@ -282,7 +222,6 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_map_edge_cases;
           Alcotest.test_case "map_list order" `Quick test_map_list_order;
           Alcotest.test_case "map_reduce" `Quick test_map_reduce;
-          Alcotest.test_case "both" `Quick test_both;
           Alcotest.test_case "exceptions" `Quick test_exception_propagation;
         ] );
       ( "determinism",
@@ -291,13 +230,6 @@ let () =
           Alcotest.test_case "monte-carlo" `Quick test_monte_carlo_determinism;
           Alcotest.test_case "corners" `Quick test_corners_determinism;
           Alcotest.test_case "ac bode" `Quick test_ac_determinism;
-        ] );
-      ( "transient config",
-        [
-          Alcotest.test_case "config = legacy run" `Quick
-            test_config_matches_legacy_run;
-          Alcotest.test_case "pooled adaptive identical" `Quick
-            test_pooled_adaptive_identical;
         ] );
       ( "formatters",
         [

@@ -542,7 +542,9 @@ let prop_transient_backends_agree =
       let nl, nodes = build_netlist recipe in
       let probe = Transient.Node_v nodes.(Array.length nodes - 1) in
       let run backend =
-        Transient.run ~backend nl ~t_end:1e-9 ~dt:1e-11 ~probes:[ probe ]
+        Transient.simulate
+          ~config:{ Transient.Config.default with backend }
+          nl ~t_end:1e-9 ~dt:1e-11 ~probes:[ probe ]
       in
       let vd = Transient.final_voltages (run Transient.Dense) in
       let vb = Transient.final_voltages (run Transient.Banded) in
@@ -607,7 +609,7 @@ let prop_rc_ladder_passivity =
       ignore last;
       let tau = List.fold_left2 (fun a r c -> a +. (r *. c)) 0.0 rs cs in
       let result =
-        Transient.run nl ~t_end:(5.0 *. tau) ~dt:(tau /. 500.0)
+        Transient.simulate nl ~t_end:(5.0 *. tau) ~dt:(tau /. 500.0)
           ~probes:!probes
       in
       List.for_all
@@ -628,7 +630,7 @@ let test_trapezoidal_second_order_convergence () =
     Netlist.add_resistor nl a b 1e3;
     Netlist.add_capacitor nl b Netlist.ground 1e-9;
     let r =
-      Transient.run nl ~t_end:1.0001e-6 ~dt ~probes:[ Transient.Node_v b ]
+      Transient.simulate nl ~t_end:1.0001e-6 ~dt ~probes:[ Transient.Node_v b ]
     in
     Rlc_waveform.Waveform.value_at (Transient.get r (Transient.Node_v b)) 1e-6
   in
@@ -651,8 +653,10 @@ let test_backward_euler_first_order_convergence () =
     Netlist.add_resistor nl a b 1e3;
     Netlist.add_capacitor nl b Netlist.ground 1e-9;
     let r =
-      Transient.run ~integration:Transient.Backward_euler nl ~t_end:1.0001e-6
-        ~dt ~probes:[ Transient.Node_v b ]
+      Transient.simulate
+        ~config:
+          { Transient.Config.default with integration = Transient.Backward_euler }
+        nl ~t_end:1.0001e-6 ~dt ~probes:[ Transient.Node_v b ]
     in
     Rlc_waveform.Waveform.value_at (Transient.get r (Transient.Node_v b)) 1e-6
   in

@@ -188,6 +188,34 @@ let test_service_malformed () =
     results;
   Alcotest.(check int) "error count" 5 (Service.summary svc).Service.errors
 
+(* A sparse-planned grid made singular by a second voltage source in
+   parallel with V1: artifact building in the prepare phase hits the
+   singular factorisation, which must become the job's own [err] line —
+   the same cold and warm — and leave the rest of the stream answered. *)
+let test_service_singular_grid () =
+  let deck =
+    let g = grid_deck 24 in
+    let body = String.sub g 0 (String.length g - String.length ".end\n") in
+    body ^ "V2 n_0_0 0 DC 2\n.end\n"
+  in
+  Alcotest.(check bool) "singular grid plans sparse" true
+    ((Assembly.of_netlist (parse deck)).Assembly.plan.Solver.choice
+    = Solver.Sparse_lu);
+  let lines =
+    [ job "sing" "dc n_5_5" deck; job "next" "dc out" (divider_deck "1k") ]
+  in
+  let svc = Service.create () in
+  let cold = Service.process_lines svc lines in
+  let warm = Service.process_lines svc lines in
+  match cold with
+  | [ err; next ] ->
+      Alcotest.(check bool) ("singular dc is an err line: " ^ err) true
+        (String.length err > 8 && String.sub err 0 8 = "err sing");
+      Alcotest.(check bool) ("next job answered: " ^ next) true
+        (String.length next > 7 && String.sub next 0 7 = "ok next");
+      Alcotest.(check (list string)) "warm stream = cold stream" cold warm
+  | _ -> Alcotest.failf "expected two result lines, got %d" (List.length cold)
+
 let test_service_empty_input () =
   let results, svc = run_lines [] in
   Alcotest.(check (list string)) "no lines, no results" [] results;
@@ -466,6 +494,8 @@ let () =
           Alcotest.test_case "malformed jobs never abort" `Quick
             test_service_malformed;
           Alcotest.test_case "empty input" `Quick test_service_empty_input;
+          Alcotest.test_case "singular sparse grid" `Quick
+            test_service_singular_grid;
         ] );
       ( "deck cache",
         [

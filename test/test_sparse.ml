@@ -422,7 +422,9 @@ let test_pdn_transient_symbolic_reuse () =
   let p0 = Rlc_instr.Metrics.value c_repivot in
   let probe = Transient.Node_v (Pdn.node pdn ~row:12 ~col:12) in
   let run backend =
-    Transient.run ~backend pdn.Pdn.netlist ~t_end:5e-9 ~dt:5e-11
+    Transient.simulate
+      ~config:{ Transient.Config.default with backend }
+      pdn.Pdn.netlist ~t_end:5e-9 ~dt:5e-11
       ~probes:[ probe ]
   in
   let va = Transient.final_voltages (run Transient.Auto) in

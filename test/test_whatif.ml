@@ -1,8 +1,8 @@
 (* Tests for the incremental what-if layer: the Sherman-Morrison-
    Woodbury update kernel, the compiled Whatif workspace (rank-k fast
    path vs fresh factorisation, fallback guards, adjoint gradients vs
-   finite differences), the shared structural-key pairing, and the
-   bitwise neutrality of the legacy optimizer wrappers. *)
+   finite differences), the shared structural-key pairing, the
+   deck-cache key API and the serve delay-sens query. *)
 
 open Rlc_numerics
 open Rlc_circuit
@@ -540,42 +540,6 @@ let test_objective_record () =
     (Invalid_argument "Whatif.objective: parameter vector length mismatch")
     (fun () -> ignore (Whatif.eval obj [| 1.0 |]))
 
-(* The legacy closure entry points must be bit-identical to the
-   context-passing implementation they now wrap. *)
-let test_legacy_wrappers_bitwise () =
-  let f_resid x = [| (x.(0) *. x.(0)) -. 2.0; x.(1) -. 1.0 |] in
-  let legacy = Newton.solve ~f:f_resid ~x0:[| 1.0; 0.0 |] () in
-  let viactx =
-    Whatif.solve_residuals
-      (Whatif.custom_residuals ~workspace:2.0 ~eval:(fun two x ->
-           [| (x.(0) *. x.(0)) -. two; x.(1) -. 1.0 |]))
-      ~x0:[| 1.0; 0.0 |]
-  in
-  Alcotest.(check bool) "newton converged" true legacy.Newton.converged;
-  Alcotest.(check int) "newton iterations" legacy.Newton.iterations
-    viactx.Newton.iterations;
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "newton x[%d]" i) v viactx.Newton.x.(i))
-    legacy.Newton.x;
-  let rosen x =
-    let a = 1.0 -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
-    (a *. a) +. (100.0 *. b *. b)
-  in
-  let legacy_nm = Nelder_mead.minimize ~f:rosen ~x0:[| -1.2; 1.0 |] () in
-  let viactx_nm =
-    Whatif.minimize
-      (Whatif.custom ~workspace:100.0 ~eval:(fun w x ->
-           let a = 1.0 -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
-           (a *. a) +. (w *. b *. b)))
-      ~x0:[| -1.2; 1.0 |]
-  in
-  Alcotest.(check int) "nm iterations" legacy_nm.Nelder_mead.iterations
-    viactx_nm.Nelder_mead.iterations;
-  check_bits "nm fx" legacy_nm.Nelder_mead.fx viactx_nm.Nelder_mead.fx;
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "nm x[%d]" i) v viactx_nm.Nelder_mead.x.(i))
-    legacy_nm.Nelder_mead.x
-
 (* ---------------- structural keys ---------------- *)
 
 let test_structural_key_pairing () =
@@ -722,8 +686,6 @@ let () =
       ( "unified api",
         [
           Alcotest.test_case "objective record" `Quick test_objective_record;
-          Alcotest.test_case "legacy wrappers bitwise" `Quick
-            test_legacy_wrappers_bitwise;
         ] );
       ( "structural keys",
         [
