@@ -195,6 +195,7 @@ type adaptive_row = {
   a_unknowns : int;
   accepted : int;
   rejected : int;
+  advances : int;
   factorizations : int;
   auto_s : float;
 }
@@ -204,8 +205,7 @@ let ladder_spec segments =
     length = 0.011; segments }
 
 (* One step-driven RLC ladder, simulated to 1 ns with both fixed-step
-   backends (identical trajectories, wall-clock compared) and once
-   adaptively with the automatic backend. *)
+   backends (identical trajectories, wall-clock compared). *)
 let ladder_case ~segments ~steps =
   let open Rlc_circuit in
   let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
@@ -230,29 +230,57 @@ let ladder_case ~segments ~steps =
   Array.iteri
     (fun i v -> max_diff := Float.max !max_diff (Float.abs (v -. vb.(i))))
     vd;
-  let ra, auto_s =
-    wall (fun () ->
-        Transient.simulate_adaptive
-          ~config:{ Transient.Config.default with rtol = 1e-4 }
-          nl ~t_end ~dt_max:(t_end /. 64.0) ~probes)
+  {
+    segments;
+    unknowns;
+    steps;
+    dense_s;
+    banded_s;
+    speedup = dense_s /. banded_s;
+    max_diff = !max_diff;
+  }
+
+(* [f ()] and the engine advances it made, read from the metrics
+   registry with recording on — counted by the engine's solve path, not
+   derived from the driver's step bookkeeping.  Call it outside any pool
+   fan-out: the registry sums every domain's records. *)
+let counting_advances f =
+  let c = Rlc_instr.Metrics.counter "transient.advances" in
+  let was = Rlc_instr.Control.enabled () in
+  Rlc_instr.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Rlc_instr.Control.set_enabled was)
+    (fun () ->
+      let before = Rlc_instr.Metrics.value c in
+      let r = f () in
+      (r, int_of_float (Rlc_instr.Metrics.value c -. before)))
+
+(* The same ladder simulated adaptively with the automatic backend:
+   timed once, then re-run with recording on to count advances. *)
+let adaptive_case ~segments =
+  let open Rlc_circuit in
+  let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
+  let t_end = 1e-9 in
+  let run () =
+    Transient.simulate_adaptive
+      ~config:{ Transient.Config.default with rtol = 1e-4 }
+      nl ~t_end ~dt_max:(t_end /. 64.0) ~probes:[ Transient.Node_v far ]
   in
-  ( {
-      segments;
-      unknowns;
-      steps;
-      dense_s;
-      banded_s;
-      speedup = dense_s /. banded_s;
-      max_diff = !max_diff;
-    },
-    {
-      a_segments = segments;
-      a_unknowns = unknowns;
-      accepted = Transient.steps_taken ra;
-      rejected = (Transient.stats ra).Transient.Stats.rejected_steps;
-      factorizations = (Transient.stats ra).Transient.Stats.lu_factorizations;
-      auto_s;
-    } )
+  let ra, auto_s = wall run in
+  let _, advances = counting_advances run in
+  let s = Transient.stats ra in
+  {
+    a_segments = segments;
+    a_unknowns = Netlist.node_count nl;
+    accepted = s.Transient.Stats.steps;
+    rejected = s.Transient.Stats.rejected_steps;
+    advances;
+    factorizations = s.Transient.Stats.lu_factorizations;
+    auto_s;
+  }
+
+let rejected_frac (r : adaptive_row) =
+  float_of_int r.rejected /. float_of_int (r.accepted + r.rejected)
 
 let write_bench_json path (fixed, adaptive) =
   let oc = open_out path in
@@ -262,7 +290,7 @@ let write_bench_json path (fixed, adaptive) =
   field
     "  \"description\": \"Dense vs banded MNA backend on step-driven RLC \
      ladders (Transient.simulate, trapezoidal; adaptive rtol=1e-4, auto \
-     backend). Times in seconds.\",\n";
+     backend, one advance per attempted step). Times in seconds.\",\n";
   field "  \"fixed_step\": [\n";
   List.iteri
     (fun i (r : fixed_row) ->
@@ -280,10 +308,10 @@ let write_bench_json path (fixed, adaptive) =
     (fun i (r : adaptive_row) ->
       field
         "    {\"segments\": %d, \"unknowns\": %d, \"accepted_steps\": %d, \
-         \"rejected_steps\": %d, \"lu_factorizations\": %d, \"auto_s\": \
-         %.6f}%s\n"
-        r.a_segments r.a_unknowns r.accepted r.rejected r.factorizations
-        r.auto_s
+         \"rejected_steps\": %d, \"rejected_frac\": %.4f, \"advances\": %d, \
+         \"lu_factorizations\": %d, \"auto_s\": %.6f}%s\n"
+        r.a_segments r.a_unknowns r.accepted r.rejected (rejected_frac r)
+        r.advances r.factorizations r.auto_s
         (if i = List.length adaptive - 1 then "" else ","))
     adaptive;
   field "  ]\n}\n";
@@ -296,12 +324,11 @@ let run_ladder_scaling ~sizes ~steps ~json =
   (* sizes are independent cases; when several worker domains run them
      concurrently the per-case wall clocks contend, but the dense/banded
      ratio and the trajectory cross-check stay meaningful *)
-  let rows =
+  let fixed =
     Rlc_parallel.Pool.map_list pool
       (fun segments -> ladder_case ~segments ~steps)
       sizes
   in
-  let fixed = List.map fst rows and adaptive = List.map snd rows in
   List.iter
     (fun (r : fixed_row) ->
       Printf.printf "%8d %9d %7d %12.5f %12.5f %8.1fx %12.3e\n" r.segments
@@ -309,13 +336,16 @@ let run_ladder_scaling ~sizes ~steps ~json =
       if r.max_diff > 1e-9 then
         failwith "ladder scaling: dense and banded backends disagree")
     fixed;
+  (* sequential: the advance count reads the process-wide registry *)
+  let adaptive = List.map (fun segments -> adaptive_case ~segments) sizes in
   print_newline ();
-  Printf.printf "%8s %9s %10s %10s %8s %12s\n" "segments" "unknowns"
-    "accepted" "rejected" "LU" "auto [s]";
+  Printf.printf "%8s %9s %10s %10s %9s %10s %8s %12s\n" "segments" "unknowns"
+    "accepted" "rejected" "rej frac" "advances" "LU" "auto [s]";
   List.iter
     (fun (r : adaptive_row) ->
-      Printf.printf "%8d %9d %10d %10d %8d %12.5f\n" r.a_segments r.a_unknowns
-        r.accepted r.rejected r.factorizations r.auto_s)
+      Printf.printf "%8d %9d %10d %10d %9.4f %10d %8d %12.5f\n" r.a_segments
+        r.a_unknowns r.accepted r.rejected (rejected_frac r) r.advances
+        r.factorizations r.auto_s)
     adaptive;
   (match json with
   | Some path ->
@@ -323,6 +353,49 @@ let run_ladder_scaling ~sizes ~steps ~json =
       Printf.printf "\nrecorded baseline in %s\n" path
   | None -> ());
   fixed
+
+(* Adaptive gate: a 24-segment, L-dominated ladder driven by a 200 ps
+   ramp, against a fixed-step trapezoidal reference at dt_max/256 that
+   is trusted only when the dt_max/128 run stays within 0.5% of swing.
+   Fails on more than one advance per attempted step or on an error
+   above 2% of swing. *)
+let run_adaptive_gate () =
+  section "Adaptive transient gate: 24-segment ramp-driven ladder";
+  let open Rlc_circuit in
+  let nl, _src, far = Ladder.driven_line ~t_rise:200e-12 (ladder_spec 24) in
+  let probe = Transient.Node_v far in
+  let t_end = 3e-9 in
+  let dt_max = t_end /. 32.0 in
+  let fixed dt =
+    Transient.get (Transient.simulate nl ~t_end ~dt ~probes:[ probe ]) probe
+  in
+  let deviation ~reference w =
+    Rlc_waveform.Measure.max_deviation_pct ~reference w
+  in
+  let reference = fixed (dt_max /. 256.0) in
+  let moved = deviation ~reference (fixed (dt_max /. 128.0)) in
+  let r, advances =
+    counting_advances (fun () ->
+        Transient.simulate_adaptive nl ~t_end ~dt_max ~probes:[ probe ])
+  in
+  let s = Transient.stats r in
+  let attempts = s.Transient.Stats.steps + s.Transient.Stats.rejected_steps in
+  let err = deviation ~reference (Transient.get r probe) in
+  Printf.printf
+    "%d accepted + %d rejected steps, %d advances; error %.3f%% of swing \
+     (reference moves %.3f%% when its step doubles)\n"
+    s.Transient.Stats.steps s.Transient.Stats.rejected_steps advances err moved;
+  if moved >= 0.5 then
+    failwith
+      (Printf.sprintf "adaptive gate: reference moved %.3f%% (trust: 0.5%%)"
+         moved);
+  if advances > attempts then
+    failwith
+      (Printf.sprintf "adaptive gate: %d advances for %d attempted steps"
+         advances attempts);
+  if err > 2.0 then
+    failwith
+      (Printf.sprintf "adaptive gate: error %.3f%% of swing (gate: 2%%)" err)
 
 (* ------------------------------------------------------------------ *)
 (* AC: dense-complex vs complex-banded per-frequency solves            *)
@@ -1693,6 +1766,7 @@ let () =
        `make bench-smoke` *)
     let rows = run_ladder_scaling ~sizes:[ 10; 24 ] ~steps:200 ~json:None in
     if List.exists (fun r -> r.max_diff > 1e-9) rows then exit 1;
+    run_adaptive_gate ();
     (* small sizes, no JSON: the recorded BENCH_ac.json baseline comes
        from the full run's 100/400/800-segment cases *)
     ignore (run_ac_bench ~cases:[ (24, 8, 8); (64, 8, 8) ] ~json:None);

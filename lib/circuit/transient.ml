@@ -6,6 +6,7 @@ let m_rejected = M.counter "transient.rejected_steps"
 let m_nonconverged = M.counter "transient.nonconverged_steps"
 let m_cache_hit = M.counter "transient.lu_cache.hit"
 let m_cache_miss = M.counter "transient.lu_cache.miss"
+let m_forced = M.counter "transient.forced_accepts"
 let m_advances = M.counter "transient.advances"
 let m_step_s = M.hist "transient.step_s"
 
@@ -66,38 +67,29 @@ type compiled =
       state : int; (* index into inverter state array *)
     }
 
-type result = {
-  time : float array;
-  probe_data : (probe * float array) list;
-  final_v : float array;
-  steps : int;
-  histogram : int array;
-  rejected_steps : int;
-  nonconverged_steps : int;
-  lu_factorizations : int;
-}
-
-let time r = Array.copy r.time
-let final_voltages r = Array.copy r.final_v
-let steps_taken r = r.steps
-let state_iteration_histogram r = Array.copy r.histogram
-
 module Stats = struct
   type t = {
     steps : int;
     rejected_steps : int;
+    forced_accepts : int;
     nonconverged_steps : int;
     lu_factorizations : int;
   }
 end
 
-let stats r =
-  {
-    Stats.steps = r.steps;
-    rejected_steps = r.rejected_steps;
-    nonconverged_steps = r.nonconverged_steps;
-    lu_factorizations = r.lu_factorizations;
-  }
+type result = {
+  time : float array;
+  probe_data : (probe * float array) list;
+  final_v : float array;
+  histogram : int array;
+  stats : Stats.t;
+}
+
+let time r = Array.copy r.time
+let final_voltages r = Array.copy r.final_v
+let steps_taken r = r.stats.Stats.steps
+let state_iteration_histogram r = Array.copy r.histogram
+let stats r = r.stats
 
 (* Counters mirror the per-run [Stats.t] into the registry at the end
    of each driver.  LU factorizations are *not* re-added here — every
@@ -105,6 +97,7 @@ let stats r =
 let publish_stats (s : Stats.t) =
   M.add m_steps (Float.of_int s.Stats.steps);
   M.add m_rejected (Float.of_int s.Stats.rejected_steps);
+  M.add m_forced (Float.of_int s.Stats.forced_accepts);
   M.add m_nonconverged (Float.of_int s.Stats.nonconverged_steps)
 
 let get r probe =
@@ -399,14 +392,16 @@ let slewed_drive dev ~dt current target_high =
     else current +. Float.copy_sign max_step delta
   end
 
-(* Fill eng.rhs in place (permuted positions); allocates nothing. *)
+(* Fill eng.rhs in place (permuted positions).  Every branch voltage is
+   read inline and every companion term is its own float binding: a
+   float-returning helper or a tuple would box on each element and
+   pass. *)
 let build_rhs eng meth dt t_next trial =
   let s = eng.state in
   let b = eng.rhs in
   let p = eng.perm in
   Array.fill b 0 eng.m 0.0;
   let alpha = alpha_of meth in
-  let vab na nb = s.v.(na) -. s.v.(nb) in
   Array.iter
     (fun c ->
       match c with
@@ -414,7 +409,7 @@ let build_rhs eng meth dt t_next trial =
       | Cc { a = na; b = nb; c; state } ->
           let g = alpha *. c /. dt in
           let i_src =
-            (g *. vab na nb)
+            (g *. (s.v.(na) -. s.v.(nb)))
             +. (match meth with
                | Trapezoidal -> s.cap_i.(state)
                | Backward_euler -> 0.0)
@@ -426,7 +421,9 @@ let build_rhs eng meth dt t_next trial =
           let i_src =
             match meth with
             | Trapezoidal ->
-                g *. (vab na nb +. (((2.0 *. l /. dt) -. r) *. s.rl_i.(state)))
+                g
+                *. (s.v.(na) -. s.v.(nb)
+                   +. (((2.0 *. l /. dt) -. r) *. s.rl_i.(state)))
             | Backward_euler -> g *. (l /. dt) *. s.rl_i.(state)
           in
           if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) -. i_src;
@@ -436,18 +433,21 @@ let build_rhs eng meth dt t_next trial =
           let o = alpha *. m /. dt in
           let det = (d *. d) -. (o *. o) in
           let i1 = s.rl_i.(state) and i2 = s.rl_i.(state + 1) in
-          let w1, w2 =
+          let w1 =
             match meth with
             | Trapezoidal ->
-                ( vab a1 b1
-                  +. (((2.0 *. l /. dt) -. r) *. i1)
-                  +. (2.0 *. m /. dt *. i2),
-                  vab a2 b2
-                  +. (((2.0 *. l /. dt) -. r) *. i2)
-                  +. (2.0 *. m /. dt *. i1) )
-            | Backward_euler ->
-                ( (l /. dt *. i1) +. (m /. dt *. i2),
-                  (l /. dt *. i2) +. (m /. dt *. i1) )
+                s.v.(a1) -. s.v.(b1)
+                +. (((2.0 *. l /. dt) -. r) *. i1)
+                +. (2.0 *. m /. dt *. i2)
+            | Backward_euler -> (l /. dt *. i1) +. (m /. dt *. i2)
+          in
+          let w2 =
+            match meth with
+            | Trapezoidal ->
+                s.v.(a2) -. s.v.(b2)
+                +. (((2.0 *. l /. dt) -. r) *. i2)
+                +. (2.0 *. m /. dt *. i1)
+            | Backward_euler -> (l /. dt *. i2) +. (m /. dt *. i1)
           in
           let i1_src = ((d *. w1) -. (o *. w2)) /. det in
           let i2_src = ((d *. w2) -. (o *. w1)) /. det in
@@ -541,18 +541,21 @@ let advance_raw eng meth dt t_next =
           let o = alpha *. m /. dt in
           let det = (d *. d) -. (o *. o) in
           let i1 = s.rl_i.(state) and i2 = s.rl_i.(state + 1) in
-          let w1, w2 =
+          let w1 =
             match meth with
             | Trapezoidal ->
-                ( s.v.(a1) -. s.v.(b1)
-                  +. (((2.0 *. l /. dt) -. r) *. i1)
-                  +. (2.0 *. m /. dt *. i2),
-                  s.v.(a2) -. s.v.(b2)
-                  +. (((2.0 *. l /. dt) -. r) *. i2)
-                  +. (2.0 *. m /. dt *. i1) )
-            | Backward_euler ->
-                ( (l /. dt *. i1) +. (m /. dt *. i2),
-                  (l /. dt *. i2) +. (m /. dt *. i1) )
+                s.v.(a1) -. s.v.(b1)
+                +. (((2.0 *. l /. dt) -. r) *. i1)
+                +. (2.0 *. m /. dt *. i2)
+            | Backward_euler -> (l /. dt *. i1) +. (m /. dt *. i2)
+          in
+          let w2 =
+            match meth with
+            | Trapezoidal ->
+                s.v.(a2) -. s.v.(b2)
+                +. (((2.0 *. l /. dt) -. r) *. i2)
+                +. (2.0 *. m /. dt *. i1)
+            | Backward_euler -> (l /. dt *. i2) +. (m /. dt *. i1)
           in
           let u1 = (v_new.(a1) -. v_new.(b1)) +. w1 in
           let u2 = (v_new.(a2) -. v_new.(b2)) +. w2 in
@@ -634,6 +637,26 @@ let validate_probes eng probes =
             invalid_arg ("Transient.simulate: unknown element " ^ name))
     probes
 
+(* The run's result; its counters go to the registry on the way out. *)
+let finish eng ~time ~probe_data ~steps ~rejected ~forced =
+  let stats =
+    {
+      Stats.steps;
+      rejected_steps = rejected;
+      forced_accepts = forced;
+      nonconverged_steps = eng.nonconverged;
+      lu_factorizations = eng.factorizations;
+    }
+  in
+  publish_stats stats;
+  {
+    time;
+    probe_data;
+    final_v = Array.copy eng.state.v;
+    histogram = Array.copy eng.histogram;
+    stats;
+  }
+
 (* ---------------- fixed-step driver ---------------- *)
 
 let simulate_impl ?(config = Config.default) netlist ~t_end ~dt ~probes =
@@ -667,27 +690,54 @@ let simulate_impl ?(config = Config.default) netlist ~t_end ~dt ~probes =
     end
   done;
   let used = !slot + 1 in
-  let r =
-    {
-      time = Array.sub times 0 used;
-      probe_data =
-        List.map (fun (p, arr) -> (p, Array.sub arr 0 used)) probe_specs;
-      final_v = Array.copy eng.state.v;
-      steps = n_steps;
-      histogram = Array.copy eng.histogram;
-      rejected_steps = 0;
-      nonconverged_steps = eng.nonconverged;
-      lu_factorizations = eng.factorizations;
-    }
-  in
-  publish_stats (stats r);
-  r
+  finish eng
+    ~time:(Array.sub times 0 used)
+    ~probe_data:
+      (List.map (fun (p, arr) -> (p, Array.sub arr 0 used)) probe_specs)
+    ~steps:n_steps ~rejected:0 ~forced:0
 
 let simulate ?config netlist ~t_end ~dt ~probes =
   Rlc_instr.Span.with_ "transient.simulate" (fun () ->
       simulate_impl ?config netlist ~t_end ~dt ~probes)
 
 (* ---------------- adaptive driver ---------------- *)
+
+(* Error control on [err], the largest per-node LTE estimate in units
+   of its tolerance.  The trapezoidal LTE grows as dt^3, so doubling dt
+   multiplies it by 8: a step grows one level only when that still
+   lands within tolerance, and a rejected step refines by as many
+   levels as bring [err] back under 1. *)
+let grow_below = 0.125
+
+let refine_levels err =
+  Int.max 1 (int_of_float (Float.ceil (Float.log2 err /. 3.0)))
+
+(* Accepted points the estimator needs besides the new solution. *)
+let history = 3
+
+(* Largest per-node trapezoidal LTE of the step ending at [t3] with
+   node voltages [v], in units of [atol + rtol |v|]: LTE = dt^3/12
+   |x'''| with x''' = 6 x[t0,t1,t2,t3], the third divided difference
+   of the accepted points [past] (oldest first) at times [past_t] and
+   the new point.  6/12 and the leading 1/(t3 - t0) fold into [c]. *)
+let lte_error ~rtol ~atol ~past ~past_t v t3 =
+  let h0 = past.(0) and h1 = past.(1) and h2 = past.(2) in
+  let t0 = past_t.(0) and t1 = past_t.(1) and t2 = past_t.(2) in
+  let dt = t3 -. t2 in
+  let i10 = 1.0 /. (t1 -. t0) and i21 = 1.0 /. (t2 -. t1) in
+  let i32 = 1.0 /. dt in
+  let i20 = 1.0 /. (t2 -. t0) and i31 = 1.0 /. (t3 -. t1) in
+  let c = dt *. dt *. dt /. (2.0 *. (t3 -. t0)) in
+  let err = ref 0.0 in
+  for node = 1 to Array.length v - 1 do
+    let d01 = (h1.(node) -. h0.(node)) *. i10 in
+    let d12 = (h2.(node) -. h1.(node)) *. i21 in
+    let d23 = (v.(node) -. h2.(node)) *. i32 in
+    let d3 = ((d23 -. d12) *. i31) -. ((d12 -. d01) *. i20) in
+    let scale = atol +. (rtol *. Float.abs v.(node)) in
+    err := Float.max !err (c *. Float.abs d3 /. scale)
+  done;
+  !err
 
 let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     ~probes =
@@ -704,15 +754,22 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     invalid_arg "Transient.simulate_adaptive: bad dt_min";
   let eng = make_engine config netlist in
   validate_probes eng probes;
-  (* Step-doubling error control: one dt step vs two dt/2 steps, both
-     trapezoidal.  dt is tracked as a level k with dt = dt_max / 2^k,
-     so every step (except a final partial one reaching exactly t_end)
-     reuses a cached LU factorisation. *)
+  (* One advance per attempt: backward Euler for the first step,
+     trapezoidal after, each checked by its own LTE estimate.  dt is
+     tracked as a level k with dt = dt_max / 2^k, so every step (except
+     a final partial one reaching exactly t_end) reuses a cached LU
+     factorisation.  The estimate needs [history] accepted points, so
+     the run starts at the finest level and stays there until it has
+     them. *)
   let k_max =
     Int.max 0
       (int_of_float
          (Float.ceil (Float.log (dt_max /. dt_min) /. Float.log 2.0)))
   in
+  let n = eng.n_nodes in
+  (* the last accepted node voltages, oldest first, and their times *)
+  let past = Array.init history (fun _ -> Array.make n 0.0) in
+  let past_t = Array.make history 0.0 in
   let times = ref [ 0.0 ] in
   let data = List.map (fun p -> (p, ref [ probe_value eng p ])) probes in
   let record t =
@@ -720,64 +777,49 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     List.iter (fun (p, acc) -> acc := probe_value eng p :: !acc) data
   in
   let t = ref 0.0 in
-  let level = ref (Int.min 4 k_max) in
-  let steps = ref 0 and rejected = ref 0 in
-  let first = ref true in
+  let level = ref k_max in
+  let steps = ref 0 and rejected = ref 0 and forced = ref 0 in
   let saved = copy_state eng.state in
-  let v_full = Array.make eng.n_nodes 0.0 in
   while !t < t_end -. (1e-12 *. t_end) do
     let dt_level = Float.ldexp dt_max (- !level) in
     let remaining = t_end -. !t in
     (* only the last partial step may leave the dt_max/2^k grid *)
     let dt_now = if dt_level > remaining then remaining else dt_level in
     let t_next = !t +. dt_now in
-    let meth = if !first then Backward_euler else Trapezoidal in
+    let meth = if !steps = 0 then Backward_euler else Trapezoidal in
     blit_state ~src:eng.state ~dst:saved;
-    (* full step *)
     advance eng meth dt_now t_next;
-    Array.blit eng.state.v 0 v_full 0 eng.n_nodes;
-    (* two half steps from the saved state *)
-    blit_state ~src:saved ~dst:eng.state;
-    advance eng meth (dt_now /. 2.0) (!t +. (dt_now /. 2.0));
-    advance eng meth (dt_now /. 2.0) t_next;
-    (* error estimate over node voltages *)
-    let err = ref 0.0 in
-    for node = 1 to eng.n_nodes - 1 do
-      let scale = atol +. (rtol *. Float.abs eng.state.v.(node)) in
-      err :=
-        Float.max !err (Float.abs (v_full.(node) -. eng.state.v.(node)) /. scale)
-    done;
-    if !err <= 1.0 || !level >= k_max then begin
-      (* accept the (more accurate) half-step state *)
+    let estimated = !steps >= history in
+    let err =
+      if not estimated then 0.0
+      else
+        lte_error ~rtol ~atol ~past ~past_t eng.state.v t_next
+    in
+    if err <= 1.0 || !level >= k_max then begin
+      if err > 1.0 then incr forced;
       incr steps;
-      first := false;
       t := t_next;
       record !t;
-      if !err < 0.25 then level := Int.max 0 (!level - 1)
-      else if !err > 0.75 then level := Int.min k_max (!level + 1)
+      (* the oldest history buffer takes the new point *)
+      let oldest = past.(0) in
+      Array.blit past 1 past 0 (history - 1);
+      Array.blit past_t 1 past_t 0 (history - 1);
+      past.(history - 1) <- oldest;
+      past_t.(history - 1) <- t_next;
+      Array.blit eng.state.v 0 oldest 0 n;
+      if estimated && err < grow_below then level := Int.max 0 (!level - 1)
     end
     else begin
       incr rejected;
       blit_state ~src:saved ~dst:eng.state;
-      level := Int.min k_max (!level + 1)
+      level := Int.min k_max (!level + refine_levels err)
     end
   done;
-  let time = Array.of_list (List.rev !times) in
-  let r =
-    {
-      time;
-      probe_data =
-        List.map (fun (p, acc) -> (p, Array.of_list (List.rev !acc))) data;
-      final_v = Array.copy eng.state.v;
-      steps = !steps;
-      histogram = Array.copy eng.histogram;
-      rejected_steps = !rejected;
-      nonconverged_steps = eng.nonconverged;
-      lu_factorizations = eng.factorizations;
-    }
-  in
-  publish_stats (stats r);
-  r
+  finish eng
+    ~time:(Array.of_list (List.rev !times))
+    ~probe_data:
+      (List.map (fun (p, acc) -> (p, Array.of_list (List.rev !acc))) data)
+    ~steps:!steps ~rejected:!rejected ~forced:!forced
 
 let simulate_adaptive ?config netlist ~t_end ~dt_max ~probes =
   Rlc_instr.Span.with_ "transient.simulate_adaptive" (fun () ->

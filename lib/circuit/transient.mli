@@ -63,8 +63,9 @@ module Config : sig
     rtol : float;  (** adaptive relative tolerance (default 1e-3) *)
     atol : float;  (** adaptive absolute tolerance, volts/amps
         (default 1e-6) *)
-    dt_min : float option;  (** adaptive step floor
-        (default [dt_max /. 4096.]) *)
+    dt_min : float option;  (** adaptive step floor, rounded down to
+        the dt_max / 2^k grid, and the size of an adaptive run's
+        first three steps (default [dt_max /. 4096.]) *)
     plan_hint : Rlc_numerics.Solver.plan option;
         (** a {!structure_plan} of a structurally identical deck
             (equal {!Netlist.structural_signature}): skips the
@@ -105,15 +106,43 @@ val simulate_adaptive :
   dt_max:float ->
   probes:probe list ->
   result
-(** Variable-step transient with step-doubling error control: each
-    candidate step is computed once at [dt] and once as two [dt/2]
-    trapezoidal steps; their per-node difference against
-    [atol + rtol * |v|] accepts, shrinks or grows the step.  Step
-    sizes are tracked as levels on the dt_max / 2^k grid (k bounded by
-    [dt_min]) so MNA factorisations are reused; only the final partial
-    step reaching exactly [t_end] may leave the grid.
-    The result's time axis is non-uniform; [(stats r).Stats.rejected_steps]
-    counts error-control rollbacks. *)
+(** Variable-step transient with local-truncation-error (LTE) control.
+    Each attempted step is one advance: backward Euler for the first
+    step, trapezoidal after it, reusing the cached factorisation of
+    its dt.
+
+    {b Estimator.}  The trapezoidal LTE of a step of size dt is
+    [dt^3/12 * |x'''|].  x''' comes from the third divided difference
+    of the new node voltages and the last three accepted ones.  Each
+    node's estimate is divided by [atol + rtol * |v|] (v the new
+    voltage) and the largest ratio, [err], decides: accept when
+    [err <= 1]; otherwise roll back and retry ceil(log2(err)/3) levels
+    finer.  After an accepted step with [err < 1/8] dt grows one level
+    (doubling dt multiplies the LTE by 8).
+
+    {b Step grid.}  Step sizes are levels on the dt_max / 2^k grid (k
+    bounded by [dt_min]), so factorisations are reused; only the final
+    partial step reaching exactly [t_end] may leave the grid.  The
+    estimator needs three accepted points, so a run starts at the
+    finest level, [dt_min], and takes its first three steps there
+    unchecked.  A step still over tolerance at [dt_min] is accepted
+    and counted in [Stats.forced_accepts].
+
+    {b Tolerance semantics.}  [rtol] and [atol] bound each accepted
+    step's own local error estimate, with no safety factor; global
+    error is what those local errors accumulate to.  This is looser
+    than step doubling, which compares one dt step with two dt/2
+    steps and keeps the more accurate half-step state, so its
+    tolerance bounds that state's error about 3x conservatively.  On
+    the repository benchmark's ladders (benchmark/, transient-ladder)
+    this controller runs 2.7x faster than step doubling with a worst
+    error of 1.4% of swing against a fine fixed-step reference, where
+    step doubling reached 0.7%.  Scaling the estimate by 3 would bring
+    the error back to 0.8% but cut the speed-up to 1.6x, so it is not
+    done.
+
+    The result's time axis is non-uniform;
+    [(stats r).Stats.rejected_steps] counts error-control rollbacks. *)
 
 val time : result -> float array
 
@@ -129,13 +158,17 @@ val steps_taken : result -> int
 (** Per-run work/diagnostic counters, as one record.  The same numbers
     are also published to the {!Rlc_instr.Metrics} registry
     ([transient.steps], [transient.rejected_steps],
-    [transient.nonconverged_steps]; factorisations appear as
+    [transient.forced_accepts], [transient.nonconverged_steps];
+    factorisations appear as
     [transient.lu_cache.miss]) at the end of every driver run. *)
 module Stats : sig
   type t = {
     steps : int;  (** accepted steps *)
     rejected_steps : int;
         (** error-control rollbacks (adaptive only; 0 for fixed-step) *)
+    forced_accepts : int;
+        (** adaptive steps accepted over tolerance because dt was
+            already at [dt_min] (0 for fixed-step) *)
     nonconverged_steps : int;
         (** steps whose inverter fixed point was still changing when
             [max_state_iterations] ran out; the committed state is the

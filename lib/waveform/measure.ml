@@ -118,6 +118,30 @@ let schmitt_period w ~lo ~hi =
 let peak_abs w =
   Rlc_numerics.Stats.max (Array.map Float.abs (Waveform.values w))
 
+(* one merge pass: both time axes ascend *)
+let max_deviation_pct ~reference w =
+  let rt = Waveform.times reference and rv = Waveform.values reference in
+  let last = Array.length rt - 1 in
+  let lo, hi = Rlc_numerics.Stats.min_max rv in
+  let j = ref 0 in
+  let worst =
+    Waveform.fold
+      (fun acc t v ->
+        while !j < last - 1 && rt.(!j + 1) < t do
+          incr j
+        done;
+        let r =
+          if last = 0 || t <= rt.(0) then rv.(0)
+          else if t >= rt.(last) then rv.(last)
+          else
+            let s = (t -. rt.(!j)) /. (rt.(!j + 1) -. rt.(!j)) in
+            ((1.0 -. s) *. rv.(!j)) +. (s *. rv.(!j + 1))
+        in
+        Float.max acc (Float.abs (v -. r)))
+      0.0 w
+  in
+  100.0 *. worst /. (hi -. lo)
+
 let rms w =
   Rlc_numerics.Stats.rms_sampled ~xs:(Waveform.times w)
     ~ys:(Waveform.values w)

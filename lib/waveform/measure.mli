@@ -51,6 +51,11 @@ val schmitt_period : Waveform.t -> lo:float -> hi:float -> float option
 val peak_abs : Waveform.t -> float
 (** Maximum of |w| over the record. *)
 
+val max_deviation_pct : reference:Waveform.t -> Waveform.t -> float
+(** Largest [|w(t) - reference(t)|] over the samples of [w], in percent
+    of the reference's swing (max - min).  The reference is linearly
+    interpolated between its points and held at its ends. *)
+
 val rms : Waveform.t -> float
 (** Time-weighted RMS over the record span. *)
 

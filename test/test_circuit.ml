@@ -758,16 +758,104 @@ let test_adaptive_two_dt_levels_reuse_cache () =
         (Rlc_waveform.Waveform.value_at wa t)
         ~tol:2e-3)
     [ 2e-7; 9e-7; 2.5e-6 ];
-  (* every dt is dt_max/2^k with k <= k_max = log2(4096), each level
-     costing at most one BE and one trapezoidal factorisation (plus
-     half-step and final-partial entries) — the count is bounded by
-     the level grid, not by the step count *)
+  (* every dt is dt_max/2^k with k <= k_max = log2(4096), each of the
+     13 levels costing at most one trapezoidal factorisation, plus the
+     backward-Euler first step and the final partial step — the count
+     is bounded by the level grid, not by the step count *)
   let n_factor = (Transient.stats adaptive).Transient.Stats.lu_factorizations in
   Alcotest.(check bool)
     (Printf.sprintf "bounded factorisations (%d)" n_factor)
-    true (n_factor <= (2 * (12 + 2)) + 4);
+    true (n_factor <= 13 + 2);
   Alcotest.(check bool) "cache reused across steps" true
     (Transient.steps_taken adaptive >= 5 * n_factor)
+
+(* ---------------- adaptive accuracy vs fixed-step references ------------ *)
+
+let with_recording f =
+  let was = Rlc_instr.Control.enabled () in
+  Rlc_instr.Control.set_enabled true;
+  Fun.protect ~finally:(fun () -> Rlc_instr.Control.set_enabled was) f
+
+(* An 11 mm, 24-segment line of the 100 nm node's r and c with
+   inductance [l] (H/m), driven by a 200 ps ramp. *)
+let ramp_ladder l =
+  let nl, _src, far =
+    Ladder.driven_line ~t_rise:200e-12
+      { Ladder.r = 4400.0; l; c = 123.33e-12; length = 0.011; segments = 24 }
+  in
+  (nl, far)
+
+(* The adaptive waveform must stay within 2% of the swing of a
+   fixed-step trapezoidal reference at dt_max/256, which is trusted
+   only when the dt_max/128 run stays within 0.5% of it; and every
+   attempted step must cost exactly one advance. *)
+let check_adaptive_accuracy (nl, node) ~t_end ~dt_max ~rtol () =
+  let probe = Transient.Node_v node in
+  let fixed dt =
+    Transient.get (Transient.simulate nl ~t_end ~dt ~probes:[ probe ]) probe
+  in
+  let reference = fixed (dt_max /. 256.0) in
+  let moved =
+    Rlc_waveform.Measure.max_deviation_pct ~reference (fixed (dt_max /. 128.0))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "reference trusted (moved %.3f%%)" moved)
+    true (moved < 0.5);
+  let advances = Rlc_instr.Metrics.counter "transient.advances" in
+  let r, advanced =
+    with_recording (fun () ->
+        let before = Rlc_instr.Metrics.value advances in
+        let r =
+          Transient.simulate_adaptive
+            ~config:{ Transient.Config.default with rtol }
+            nl ~t_end ~dt_max ~probes:[ probe ]
+        in
+        (r, Rlc_instr.Metrics.value advances -. before))
+  in
+  let s = Transient.stats r in
+  Alcotest.(check (float 0.0))
+    "one advance per attempt"
+    (float_of_int (s.Transient.Stats.steps + s.Transient.Stats.rejected_steps))
+    advanced;
+  let err =
+    Rlc_waveform.Measure.max_deviation_pct ~reference (Transient.get r probe)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "within 2%% of swing (%.3f%%)" err)
+    true (err <= 2.0)
+
+let ladder_accuracy ~l ~rtol =
+  check_adaptive_accuracy (ramp_ladder l) ~t_end:3e-9 ~dt_max:(3e-9 /. 32.0)
+    ~rtol
+
+let test_adaptive_forced_accepts () =
+  (* an ideal step drive with dt_min only 4x below dt_max: steps still
+     over tolerance at dt_min are accepted and counted, and the count
+     reaches the registry *)
+  let nl, _src, far = Ladder.driven_line (rlc_ladder_spec 8) in
+  let dt_max = 1e-9 /. 32.0 in
+  let forced = Rlc_instr.Metrics.counter "transient.forced_accepts" in
+  let r, published =
+    with_recording (fun () ->
+        let before = Rlc_instr.Metrics.value forced in
+        let r =
+          Transient.simulate_adaptive
+            ~config:
+              { Transient.Config.default with dt_min = Some (dt_max /. 4.0) }
+            nl ~t_end:1e-9 ~dt_max
+            ~probes:[ Transient.Node_v far ]
+        in
+        (r, Rlc_instr.Metrics.value forced -. before))
+  in
+  let n = (Transient.stats r).Transient.Stats.forced_accepts in
+  Alcotest.(check bool) (Printf.sprintf "forced accepts (%d)" n) true (n > 0);
+  Alcotest.(check (float 0.0)) "published" (float_of_int n) published;
+  let fixed =
+    Transient.simulate nl ~t_end:1e-9 ~dt:dt_max
+      ~probes:[ Transient.Node_v far ]
+  in
+  Alcotest.(check int) "none in a fixed-step run" 0
+    (Transient.stats fixed).Transient.Stats.forced_accepts
 
 let test_nonconvergence_counter () =
   (* regression for the nonconvergence commit: when the inverter fixed
@@ -1101,6 +1189,22 @@ let () =
           Alcotest.test_case "refines on switching edges" `Quick
             test_adaptive_refines_on_edges;
           Alcotest.test_case "validation" `Quick test_adaptive_validation;
+          Alcotest.test_case "forced accepts at dt_min" `Quick
+            test_adaptive_forced_accepts;
+        ] );
+      ( "adaptive-accuracy",
+        [
+          Alcotest.test_case "rc-dominated ladder, rtol 1e-3" `Quick
+            (ladder_accuracy ~l:0.1e-6 ~rtol:1e-3);
+          Alcotest.test_case "rc-dominated ladder, rtol 1e-4" `Quick
+            (ladder_accuracy ~l:0.1e-6 ~rtol:1e-4);
+          Alcotest.test_case "l-dominated ladder, rtol 1e-3" `Quick
+            (ladder_accuracy ~l:1.5e-6 ~rtol:1e-3);
+          Alcotest.test_case "l-dominated ladder, rtol 1e-4" `Quick
+            (ladder_accuracy ~l:1.5e-6 ~rtol:1e-4);
+          Alcotest.test_case "ringer, rtol 1e-4" `Quick
+            (check_adaptive_accuracy (build_ringer ()) ~t_end:3e-6
+               ~dt_max:2e-7 ~rtol:1e-4);
         ] );
       ( "solver-backends",
         [

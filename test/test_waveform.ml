@@ -139,6 +139,20 @@ let test_peak_rms () =
   check_close "peak" 2.0 (Measure.peak_abs w) ~tol:1e-4;
   check_close "rms" (2.0 /. Float.sqrt 2.0) (Measure.rms w) ~tol:1e-3
 
+let test_max_deviation () =
+  (* reference: a 0 -> 2 V ramp over [0, 2] s, swing 2 V; samples are
+     compared against it interpolated, and held at its ends *)
+  let reference =
+    Waveform.create ~times:[| 0.0; 2.0 |] ~values:[| 0.0; 2.0 |]
+  in
+  let w =
+    Waveform.create ~times:[| 0.0; 0.5; 1.0; 3.0 |]
+      ~values:[| 0.0; 0.5; 1.1; 2.0 |]
+  in
+  check_close "0.1 V off at t = 1 is 5% of swing" 5.0
+    (Measure.max_deviation_pct ~reference w);
+  check_float "identical" 0.0 (Measure.max_deviation_pct ~reference reference)
+
 let test_rms_over_period () =
   (* sine with a DC transient would bias plain RMS; over integral
      periods it is amp/sqrt2 *)
@@ -218,6 +232,7 @@ let () =
           Alcotest.test_case "period of sine" `Quick test_period_sine;
           Alcotest.test_case "period of dc" `Quick test_period_none_for_dc;
           Alcotest.test_case "peak & rms" `Quick test_peak_rms;
+          Alcotest.test_case "max deviation" `Quick test_max_deviation;
           Alcotest.test_case "rms over period" `Quick test_rms_over_period;
           Alcotest.test_case "full transitions" `Quick test_full_transitions;
           Alcotest.test_case "schmitt period" `Quick test_schmitt_period;
