@@ -11,24 +11,21 @@ all: build
 # instrumentation overhead and the serving layer's warm >= 2x cache
 # speedup, and records BENCH_parallel.json / BENCH_instr.json /
 # BENCH_serve.json), the rlcserved demo round-trip, and the
-# observability gate below
+# observability gate below (in-process vs offline trace identity)
 check: build test test-jobs4 stats-check bench-smoke serve-demo obs-check
 
-# observability self-check: journal a short rlcserved run, roll it up
-# with rlcstat, and self-diff the freshly written BENCH_instr.json (the
-# bench smoke gates disabled metrics/journal overhead < 2% and bitwise
-# identity with recording and journaling on) — identical snapshots
-# must produce zero findings and exit 0
-# standalone runs need the snapshot the bench smoke writes
-BENCH_instr.json:
-	dune exec bench/main.exe -- --smoke
-
-obs-check: BENCH_instr.json
+# observability self-check: run the demo job stream with both
+# --journal and --trace, render the trace again offline from the
+# journal with rlcstat, and require the two traces to be byte-identical
+# (spans are journal events; the Chrome trace is a pure rendering of
+# them); then print the rlcstat rollup of the journal
+obs-check:
 	dune exec bin/rlcserved.exe -- --jobs-file examples/jobs/demo.jobs -q \
-	  --journal _obs_demo.jsonl > /dev/null
+	  --journal _obs_demo.jsonl --trace _obs_demo.trace.json > /dev/null
+	dune exec bin/rlcstat.exe -- trace _obs_demo.jsonl -o _obs_demo.offline.json
+	cmp _obs_demo.trace.json _obs_demo.offline.json
 	dune exec bin/rlcstat.exe -- _obs_demo.jsonl
-	dune exec bin/rlcstat.exe -- diff BENCH_instr.json BENCH_instr.json
-	rm -f _obs_demo.jsonl
+	rm -f _obs_demo.jsonl _obs_demo.trace.json _obs_demo.offline.json
 
 build:
 	dune build @all

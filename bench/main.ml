@@ -15,7 +15,8 @@
                                             table on exit (RLC_STATS=1
                                             works too)
      dune exec bench/main.exe -- --trace FILE.json -- Chrome trace of
-                                            all recorded spans *)
+                                            all recorded spans (turns
+                                            journal capture on) *)
 
 let fast = Array.exists (fun a -> a = "--fast") Sys.argv
 let no_bechamel = Array.exists (fun a -> a = "--no-bechamel") Sys.argv
@@ -1008,6 +1009,7 @@ let run_instr_bench ~segments ~steps ~json =
          a b
   in
   let was = Rlc_instr.Control.enabled () in
+  let was_journaling = Rlc_instr.Journal.capturing () in
   Rlc_instr.Journal.stop ();
   Rlc_instr.Control.set_enabled false;
   let r_off, off_s = wall_best 3 run in
@@ -1045,6 +1047,7 @@ let run_instr_bench ~segments ~steps ~json =
     per_call (fun () -> Rlc_instr.Journal.record "bench.obs_probe" [])
   in
   Rlc_instr.Control.set_enabled was;
+  if was_journaling then Rlc_instr.Journal.start ();
   let v_off = values r_off in
   let rec_identical = same v_off (values r_rec) in
   let jnl_identical = same v_off (values r_jnl) in
@@ -1083,18 +1086,19 @@ let run_instr_bench ~segments ~steps ~json =
               exceeds the 2%% budget"
              what pct))
     [ ("Metrics.incr", metrics_call_s); ("Journal.record", journal_call_s) ];
-  let entries, skipped = Rlc_instr.Stat.entries_of_lines lines in
+  let events, skipped = Rlc_instr.Stat.events_of_lines lines in
   if skipped > 0 then
     failwith
       (Printf.sprintf
-         "instr bench: %d journal line(s) failed to round-trip through the \
-          rlcstat parser"
+         "instr bench: %d journal line(s) failed to parse in the rlcstat \
+          parser"
          skipped);
-  if entries = [] then
+  if events = [] then
     failwith "instr bench: journal round-trip lost all events";
-  let rollup = Rlc_instr.Stat.rollup ~skipped entries in
-  if rollup.Rlc_instr.Stat.events <> List.length entries then
-    failwith "instr bench: rollup event count mismatch";
+  (* parse → re-serialise must reproduce every line byte for byte: it
+     is what makes an offline [rlcstat trace] match [--trace] *)
+  if List.map Rlc_instr.Journal.line_of_event events <> lines then
+    failwith "instr bench: journal lines do not round-trip byte for byte";
   (match json with
   | Some path ->
       write_instr_json path row;

@@ -1,6 +1,6 @@
 (* Shared command-line wiring for the rlc binaries: the --stats /
-   --trace instrumentation switches and the -j/--jobs pool sizing.
-   Keeping them here makes rlcopt, rlcsim and rlcserved flag-compatible
+   --trace / --journal instrumentation switches and the -j/--jobs pool
+   sizing.  Keeping them here makes rlcopt, rlcsim and rlcserved flag-compatible
    (one doc string, one default, one Control.setup call). *)
 
 open Cmdliner
@@ -22,7 +22,9 @@ let trace_arg =
         ~doc:
           "Write a Chrome trace_event JSON of all recorded spans to \
            $(docv) on exit (load it in about:tracing or Perfetto). \
-           Implies enabling recording.")
+           Spans are journal events, so this turns journal capture on \
+           (and with it recording); $(b,rlcstat trace) renders the same \
+           file offline from a $(b,--journal) file.")
 
 let journal_arg =
   Arg.(
@@ -31,28 +33,18 @@ let journal_arg =
     & info [ "journal" ] ~docv:"FILE.jsonl"
         ~doc:
           "Write the structured event journal (job lifecycle, cache \
-           traffic, solver fallbacks, numerical-health events — one JSON \
-           object per line, each tagged with its job's provenance id) to \
-           $(docv) on exit.  Implies enabling recording.  Analyse with \
+           traffic, solver fallbacks, numerical-health events, spans — \
+           one JSON object per line, each tagged with its job's \
+           provenance id) to $(docv) on exit.  Implies enabling recording.  Analyse with \
            $(b,rlcstat).")
-
-let trace_cap_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "trace-cap" ] ~docv:"N"
-        ~doc:
-          "Per-domain Chrome-trace event buffer cap (default \
-           $(b,RLC_TRACE_CAP) or 200000). Overflow drops events, never \
-           blocks.")
 
 (* Prepend to a subcommand's term: runs Control.setup before the
    command body, so at-exit dumps are registered first. *)
 let term =
   Term.(
-    const (fun stats trace journal trace_cap ->
-        Rlc_instr.Control.setup ~stats ?trace ?journal ?trace_cap ())
-    $ stats_arg $ trace_arg $ journal_arg $ trace_cap_arg)
+    const (fun stats trace journal ->
+        Rlc_instr.Control.setup ~stats ?trace ?journal ())
+    $ stats_arg $ trace_arg $ journal_arg)
 
 let jobs_arg ~doc =
   Arg.(

@@ -1,6 +1,6 @@
 (* rlcstat: offline analysis of rlc observability artifacts.
 
-   Two modes over the two artifact kinds the instrumented binaries
+   Three modes over the two artifact kinds the instrumented binaries
    emit:
 
      rlcstat [report] j1.jsonl [j2.jsonl ...]
@@ -10,24 +10,27 @@
        traffic, solver fallback and SMW guard-trip rates, health
        classifications.
 
+     rlcstat trace j.jsonl -o trace.json
+       render the journal's span events as a Chrome trace_event JSON,
+       byte-identical to what --trace writes in-process for the same
+       run.
+
      rlcstat diff old.json new.json [--threshold 0.10]
        compare two JSON snapshots (BENCH_*.json) leaf by leaf and
        flag every numeric metric whose relative change exceeds the
        threshold.  Exits 1 when anything is flagged, so it works as
        a CI regression gate; identical inputs always exit 0.
 
-   All analysis logic lives in Rlc_instr.Stat so the test suite can
-   drive it without a subprocess; this file is flag parsing only. *)
+   All analysis logic lives in Rlc_instr.Stat and Rlc_instr.Trace so
+   the test suite can drive it without a subprocess; this file is flag
+   parsing only. *)
 
 open Cmdliner
 module Stat = Rlc_instr.Stat
 module Jsonv = Rlc_instr.Jsonv
+module Trace = Rlc_instr.Trace
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let fail fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 
@@ -37,12 +40,12 @@ let report files =
   match
     List.fold_left
       (fun (acc, sk) path ->
-        let es, s = Stat.entries_of_file path in
+        let es, s = Stat.events_of_file path in
         (acc @ es, sk + s))
       ([], 0) files
   with
-  | entries, skipped ->
-      Format.printf "%a" Stat.pp_rollup (Stat.rollup ~skipped entries);
+  | events, skipped ->
+      Format.printf "%a" Stat.pp_rollup (Stat.rollup ~skipped events);
       `Ok 0
   | exception Sys_error msg -> fail "%s" msg
 
@@ -60,6 +63,36 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Health/latency rollup over journal files (the default command).")
     report_term
+
+(* ---------------- trace ---------------- *)
+
+let trace journal output =
+  match Stat.events_of_file journal with
+  | events, _ ->
+      Trace.write output events;
+      `Ok 0
+  | exception Sys_error msg -> fail "%s" msg
+
+let trace_cmd =
+  let journal =
+    Arg.(
+      required
+      & pos 0 (some file) None
+      & info [] ~docv:"JOURNAL.jsonl"
+          ~doc:"Event journal written by --journal.")
+  in
+  let output =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"FILE.json" ~doc:"Trace file to write.")
+  in
+  Cmd.v
+    (Cmd.info "trace"
+       ~doc:
+         "Render a journal's span events as a Chrome trace_event JSON \
+          (load it in about:tracing or Perfetto).")
+    Term.(ret (const trace $ journal $ output))
 
 (* ---------------- diff ---------------- *)
 
@@ -128,10 +161,11 @@ let () =
       Array.length v > 1
       && String.length v.(1) > 0
       && v.(1).[0] <> '-'
-      && v.(1) <> "diff"
-      && v.(1) <> "report"
+      && not (List.mem v.(1) [ "diff"; "report"; "trace" ])
     then Array.concat [ [| v.(0); "report" |]; Array.sub v 1 (Array.length v - 1) ]
     else v
   in
   exit
-    (Cmd.eval' ~argv (Cmd.group ~default:report_term info [ report_cmd; diff_cmd ]))
+    (Cmd.eval' ~argv
+       (Cmd.group ~default:report_term info
+          [ report_cmd; trace_cmd; diff_cmd ]))

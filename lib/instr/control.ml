@@ -4,9 +4,6 @@ let env_stats =
 let enabled () = !Shard.enabled
 let set_enabled v = Shard.enabled := v
 
-let trace_cap () = !Shard.max_events_per_shard
-let set_trace_cap n = if n > 0 then Shard.max_events_per_shard := n
-
 let dump ?(ppf = Format.err_formatter) () =
   Format.fprintf ppf "== rlc_instr metrics ==@.";
   Metrics.dump ppf;
@@ -20,35 +17,24 @@ let dump ?(ppf = Format.err_formatter) () =
     Format.fprintf ppf "@.== rlc_instr health ==@.";
     Health.pp_report ppf health
   end;
-  let dropped = Trace.dropped_events () in
+  let dropped = Journal.dropped () in
   if dropped > 0 then
-    Format.fprintf ppf "@.(trace buffer overflow: %d events dropped)@."
-      dropped;
-  let jdropped = Journal.dropped () in
-  if jdropped > 0 then
     Format.fprintf ppf "@.(journal buffer overflow: %d events dropped)@."
-      jdropped;
+      dropped;
   Format.pp_print_flush ppf ()
 
-let setup ?(stats = false) ?trace ?journal ?trace_cap () =
+let write_at_exit what path write =
+  at_exit (fun () ->
+      try write path
+      with Sys_error msg ->
+        Printf.eprintf "rlc_instr: cannot write %s %s: %s\n%!" what path msg)
+
+let setup ?(stats = false) ?trace ?journal () =
   if stats || env_stats then set_enabled true;
-  (match trace_cap with Some n -> set_trace_cap n | None -> ());
-  (match trace with
-  | Some path ->
-      Trace.start ();
-      at_exit (fun () ->
-          try Trace.write path
-          with Sys_error msg ->
-            Printf.eprintf "rlc_instr: cannot write trace %s: %s\n%!" path
-              msg)
-  | None -> ());
-  (match journal with
-  | Some path ->
-      Journal.start ();
-      at_exit (fun () ->
-          try Journal.write path
-          with Sys_error msg ->
-            Printf.eprintf "rlc_instr: cannot write journal %s: %s\n%!" path
-              msg)
-  | None -> ());
+  if trace <> None || journal <> None then Journal.start ();
+  Option.iter
+    (fun path ->
+      write_at_exit "trace" path (fun p -> Trace.write p (Journal.events ())))
+    trace;
+  Option.iter (fun path -> write_at_exit "journal" path Journal.write) journal;
   if stats then at_exit (fun () -> dump ())

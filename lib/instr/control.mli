@@ -10,28 +10,17 @@ val set_enabled : bool -> unit
 (** Flip recording globally. Flip only at quiescent points (no worker
     domains in flight) when a bit-exact metrics picture matters. *)
 
-val trace_cap : unit -> int
-val set_trace_cap : int -> unit
-(** Per-shard Chrome-trace event cap (default 200_000, or
-    [RLC_TRACE_CAP]); non-positive values are ignored.  When the cap
-    trips, the overflow is counted, reported by {!dump}, and — when
-    journaling — recorded as one [trace.dropped] journal event. *)
-
 val dump : ?ppf:Format.formatter -> unit -> unit
 (** Print the metrics table, (if recorded) the span tree and the
-    numerical-health summary, plus any buffer-overflow notices.
-    Default formatter is stderr. *)
+    numerical-health summary, plus a notice when the journal dropped
+    events at its cap.  Default formatter is stderr. *)
 
-val setup :
-  ?stats:bool ->
-  ?trace:string ->
-  ?journal:string ->
-  ?trace_cap:int ->
-  unit ->
-  unit
+val setup : ?stats:bool -> ?trace:string -> ?journal:string -> unit -> unit
 (** One-stop CLI wiring: [stats] (or [RLC_STATS]) enables recording
-    and registers an at-exit {!dump} to stderr; [trace] additionally
-    starts {!Trace} capture and registers an at-exit {!Trace.write} to
-    the given path; [journal] starts {!Journal} capture (which also
-    enables recording) and registers an at-exit {!Journal.write};
-    [trace_cap] overrides the per-shard trace event cap. *)
+    and registers an at-exit {!dump} to stderr.  [trace] and [journal]
+    each start {!Journal} capture (which also enables recording; spans
+    become journal events) and register an at-exit write to the given
+    path: [journal] writes every event as JSONL ({!Journal.write}),
+    [trace] renders the span events as a Chrome trace
+    ({!Trace.write}).  Both read the same buffer, bounded by the one
+    per-shard cap ({!Journal.set_cap}, [RLC_JOURNAL_CAP]). *)

@@ -39,7 +39,9 @@ let counter_of = function
   | Degraded -> m_degraded
   | Failed -> m_failed
 
-let classify ?growth ?rcond () =
+(* The one threshold check behind both the classification and the
+   reason a degraded solve is journaled with. *)
+let assess ?growth ?rcond () =
   let bad_growth =
     match growth with
     | Some g -> (not (Float.is_finite g)) || g > growth_limit
@@ -50,32 +52,23 @@ let classify ?growth ?rcond () =
     | Some r -> Float.is_nan r || r < rcond_limit
     | None -> false
   in
-  if bad_growth || bad_rcond then Degraded else Ok
+  match (bad_growth, bad_rcond) with
+  | false, false -> (Ok, "")
+  | true, true -> (Degraded, "pivot growth + ill-conditioned")
+  | true, false -> (Degraded, "pivot growth")
+  | false, true -> (Degraded, "ill-conditioned")
 
-let reason_of ?growth ?rcond () =
-  let bad_growth =
-    match growth with
-    | Some g -> (not (Float.is_finite g)) || g > growth_limit
-    | None -> false
-  in
-  let bad_rcond =
-    match rcond with
-    | Some r -> Float.is_nan r || r < rcond_limit
-    | None -> false
-  in
-  if bad_growth && bad_rcond then "pivot growth + ill-conditioned"
-  else if bad_growth then "pivot growth"
-  else "ill-conditioned"
+let classify ?growth ?rcond () = fst (assess ?growth ?rcond ())
 
 let observe ~kind ?growth ?rcond () =
   (match growth with Some g -> Metrics.observe h_growth g | None -> ());
   (match rcond with Some r -> Metrics.observe h_rcond r | None -> ());
-  let c = classify ?growth ?rcond () in
+  let c, reason = assess ?growth ?rcond () in
   Metrics.incr (counter_of c);
   if c <> Ok && Journal.capturing () then begin
     let fields =
       [ ("kind", Journal.Str kind); ("class", Journal.Str (to_string c));
-        ("reason", Journal.Str (reason_of ?growth ?rcond ())) ]
+        ("reason", Journal.Str reason) ]
       @ (match growth with
         | Some g -> [ ("growth", Journal.Num g) ]
         | None -> [])
@@ -84,6 +77,14 @@ let observe ~kind ?growth ?rcond () =
     Journal.record "health" fields
   end;
   c
+
+(* the tail every factorisation probe shares: growth = max |U| over
+   max |A| (1 for an all-zero A), rcond proxy = min over max |U_ii|
+   (0 for an all-zero diagonal) *)
+let observe_factor ~kind ~amax ~umax ~dmin ~dmax =
+  let growth = if amax > 0.0 then umax /. amax else 1.0 in
+  let rcond = if dmax > 0.0 then dmin /. dmax else 0.0 in
+  ignore (observe ~kind ~growth ~rcond ())
 
 let note c ~kind ~reason =
   Metrics.incr (counter_of c);

@@ -37,6 +37,14 @@ val observe :
     when not {!Ok}.  Callers should skip computing the estimates
     (and this call) unless {!Metrics.recording}. *)
 
+val observe_factor :
+  kind:string -> amax:float -> umax:float -> dmin:float -> dmax:float -> unit
+(** The factorisation kernels' probe: {!observe} with growth = [umax]
+    / [amax] (max entry modulus of the factors over that of the input;
+    1 when [amax] = 0) and rcond = [dmin] / [dmax] (smallest over
+    largest U-diagonal modulus; 0 when [dmax] = 0).  Each kernel
+    computes its own moduli, only while {!Metrics.recording}. *)
+
 val degraded : kind:string -> reason:string -> unit
 (** A solve that fell back or tripped a guard but completed. *)
 

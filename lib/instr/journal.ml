@@ -1,14 +1,16 @@
-(* Structured event journal: bounded per-domain JSONL buffers with the
-   same lock-free record discipline as [Metrics] — a record call
-   touches only the calling domain's shard, so journaling cannot
-   perturb the pool's bit-identical scheduling.  Every event carries
-   the shard's current provenance id (set by the serving layer around
-   each job), which is what makes a bad deck in a million-job stream
-   attributable after the fact. *)
+(* Structured event journal — the one event buffer of [rlc_instr]:
+   bounded per-domain JSONL buffers with the same lock-free record
+   discipline as [Metrics] — a record call touches only the calling
+   domain's shard, so journaling cannot perturb the pool's
+   bit-identical scheduling.  Every event carries the shard's current
+   provenance id (set by the serving layer around each job), which is
+   what makes a bad deck in a million-job stream attributable after
+   the fact.  Completed spans land here too ({!Span.exit}), and the
+   Chrome trace is rendered from them ({!Trace}). *)
 
 type field = Shard.jfield = Num of float | Int of int | Str of string
 
-type event = {
+type event = Shard.jevent = {
   ts_us : float;
   shard : int;
   provenance : string;
@@ -29,31 +31,18 @@ let set_cap n = if n > 0 then Shard.max_jevents_per_shard := n
 let cap () = !Shard.max_jevents_per_shard
 
 let record name fields =
-  if !Shard.journaling then begin
-    let sh = Shard.current () in
-    if sh.Shard.n_jevents < !Shard.max_jevents_per_shard then begin
-      sh.Shard.jevents <-
-        {
-          Shard.je_ts_us = Shard.now_us ();
-          je_name = name;
-          je_prov = sh.Shard.provenance;
-          je_fields = fields;
-        }
-        :: sh.Shard.jevents;
-      sh.Shard.n_jevents <- sh.Shard.n_jevents + 1
-    end
-    else sh.Shard.dropped_jevents <- sh.Shard.dropped_jevents + 1
-  end
+  if !Shard.journaling then
+    Shard.push (Shard.current ()) ~ts_us:(Shard.now_us ()) name fields
 
-let set_provenance p = (Shard.current ()).Shard.provenance <- p
+let set_provenance p = (Shard.current ()).Shard.current_prov <- p
 
-let provenance () = (Shard.current ()).Shard.provenance
+let provenance () = (Shard.current ()).Shard.current_prov
 
 let with_provenance p f =
   let sh = Shard.current () in
-  let saved = sh.Shard.provenance in
-  sh.Shard.provenance <- p;
-  Fun.protect ~finally:(fun () -> sh.Shard.provenance <- saved) f
+  let saved = sh.Shard.current_prov in
+  sh.Shard.current_prov <- p;
+  Fun.protect ~finally:(fun () -> sh.Shard.current_prov <- saved) f
 
 let dropped () =
   List.fold_left
@@ -63,37 +52,10 @@ let dropped () =
 (* read side: quiescent points only, like every cross-shard merge *)
 
 let events () =
-  let all =
-    List.concat_map
-      (fun (sh : Shard.t) ->
-        List.rev_map
-          (fun (je : Shard.jevent) ->
-            {
-              ts_us = je.Shard.je_ts_us;
-              shard = sh.Shard.id;
-              provenance = je.Shard.je_prov;
-              name = je.Shard.je_name;
-              fields = je.Shard.je_fields;
-            })
-          sh.Shard.jevents)
-      (Shard.all_shards ())
-  in
-  List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us) all
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_buffer buf (Shard.json_escape s);
-  Buffer.add_char buf '"'
-
-(* mirrors Metrics.json_num so non-finite field values can never
-   corrupt the JSONL stream *)
-let json_num v =
-  if Float.is_nan v then "null"
-  else if v = infinity then "1e999"
-  else if v = neg_infinity then "-1e999"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  List.concat_map
+    (fun (sh : Shard.t) -> List.rev sh.Shard.jevents)
+    (Shard.all_shards ())
+  |> List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us)
 
 (* One JSON object per line, reserved keys first, then the typed
    fields inlined at top level (callers must avoid the reserved names
@@ -101,23 +63,23 @@ let json_num v =
 let line_of_event e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"ts_us\":";
-  Buffer.add_string buf (json_num e.ts_us);
+  Buffer.add_string buf (Shard.json_num e.ts_us);
   Buffer.add_string buf (Printf.sprintf ",\"shard\":%d" e.shard);
   if e.provenance <> "" then begin
     Buffer.add_string buf ",\"prov\":";
-    add_json_string buf e.provenance
+    Shard.add_json_string buf e.provenance
   end;
   Buffer.add_string buf ",\"event\":";
-  add_json_string buf e.name;
+  Shard.add_json_string buf e.name;
   List.iter
     (fun (k, v) ->
       Buffer.add_char buf ',';
-      add_json_string buf k;
+      Shard.add_json_string buf k;
       Buffer.add_char buf ':';
       match v with
-      | Num x -> Buffer.add_string buf (json_num x)
+      | Num x -> Buffer.add_string buf (Shard.json_num x)
       | Int n -> Buffer.add_string buf (string_of_int n)
-      | Str s -> add_json_string buf s)
+      | Str s -> Shard.add_json_string buf s)
     e.fields;
   Buffer.add_char buf '}';
   Buffer.contents buf
@@ -125,10 +87,7 @@ let line_of_event e =
 let to_lines () = List.map line_of_event (events ())
 
 let write path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Out_channel.with_open_text path (fun oc ->
       List.iter
         (fun l ->
           output_string oc l;

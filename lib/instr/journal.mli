@@ -1,23 +1,29 @@
-(** Structured event journal: bounded per-domain JSONL event buffers
-    with the same lock-free record path as {!Metrics}.
+(** Structured event journal: the one event buffer of [rlc_instr],
+    bounded per domain, with the same lock-free record path as
+    {!Metrics}.
 
     Producers call {!record} with a typed field list; every event is
     stamped with the recording domain's current {e provenance id} (the
     serving layer sets it around each job), a timestamp and the shard
-    id.  When journaling is off, {!record} is a single predictable
-    branch — safe on hot paths.  Guard any expensive field
-    construction with {!capturing}.
+    id.  While capturing, every completed {!Span} is recorded too, as
+    a [span] event with fields [name] and [dur_us] and [ts_us] = the
+    span's start; {!Trace} renders those as a Chrome trace.  When
+    journaling is off, {!record} is a single predictable branch — safe
+    on hot paths.  Guard any expensive field construction with
+    {!capturing}.
 
     The read side ({!events}, {!to_lines}, {!write}) merges all shards
     chronologically and is only meaningful at quiescent points, i.e.
-    after the pool has joined its workers.
+    after the pool has joined its workers.  {!Stat.events_of_lines}
+    parses the JSONL back into {!event}s.
 
     Buffers are bounded per shard ([RLC_JOURNAL_CAP], default 100k
-    events); overflow is counted in {!dropped}, never an error. *)
+    events, spans included); overflow is counted in {!dropped}, never
+    an error. *)
 
 type field = Shard.jfield = Num of float | Int of int | Str of string
 
-type event = {
+type event = Shard.jevent = {
   ts_us : float;  (** microseconds since process start *)
   shard : int;  (** recording domain's shard id *)
   provenance : string;  (** [""] when no provenance was set *)

@@ -222,13 +222,7 @@ let dump ppf =
             width name s.count s.sum s.mean s.min s.p50 s.p95 s.max)
     entries
 
-let json_num v =
-  if Float.is_nan v then "null"
-  else if v = infinity then "1e999"
-  else if v = neg_infinity then "-1e999"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+let json_num = Shard.json_num
 
 let has_data = function
   | Counter_v v -> v <> 0.0
@@ -241,9 +235,8 @@ let json_snapshot () =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_buffer buf (Shard.json_escape name);
-      Buffer.add_string buf "\":";
+      Shard.add_json_string buf name;
+      Buffer.add_char buf ':';
       match v with
       | Counter_v v -> Buffer.add_string buf (json_num v)
       | Gauge_v None -> Buffer.add_string buf "null"

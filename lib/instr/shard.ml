@@ -13,7 +13,7 @@
    its workers.
 
    Everything here is an implementation detail of the sibling modules
-   ({!Metrics}, {!Span}, {!Trace}, {!Control}); use those instead. *)
+   ({!Metrics}, {!Span}, {!Journal}, {!Control}); use those instead. *)
 
 let truthy = function
   | Some ("1" | "true" | "yes" | "on") -> true
@@ -26,13 +26,10 @@ let truthy = function
    visibility of a non-atomic read is irrelevant in practice. *)
 let enabled = ref (truthy (Sys.getenv_opt "RLC_STATS"))
 
-(* Span events are additionally appended to the trace buffer only when
-   tracing is on; metric recording alone never grows memory without
-   bound. *)
-let tracing = ref false
-
-(* Structured journal events (see {!Journal}) are recorded only when
-   this is on; like [tracing] it is flipped at quiescent points. *)
+(* Journal events (see {!Journal}), completed spans included, are
+   recorded only when this is on; metric recording alone never grows
+   memory without bound.  Like [enabled] it is flipped at quiescent
+   points. *)
 let journaling = ref false
 
 let env_cap name default =
@@ -79,7 +76,7 @@ let fresh_hist () =
     hbuckets = Array.make n_buckets 0;
   }
 
-(* ---------------- span tree + trace events ---------------- *)
+(* ---------------- span tree ---------------- *)
 
 type span_node = {
   sname : string;
@@ -91,17 +88,17 @@ type span_node = {
 let fresh_node name =
   { sname = name; total_us = 0.0; calls = 0; children = Hashtbl.create 4 }
 
-type event = { ev_name : string; ev_ts_us : float; ev_dur_us : float }
-
 (* ---------------- journal events ---------------- *)
 
+(* re-exported as [Journal.field] / [Journal.event] *)
 type jfield = Num of float | Int of int | Str of string
 
 type jevent = {
-  je_ts_us : float;
-  je_name : string;
-  je_prov : string;  (** provenance id; [""] = none *)
-  je_fields : (string * jfield) list;
+  ts_us : float;
+  shard : int;
+  provenance : string;  (** [""] = none *)
+  name : string;
+  fields : (string * jfield) list;
 }
 
 (* ---------------- shards ---------------- *)
@@ -114,20 +111,15 @@ type t = {
   mutable hists : hist_cell option array;
   sroot : span_node;
   mutable span_stack : (span_node * float) list;  (** (node, start us) *)
-  mutable events : event list;  (** completed trace events, newest first *)
-  mutable n_events : int;
-  mutable dropped_events : int;
   mutable jevents : jevent list;  (** journal events, newest first *)
   mutable n_jevents : int;
   mutable dropped_jevents : int;
-  mutable provenance : string;  (** stamped on journal events; [""] = none *)
+  mutable current_prov : string;  (** stamped on journal events *)
 }
 
-(* Backstops so a pathological tracing/journaling run cannot grow
-   without bound.  Both are refs: overridable per process via the
-   environment ([RLC_TRACE_CAP] / [RLC_JOURNAL_CAP]) or
-   [Control.setup ~trace_cap]. *)
-let max_events_per_shard = ref (env_cap "RLC_TRACE_CAP" 200_000)
+(* Backstop so a pathological journaling run cannot grow without
+   bound: overridable per process via [RLC_JOURNAL_CAP] or
+   [Journal.set_cap]. *)
 let max_jevents_per_shard = ref (env_cap "RLC_JOURNAL_CAP" 100_000)
 
 let registry_mutex = Mutex.create ()
@@ -147,13 +139,10 @@ let fresh_shard id =
     hists = [||];
     sroot = fresh_node "";
     span_stack = [];
-    events = [];
-    n_events = 0;
-    dropped_events = 0;
     jevents = [];
     n_jevents = 0;
     dropped_jevents = 0;
-    provenance = "";
+    current_prov = "";
   }
 
 let key =
@@ -166,6 +155,17 @@ let key =
 
 let current () = Domain.DLS.get key
 let all_shards () = Mutex.protect registry_mutex (fun () -> !shards)
+
+(* Append one journal event to [sh], stamped with its provenance, or
+   count it dropped once the shard is at its cap. *)
+let push sh ~ts_us name fields =
+  if sh.n_jevents < !max_jevents_per_shard then begin
+    sh.jevents <-
+      { ts_us; shard = sh.id; provenance = sh.current_prov; name; fields }
+      :: sh.jevents;
+    sh.n_jevents <- sh.n_jevents + 1
+  end
+  else sh.dropped_jevents <- sh.dropped_jevents + 1
 
 (* growable slot arrays: slots are handed out globally, each shard
    grows its own cells on first touch *)
@@ -211,7 +211,7 @@ let rec reset_node node =
   Hashtbl.iter (fun _ c -> reset_node c) node.children;
   Hashtbl.reset node.children
 
-(* Zero every shard (metrics, span trees, trace buffers).  Only
+(* Zero every shard (metrics, span trees, journal buffers).  Only
    meaningful at quiescent points — callers must not hold open spans or
    have worker domains in flight. *)
 let reset () =
@@ -222,18 +222,16 @@ let reset () =
       Array.fill sh.hists 0 (Array.length sh.hists) None;
       reset_node sh.sroot;
       sh.span_stack <- [];
-      sh.events <- [];
-      sh.n_events <- 0;
-      sh.dropped_events <- 0;
       sh.jevents <- [];
       sh.n_jevents <- 0;
       sh.dropped_jevents <- 0;
-      sh.provenance <- "")
+      sh.current_prov <- "")
     (all_shards ())
 
-(* shared by the JSON emitters in Metrics and Trace *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
+(* The JSON emitters of Metrics, Journal and Trace share these two.
+   [add_json_string buf s] appends [s] as a quoted JSON string. *)
+let add_json_string buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -246,4 +244,16 @@ let json_escape s =
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
-  buf
+  Buffer.add_char buf '"'
+
+(* Non-finite values must never corrupt a JSON document: NaN becomes
+   null and the infinities overflow to ±inf when parsed back.  Finite
+   values print exactly (integers plainly, the rest with %.17g), so a
+   parse round-trips every bit. *)
+let json_num v =
+  if Float.is_nan v then "null"
+  else if v = infinity then "1e999"
+  else if v = neg_infinity then "-1e999"
+  else if Float.is_integer v && Float.abs v < 1e15 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.17g" v

@@ -1,7 +1,8 @@
 (* Nested wall-clock spans. Each domain keeps its own span stack and
    aggregation tree in its shard; [enter]/[exit] are domain-local.
-   When tracing is on, every completed span is also appended to the
-   shard's Chrome-trace event buffer. *)
+   When the journal is capturing, every completed span is also
+   recorded as one [span] journal event (name, start, duration), which
+   is what {!Trace} renders. *)
 
 let enter name =
   if !Shard.enabled then begin
@@ -34,30 +35,12 @@ let exit () =
       let t1 = Shard.now_us () in
       node.Shard.total_us <- node.Shard.total_us +. (t1 -. t0);
       node.Shard.calls <- node.Shard.calls + 1;
-      if !Shard.tracing then begin
-        if sh.Shard.n_events < !Shard.max_events_per_shard then begin
-          sh.Shard.events <-
-            {
-              Shard.ev_name = node.Shard.sname;
-              ev_ts_us = t0;
-              ev_dur_us = t1 -. t0;
-            }
-            :: sh.Shard.events;
-          sh.Shard.n_events <- sh.Shard.n_events + 1
-        end
-        else begin
-          (* journal the overflow once per shard, at the moment the cap
-             trips — the silent alternative loses the tail of a trace
-             with no trail to explain the gap *)
-          if sh.Shard.dropped_events = 0 then
-            Journal.record "trace.dropped"
-              [
-                ("span", Journal.Str node.Shard.sname);
-                ("cap", Journal.Int !Shard.max_events_per_shard);
-              ];
-          sh.Shard.dropped_events <- sh.Shard.dropped_events + 1
-        end
-      end
+      if !Shard.journaling then
+        Shard.push sh ~ts_us:t0 "span"
+          [
+            ("name", Shard.Str node.Shard.sname);
+            ("dur_us", Shard.Num (t1 -. t0));
+          ]
 
 let with_ name f =
   if !Shard.enabled then begin

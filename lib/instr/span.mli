@@ -4,8 +4,10 @@
     with_ "inner" work)] accumulates ["inner"] as a child of
     ["outer"]. Identical paths merge — total time and call counts add
     up — so steady-state instrumentation allocates nothing after the
-    first pass. Completed spans also feed the Chrome-trace buffer when
-    {!Trace} capture is on. *)
+    first pass. While the {!Journal} is capturing, each completed span
+    is also recorded as a [span] journal event — fields [name] and
+    [dur_us], [ts_us] = span start, stamped with the shard's current
+    provenance — which is what {!Trace} renders. *)
 
 val with_ : string -> (unit -> 'a) -> 'a
 (** [with_ name f] runs [f] inside a span. Exception-safe; a plain

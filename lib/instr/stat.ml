@@ -4,47 +4,57 @@
    snapshots (BENCH_*.json).  rlcstat's binary is a thin CLI over
    these. *)
 
-(* ---------------- journal entries ---------------- *)
+(* ---------------- journal parsing ---------------- *)
 
-type entry = {
-  eprov : string;
-  ename : string;
-  efields : (string * Jsonv.t) list;
-}
-
-let entry_of_json j =
-  match j with
-  | Jsonv.Obj kvs -> begin
-      match Jsonv.member "event" j with
-      | Some (Jsonv.Str ename) ->
-          let eprov =
-            match Jsonv.member "prov" j with
-            | Some (Jsonv.Str p) -> p
-            | _ -> ""
-          in
-          let reserved = [ "ts_us"; "shard"; "prov"; "event" ] in
-          let efields =
-            List.filter (fun (k, _) -> not (List.mem k reserved)) kvs
-          in
-          Some { eprov; ename; efields }
-      | _ -> None
-    end
+(* The inverse of [Journal.line_of_event]: reserved keys back into the
+   record, every other key into a typed field.  JSON numbers come back
+   as [Num] ([Journal.num_field] reads [Int] and [Num] alike), [null]
+   as [Num nan] (how [line_of_event] writes NaN); booleans, arrays and
+   objects are never written and are dropped. *)
+let event_of_json j =
+  match (j, Jsonv.member "event" j) with
+  | Jsonv.Obj kvs, Some (Jsonv.Str name) ->
+      let num k =
+        Option.value ~default:0.0
+          (Option.bind (Jsonv.member k j) Jsonv.to_float)
+      in
+      let fields =
+        List.filter_map
+          (fun (k, v) ->
+            match (k, v) with
+            | ("ts_us" | "shard" | "prov" | "event"), _ -> None
+            | _, Jsonv.Num x -> Some (k, Journal.Num x)
+            | _, Jsonv.Null -> Some (k, Journal.Num Float.nan)
+            | _, Jsonv.Str s -> Some (k, Journal.Str s)
+            | _, (Jsonv.Bool _ | Jsonv.List _ | Jsonv.Obj _) -> None)
+          kvs
+      in
+      Some
+        {
+          Journal.ts_us = num "ts_us";
+          shard = int_of_float (num "shard");
+          provenance =
+            Option.value ~default:""
+              (Option.bind (Jsonv.member "prov" j) Jsonv.to_string);
+          name;
+          fields;
+        }
   | _ -> None
 
-let entry_of_line line =
+let event_of_line line =
   match Jsonv.parse line with
-  | Ok j -> entry_of_json j
+  | Ok j -> event_of_json j
   | Error _ -> None
 
 (* skip blank and unparseable lines, reporting how many were dropped *)
-let entries_of_lines lines =
+let events_of_lines lines =
   let skipped = ref 0 in
-  let entries =
+  let events =
     List.filter_map
       (fun line ->
         if String.trim line = "" then None
         else begin
-          match entry_of_line line with
+          match event_of_line line with
           | Some e -> Some e
           | None ->
               incr skipped;
@@ -52,38 +62,12 @@ let entries_of_lines lines =
         end)
       lines
   in
-  (entries, !skipped)
+  (events, !skipped)
 
-let entries_of_file path =
-  let ic = open_in path in
-  let lines = ref [] in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      try
-        while true do
-          lines := input_line ic :: !lines
-        done
-      with End_of_file -> ());
-  entries_of_lines (List.rev !lines)
-
-let entry_of_event (e : Journal.event) =
-  {
-    eprov = e.Journal.provenance;
-    ename = e.Journal.name;
-    efields =
-      List.map
-        (fun (k, v) ->
-          ( k,
-            match v with
-            | Journal.Num x -> Jsonv.Num x
-            | Journal.Int n -> Jsonv.Num (float_of_int n)
-            | Journal.Str s -> Jsonv.Str s ))
-        e.Journal.fields;
-  }
-
-let fnum e k = Option.bind (List.assoc_opt k e.efields) Jsonv.to_float
-let fstr e k = Option.bind (List.assoc_opt k e.efields) Jsonv.to_string
+let events_of_file path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> events_of_lines
 
 (* ---------------- rollup ---------------- *)
 
@@ -111,7 +95,6 @@ type rollup = {
   health_ok : int;
   health_degraded : int;
   health_failed : int;
-  trace_dropped : int;  (** [trace.dropped] events *)
 }
 
 (* exact nearest-rank quantile over raw samples (unlike the metric
@@ -134,7 +117,7 @@ let quantiles_of samples =
           p99 = nearest_rank a 0.99;
         }
 
-let rollup ?(skipped = 0) entries =
+let rollup ?(skipped = 0) events =
   let jobs = ref 0 and errors = ref 0 in
   let fallbacks = ref 0
   and resyms = ref 0
@@ -144,8 +127,7 @@ let rollup ?(skipped = 0) entries =
   and aliases = ref 0
   and ok = ref 0
   and degraded = ref 0
-  and failed = ref 0
-  and trace_dropped = ref 0 in
+  and failed = ref 0 in
   (* per-kind job durations + error counts, in first-seen order *)
   let order = ref [] in
   let by_kind : (string, float list ref * int ref * int ref) Hashtbl.t =
@@ -161,23 +143,23 @@ let rollup ?(skipped = 0) entries =
         c
   in
   List.iter
-    (fun e ->
-      match e.ename with
+    (fun (e : Journal.event) ->
+      match e.name with
       | "job.end" ->
           incr jobs;
           (* anything the service did not mark "ok" ("error",
              "rejected") counts against the error rate *)
           let err =
-            match fstr e "status" with
+            match Journal.str_field e "status" with
             | Some "ok" | None -> false
             | Some _ -> true
           in
           if err then incr errors;
-          let kind = Option.value ~default:"?" (fstr e "kind") in
+          let kind = Option.value ~default:"?" (Journal.str_field e "kind") in
           let samples, count, errs = kind_cell kind in
           incr count;
           if err then incr errs;
-          (match fnum e "s" with
+          (match Journal.num_field e "s" with
           | Some s -> samples := s :: !samples
           | None -> ())
       | "solver.fallback" -> incr fallbacks
@@ -186,16 +168,15 @@ let rollup ?(skipped = 0) entries =
       | "cache.hit" -> incr hits
       | "cache.miss" -> incr misses
       | "cache.alias" -> incr aliases
-      | "trace.dropped" -> incr trace_dropped
       | "health" -> begin
-          match Option.bind (fstr e "class") Health.of_string with
+          match Option.bind (Journal.str_field e "class") Health.of_string with
           | Some Health.Ok -> incr ok
           | Some Health.Degraded -> incr degraded
           | Some Health.Failed -> incr failed
           | None -> ()
         end
       | _ -> ())
-    entries;
+    events;
   let kinds =
     List.rev_map
       (fun kind ->
@@ -209,7 +190,7 @@ let rollup ?(skipped = 0) entries =
       !order
   in
   {
-    events = List.length entries;
+    events = List.length events;
     skipped;
     jobs = !jobs;
     errors = !errors;
@@ -223,7 +204,6 @@ let rollup ?(skipped = 0) entries =
     health_ok = !ok;
     health_degraded = !degraded;
     health_failed = !failed;
-    trace_dropped = !trace_dropped;
   }
 
 let rate num den =
@@ -255,10 +235,7 @@ let pp_rollup ppf r =
     (rate r.fallbacks r.jobs)
     r.guard_trips;
   Format.fprintf ppf "health: %d ok / %d degraded / %d failed@." r.health_ok
-    r.health_degraded r.health_failed;
-  if r.trace_dropped > 0 then
-    Format.fprintf ppf "trace: buffer cap hit on %d shard(s)@."
-      r.trace_dropped
+    r.health_degraded r.health_failed
 
 (* ---------------- snapshot diff ---------------- *)
 

@@ -1,26 +1,20 @@
 (** The analysis half of [rlcstat], library-side so tests can drive
-    it: health/latency rollups over journal event streams, and
-    threshold-based regression diffs over two JSON snapshots. *)
+    it: parsing JSONL journals back into {!Journal.event}s,
+    health/latency rollups over those events, and threshold-based
+    regression diffs over two JSON snapshots.  Offline trace rendering
+    is {!Trace.to_string} over the parsed events. *)
 
-(** {1 Journal entries} *)
+(** {1 Journal parsing} *)
 
-type entry = {
-  eprov : string;  (** provenance id, [""] when absent *)
-  ename : string;  (** event kind *)
-  efields : (string * Jsonv.t) list;  (** non-reserved fields *)
-}
+val events_of_lines : string list -> Journal.event list * int
+(** Each non-blank JSONL line back into the {!Journal.event} that
+    {!Journal.line_of_event} wrote: [ts_us]/[shard]/[prov]/[event]
+    fill the record, every other key becomes a field.  Numbers come
+    back as [Num] (read ints with {!Journal.num_field}), [null] as
+    [Num nan].  The second component counts skipped lines
+    (unparseable, or without an ["event"]). *)
 
-val entry_of_line : string -> entry option
-(** One JSONL line; [None] when unparseable or missing ["event"]. *)
-
-val entries_of_lines : string list -> entry list * int
-(** Parses every non-blank line; the second component counts skipped
-    (unparseable) lines. *)
-
-val entries_of_file : string -> entry list * int
-
-val entry_of_event : Journal.event -> entry
-(** Bridge from the in-process journal (tests, bench). *)
+val events_of_file : string -> Journal.event list * int
 
 (** {1 Rollup} *)
 
@@ -49,10 +43,9 @@ type rollup = {
   health_ok : int;
   health_degraded : int;
   health_failed : int;
-  trace_dropped : int;
 }
 
-val rollup : ?skipped:int -> entry list -> rollup
+val rollup : ?skipped:int -> Journal.event list -> rollup
 val pp_rollup : Format.formatter -> rollup -> unit
 
 (** {1 Snapshot diff} *)

@@ -1,57 +1,46 @@
-(* Chrome trace_event export: every completed span becomes a complete
-   ("ph":"X") event with the owning shard's id as tid, loadable in
-   about:tracing / Perfetto / chrome://tracing. *)
+(* Chrome trace_event rendering of the journal: every [span] event
+   (see Span.exit) becomes a complete ("ph":"X") event with its shard
+   id as tid, loadable in about:tracing / Perfetto / chrome://tracing.
+   A pure function of the event list, so a trace rendered in-process
+   and one rendered offline from the JSONL journal are byte-identical. *)
 
-let start () =
-  Shard.enabled := true;
-  Shard.tracing := true
+let add_span buf (e : Journal.event) =
+  let name = Option.value ~default:"" (Journal.str_field e "name") in
+  let dur = Option.value ~default:0.0 (Journal.num_field e "dur_us") in
+  Buffer.add_string buf "{\"name\":";
+  Shard.add_json_string buf name;
+  Printf.bprintf buf
+    ",\"cat\":\"rlc\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
+    e.ts_us dur e.shard;
+  if e.provenance <> "" then begin
+    Buffer.add_string buf ",\"args\":{\"prov\":";
+    Shard.add_json_string buf e.provenance;
+    Buffer.add_char buf '}'
+  end;
+  Buffer.add_char buf '}'
 
-let stop () = Shard.tracing := false
-let capturing () = !Shard.tracing
-
-let dropped_events () =
-  List.fold_left
-    (fun acc (sh : Shard.t) -> acc + sh.Shard.dropped_events)
-    0 (Shard.all_shards ())
-
-let to_buffer () =
+let to_string events =
+  let spans =
+    List.filter (fun (e : Journal.event) -> e.name = "span") events
+    |> List.stable_sort (fun (a : Journal.event) b -> Int.compare a.shard b.shard)
+  in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf s
-  in
-  let shards =
-    List.sort
-      (fun (a : Shard.t) (b : Shard.t) -> Int.compare a.Shard.id b.Shard.id)
-      (Shard.all_shards ())
-  in
-  List.iter
-    (fun (sh : Shard.t) ->
-      if sh.Shard.events <> [] then begin
-        emit
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"shard-%d\"}}"
-             sh.Shard.id sh.Shard.id);
-        (* events are stored newest-first; reverse for chronological ts *)
-        List.iter
-          (fun (ev : Shard.event) ->
-            emit
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"rlc\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
-                 (Buffer.contents (Shard.json_escape ev.Shard.ev_name))
-                 ev.Shard.ev_ts_us ev.Shard.ev_dur_us sh.Shard.id))
-          (List.rev sh.Shard.events)
-      end)
-    shards;
+  let last_tid = ref (-1) in
+  List.iteri
+    (fun i (e : Journal.event) ->
+      if i > 0 then Buffer.add_char buf ',';
+      if e.shard <> !last_tid then begin
+        last_tid := e.shard;
+        Printf.bprintf buf
+          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"shard-%d\"}},"
+          e.shard e.shard
+      end;
+      add_span buf e)
+    spans;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  buf
+  Buffer.contents buf
 
-let to_string () = Buffer.contents (to_buffer ())
-
-let write path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc (to_buffer ()))
+let write path events =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string events))

@@ -1,25 +1,19 @@
-(** Chrome [trace_event] capture and export.
+(** Chrome [trace_event] rendering of the {!Journal}.
 
-    While capture is on, every span completed by {!Span} is buffered
-    as a complete ("X") event tagged with its domain shard's id as the
-    trace [tid]. The export loads directly in [about:tracing],
-    [chrome://tracing] and Perfetto. Buffers are bounded (200k events
-    per shard); overflow is counted, not grown. *)
+    Every [span] journal event (recorded by {!Span} while the journal
+    is capturing) becomes a complete ("X") event: [ts] = span start and
+    [dur] in microseconds, [tid] = the recording domain's shard id, and
+    [args.prov] = the span's provenance id when it has one.  The output
+    loads directly in [about:tracing], [chrome://tracing] and Perfetto.
 
-val start : unit -> unit
-(** Begin buffering span events. Implies enabling recording. *)
+    Rendering is a pure function of the event list: the trace written
+    in-process ([--trace]) and the one [rlcstat trace] renders from the
+    same run's JSONL journal are byte-identical. *)
 
-val stop : unit -> unit
-(** Stop buffering. Already-captured events remain until
-    {!Metrics.reset}. *)
+val to_string : Journal.event list -> string
+(** The trace as a JSON object ([{"traceEvents": [...], ...}]): span
+    events grouped by shard, in input order within a shard; all other
+    events are ignored. *)
 
-val capturing : unit -> bool
-
-val dropped_events : unit -> int
-(** Events discarded because a shard's buffer was full. *)
-
-val to_string : unit -> string
-(** The trace as a JSON object ([{"traceEvents": [...], ...}]). *)
-
-val write : string -> unit
-(** [write path] saves [to_string ()] to [path]. *)
+val write : string -> Journal.event list -> unit
+(** [write path events] saves [to_string events] to [path]. *)

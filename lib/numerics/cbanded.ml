@@ -192,9 +192,8 @@ let decompose ?(pivot_tol = 1e-300) s =
       if d < !dmin then dmin := d;
       if d > !dmax then dmax := d
     done;
-    let growth = if amax > 0.0 then umax /. amax else 1.0 in
-    let rcond = if !dmax > 0.0 then !dmin /. !dmax else 0.0 in
-    ignore (Rlc_instr.Health.observe ~kind:"cbanded" ~growth ~rcond ())
+    Rlc_instr.Health.observe_factor ~kind:"cbanded" ~amax ~umax ~dmin:!dmin
+      ~dmax:!dmax
   end;
   { fn = n; fkl = kl; fku = ku; fldab = ldab; fre = re; fim = im; ipiv }
 

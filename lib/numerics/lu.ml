@@ -25,9 +25,8 @@ let probe_decompose ~amax lu n =
     if d < !dmin then dmin := d;
     if d > !dmax then dmax := d
   done;
-  let growth = if amax > 0.0 then !umax /. amax else 1.0 in
-  let rcond = if !dmax > 0.0 then !dmin /. !dmax else 0.0 in
-  ignore (Rlc_instr.Health.observe ~kind:"lu" ~growth ~rcond ())
+  Rlc_instr.Health.observe_factor ~kind:"lu" ~amax ~umax:!umax ~dmin:!dmin
+    ~dmax:!dmax
 
 (* Doolittle factorisation with partial (row) pivoting. *)
 let decompose ?(pivot_tol = 1e-300) a =

@@ -352,9 +352,8 @@ let factor ?(pivot_tol = 0.001) (a : csc) =
         if d < !dmin then dmin := d;
         if d > !dmax then dmax := d)
       ud;
-    let growth = if amax > 0.0 then umax /. amax else 1.0 in
-    let rcond = if !dmax > 0.0 then !dmin /. !dmax else 0.0 in
-    ignore (Rlc_instr.Health.observe ~kind:"sparse" ~growth ~rcond ())
+    Rlc_instr.Health.observe_factor ~kind:"sparse" ~amax ~umax ~dmin:!dmin
+      ~dmax:!dmax
   end;
   { sym; lx = Array.sub lx.a 0 lx.len; ux = Array.sub ux.a 0 ux.len; ud }
 
@@ -567,9 +566,8 @@ let cfactor ?(pivot_tol = 0.001) (a : ccsc) =
       if d < !dmin then dmin := d;
       if d > !dmax then dmax := d
     done;
-    let growth = if amax > 0.0 then umax /. amax else 1.0 in
-    let rcond = if !dmax > 0.0 then !dmin /. !dmax else 0.0 in
-    ignore (Rlc_instr.Health.observe ~kind:"csparse" ~growth ~rcond ())
+    Rlc_instr.Health.observe_factor ~kind:"csparse" ~amax ~umax ~dmin:!dmin
+      ~dmax:!dmax
   end;
   {
     csym;

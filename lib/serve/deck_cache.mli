@@ -38,9 +38,6 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 64.  Capacity 0 disables caching (every lookup
     misses, inserts are dropped); raises [Invalid_argument] below 0. *)
 
-val capacity : t -> int
-val size : t -> int
-
 type lookup =
   | Hit of entry
   | Alias  (** hash present, signature different: recompile *)

@@ -53,57 +53,22 @@ module Memo = struct
     mutable asm : Assembly.t option;
   }
 
-  type slot = { entry : entry; mutable last_use : int }
+  (* counts the memo's hit/miss/evict metrics around the shared LRU *)
+  let find lru key =
+    let r = Lru.find lru key in
+    M.incr (match r with Some _ -> m_memo_hit | None -> m_memo_miss);
+    r
 
-  type t = {
-    cap : int;
-    table : (string, slot) Hashtbl.t;
-    mutable clock : int;
-  }
-
-  let create cap = { cap; table = Hashtbl.create 64; clock = 0 }
-
-  let tick t =
-    t.clock <- t.clock + 1;
-    t.clock
-
-  let find t key =
-    match Hashtbl.find_opt t.table key with
-    | Some slot ->
-        slot.last_use <- tick t;
-        M.incr m_memo_hit;
-        Some slot.entry
-    | None ->
-        M.incr m_memo_miss;
-        None
-
-  let evict_lru t =
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key slot ->
-        match !victim with
-        | Some (_, best) when best <= slot.last_use -> ()
-        | _ -> victim := Some (key, slot.last_use))
-      t.table;
-    match !victim with
-    | Some (key, _) ->
-        Hashtbl.remove t.table key;
-        M.incr m_memo_evict
-    | None -> ()
-
-  let insert t key entry =
-    if t.cap > 0 then begin
-      Hashtbl.replace t.table key { entry; last_use = tick t };
-      while Hashtbl.length t.table > t.cap do
-        evict_lru t
-      done
-    end
+  let insert lru key entry =
+    for _ = 1 to Lru.insert lru key entry do
+      M.incr m_memo_evict
+    done
 end
 
 type t = {
   cfg : config;
   cache : Deck_cache.t;
-  memo : Memo.t;
+  memo : Memo.entry Lru.t;
   mutable jobs : int;
   mutable errors : int;
   mutable batches : int;
@@ -122,7 +87,7 @@ let create ?(config = default_config) () =
   {
     cfg = config;
     cache = Deck_cache.create ~capacity:config.cache_capacity ();
-    memo = Memo.create config.memo_capacity;
+    memo = Lru.create config.memo_capacity;
     jobs = 0;
     errors = 0;
     batches = 0;
@@ -141,9 +106,8 @@ let cache_stats t = Deck_cache.stats t.cache
 (* A line ready for the pool: either a result decided during prepare
    (malformed line, unreadable deck, parse error) or a runnable job.
    [entry] is [None] on the alias path — a hash collision must not
-   touch the cached artifacts.  [asm] is the memoised stamped assembly
-   (prepare always materialises it); the worker-side rebuild in
-   [the_assembly] is a defensive fallback only. *)
+   touch the cached artifacts.  [asm] is the memoised stamped
+   assembly, which prepare always materialises. *)
 type exec =
   | E_done of Protocol.result
   | E_run of {
@@ -151,7 +115,7 @@ type exec =
       prov : string;  (** provenance id stamped on journal events *)
       netlist : Netlist.t;
       entry : Deck_cache.entry option;
-      asm : Assembly.t option;
+      asm : Assembly.t;
     }
 
 let deck_text = function
@@ -256,19 +220,13 @@ let prepare t line =
               match Deck_cache.find_key t.cache m.Memo.skey with
               | Deck_cache.Alias ->
                   journal_cache "alias";
-                  E_run
-                    {
-                      job;
-                      prov;
-                      netlist;
-                      entry = None;
-                      asm = Some (memo_assembly m None);
-                    }
+                  let asm = memo_assembly m None in
+                  E_run { job; prov; netlist; entry = None; asm }
               | Deck_cache.Hit e ->
                   journal_cache "hit";
                   let asm = memo_assembly m (Some e.Deck_cache.asm_plan) in
                   ensure_artifacts e netlist job.Protocol.query asm;
-                  E_run { job; prov; netlist; entry = Some e; asm = Some asm }
+                  E_run { job; prov; netlist; entry = Some e; asm }
               | Deck_cache.Miss ->
                   journal_cache "miss";
                   let asm = memo_assembly m None in
@@ -283,7 +241,7 @@ let prepare t line =
                   in
                   Deck_cache.insert_key t.cache m.Memo.skey e;
                   ensure_artifacts e netlist job.Protocol.query asm;
-                  E_run { job; prov; netlist; entry = Some e; asm = Some asm }
+                  E_run { job; prov; netlist; entry = Some e; asm }
             with
             | Parser.Parse_error (ln, msg) ->
                 journal_rejected job;
@@ -322,23 +280,8 @@ let waveform_summary w =
     values;
   (values.(n - 1), !vmin, !vmax)
 
-let the_assembly prep =
-  match prep with
-  | E_done _ -> assert false
-  | E_run { asm = Some a; _ } -> a
-  | E_run { asm = None; netlist; entry; _ } -> (
-      match entry with
-      | Some e ->
-          Assembly.of_netlist ~plan:e.Deck_cache.asm_plan ~validate:false
-            netlist
-      | None -> Assembly.of_netlist netlist)
-
-let simulate_probe prep netlist node ~dt ~t_end =
-  let plan_hint =
-    match prep with
-    | E_run { entry = Some e; _ } -> e.Deck_cache.tran_plan
-    | _ -> None
-  in
+let simulate_probe entry netlist node ~dt ~t_end =
+  let plan_hint = Option.bind entry (fun e -> e.Deck_cache.tran_plan) in
   let config = { Transient.Config.default with plan_hint } in
   let probe = Transient.Node_v node in
   let res = Transient.simulate ~config netlist ~t_end ~dt ~probes:[ probe ] in
@@ -348,13 +291,12 @@ let simulate_probe prep netlist node ~dt ~t_end =
    fresh symbolic when the cached one was abandoned by the repivot
    fallback (the factor no longer shares it physically) — the
    coordinator installs it in phase C. *)
-let run_query prep (job : Protocol.job) netlist =
-  let entry = match prep with E_run { entry; _ } -> entry | _ -> None in
+let run_query ~entry ~asm (job : Protocol.job) netlist =
   match job.Protocol.query with
   | Protocol.Q_dc { node } ->
       let n = resolve_node netlist node in
       let symbolic = Option.bind entry (fun e -> e.Deck_cache.dc_sym) in
-      let sys = Dc.make ~assembly:(the_assembly prep) ?symbolic netlist in
+      let sys = Dc.make ~assembly:asm ?symbolic netlist in
       let refresh =
         match (symbolic, Dc.g_symbolic sys) with
         | Some cached, (Some fresh as r) when not (cached == fresh) -> r
@@ -364,7 +306,6 @@ let run_query prep (job : Protocol.job) netlist =
   | Protocol.Q_ac { node; points_per_decade; fstart; fstop } ->
       let n = resolve_node netlist node in
       if n = Netlist.ground then failwith "cannot ac-probe ground";
-      let asm = the_assembly prep in
       if Array.length asm.Assembly.inputs = 0 then
         failwith "deck has no independent source";
       let symbolic = Option.bind entry (fun e -> e.Deck_cache.ac_sym) in
@@ -384,12 +325,12 @@ let run_query prep (job : Protocol.job) netlist =
       (Protocol.R_ac points, None)
   | Protocol.Q_tran { node; dt; t_end } ->
       let n = resolve_node netlist node in
-      let w, steps = simulate_probe prep netlist n ~dt ~t_end in
+      let w, steps = simulate_probe entry netlist n ~dt ~t_end in
       let final, vmin, vmax = waveform_summary w in
       (Protocol.R_tran { final; vmin; vmax; steps }, None)
   | Protocol.Q_delay { node; fraction; dt; t_end } ->
       let n = resolve_node netlist node in
-      let w, _ = simulate_probe prep netlist n ~dt ~t_end in
+      let w, _ = simulate_probe entry netlist n ~dt ~t_end in
       let v_final, _, _ = waveform_summary w in
       ( Protocol.R_delay
           (Rlc_waveform.Measure.threshold_delay w ~fraction ~v_final),
@@ -440,7 +381,7 @@ let latency_hist = function
 let execute prep =
   match prep with
   | E_done r -> (r, None)
-  | E_run { job; prov; netlist; _ } -> (
+  | E_run { job; prov; netlist; entry; asm } -> (
       let capturing = Journal.capturing () in
       let kind = kind_name job.Protocol.query in
       if capturing then begin
@@ -465,7 +406,9 @@ let execute prep =
         end;
         reply
       in
-      match Span.with_ "serve.job" (fun () -> run_query prep job netlist) with
+      match
+        Span.with_ "serve.job" (fun () -> run_query ~entry ~asm job netlist)
+      with
       | outcome, refresh ->
           finish ~status:"ok"
             ({ Protocol.id = job.Protocol.id; reply = Ok outcome }, refresh)

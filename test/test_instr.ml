@@ -6,6 +6,7 @@
 module M = Rlc_instr.Metrics
 module Span = Rlc_instr.Span
 module Trace = Rlc_instr.Trace
+module Journal = Rlc_instr.Journal
 module Control = Rlc_instr.Control
 module Pool = Rlc_parallel.Pool
 
@@ -336,14 +337,14 @@ let burn () = ignore (Sys.opaque_identity (Array.init 512 float_of_int))
 let test_span_nesting_and_trace () =
   M.reset ();
   let was = Control.enabled () in
-  Trace.start ();
+  Journal.start ();
   Span.with_ "outer" (fun () ->
       Span.with_ "inner" (fun () -> burn ());
       Span.with_ "inner" (fun () -> burn ());
       burn ());
-  Trace.stop ();
+  Journal.stop ();
   Control.set_enabled was;
-  Alcotest.(check bool) "capture is off again" false (Trace.capturing ());
+  Alcotest.(check bool) "capture is off again" false (Journal.capturing ());
   (* aggregation tree: inner nests under outer and merged its calls *)
   let outer =
     match List.find_opt (fun t -> t.Span.name = "outer") (Span.trees ()) with
@@ -361,14 +362,18 @@ let test_span_nesting_and_trace () =
       Alcotest.fail
         (Printf.sprintf "expected one child of 'outer', got %d"
            (List.length l)));
-  (* export: loadable JSON containing both span names *)
-  let s = Trace.to_string () in
+  (* one span event per completed span, rendered as loadable JSON
+     containing both span names *)
+  let events = Journal.events () in
+  Alcotest.(check int) "three span events" 3
+    (List.length (List.filter (fun e -> e.Journal.name = "span") events));
+  let s = Trace.to_string events in
   json_check s;
   Alcotest.(check bool) "trace mentions traceEvents" true
     (contains s "\"traceEvents\"");
   Alcotest.(check bool) "trace mentions outer" true (contains s "\"outer\"");
   Alcotest.(check bool) "trace mentions inner" true (contains s "\"inner\"");
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped_events ());
+  Alcotest.(check int) "nothing dropped" 0 (Journal.dropped ());
   (* the dump must render without raising *)
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in

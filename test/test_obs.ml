@@ -3,7 +3,8 @@
    parser), numerical-health classification and probes, the per-job
    provenance chains the serving layer writes (cache traffic → job
    lifecycle → solver fallback / health events → err annotation), the
-   rlcstat rollup over those chains, snapshot regression diffs, and
+   rlcstat rollup over those chains, spans as journal events and the
+   Chrome trace rendered from them, snapshot regression diffs, and
    bitwise waveform/stream identity with journaling on. *)
 
 open Rlc_circuit
@@ -28,6 +29,11 @@ let with_journal f =
       Journal.stop ();
       Control.set_enabled was)
     f
+
+let parse_json s =
+  match Jsonv.parse s with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "json parse: %s" m
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -61,27 +67,36 @@ let test_journal_roundtrip () =
       Alcotest.(check (option string)) "str field"
         (Some "quote \" backslash \\ newline \n done")
         (Journal.str_field e "s");
-      (* every line parses back through the rlcstat JSON parser, with
-         fields and provenance intact *)
+      (* every line parses back into the same event through the
+         rlcstat parser: escaped strings intact, NaN written as null
+         and read back as nan, inf as 1e999, ints readable through
+         num_field — and re-serialises byte for byte *)
       let lines = Journal.to_lines () in
-      let entries, skipped = Stat.entries_of_lines lines in
+      let parsed, skipped = Stat.events_of_lines lines in
       Alcotest.(check int) "no line lost" 0 skipped;
-      Alcotest.(check int) "entry per event" 2 (List.length entries);
-      let p = List.hd entries in
-      Alcotest.(check string) "entry provenance" "job-a#1" p.Stat.eprov;
-      Alcotest.(check string) "entry name" "unit.event" p.Stat.ename;
-      (match List.assoc_opt "s" p.Stat.efields with
-      | Some (Jsonv.Str s) ->
-          Alcotest.(check string) "string field round-trips escaping"
-            "quote \" backslash \\ newline \n done" s
-      | _ -> Alcotest.fail "string field lost");
-      (match List.assoc_opt "nan" p.Stat.efields with
-      | Some Jsonv.Null -> ()
-      | _ -> Alcotest.fail "NaN field must serialise as null");
-      match List.assoc_opt "inf" p.Stat.efields with
-      | Some (Jsonv.Num v) ->
-          Alcotest.(check bool) "inf survives" true (v = Float.infinity)
-      | _ -> Alcotest.fail "inf field lost")
+      Alcotest.(check (list string)) "lines round-trip byte for byte" lines
+        (List.map Journal.line_of_event parsed);
+      let p = List.hd parsed in
+      Alcotest.(check string) "parsed provenance" "job-a#1"
+        p.Journal.provenance;
+      Alcotest.(check string) "parsed name" "unit.event" p.Journal.name;
+      Alcotest.(check int) "parsed shard" e.Journal.shard p.Journal.shard;
+      Alcotest.(check (float 0.0)) "parsed ts" e.Journal.ts_us p.Journal.ts_us;
+      Alcotest.(check (option string)) "string field round-trips escaping"
+        (Some "quote \" backslash \\ newline \n done")
+        (Journal.str_field p "s");
+      Alcotest.(check (option (float 0.0))) "int read through num_field"
+        (Some 3.0) (Journal.num_field p "n");
+      Alcotest.(check (option (float 0.0))) "float field" (Some 2.5)
+        (Journal.num_field p "x");
+      (match Journal.num_field p "nan" with
+      | Some v ->
+          Alcotest.(check bool) "null reads back as nan" true (Float.is_nan v)
+      | None -> Alcotest.fail "NaN field lost");
+      Alcotest.(check (option (float 0.0))) "1e999 reads back as infinity"
+        (Some Float.infinity) (Journal.num_field p "inf");
+      Alcotest.(check string) "bare event has no provenance" ""
+        (List.nth parsed 1).Journal.provenance)
 
 let test_journal_cap () =
   with_journal (fun () ->
@@ -329,8 +344,7 @@ let check_serve_chain ~domains =
       Alcotest.(check string) "failure reason" "singular pivot" reason
   | _ -> Alcotest.fail "worst_for must classify the singular job failed");
   (* rlcstat rolls the same stream up correctly *)
-  let entries = List.map Stat.entry_of_event events in
-  let r = Stat.rollup entries in
+  let r = Stat.rollup events in
   Alcotest.(check int) "rollup jobs" 3 r.Stat.jobs;
   Alcotest.(check int) "rollup errors" 1 r.Stat.errors;
   Alcotest.(check bool) "rollup fallbacks" true (r.Stat.fallbacks >= 1);
@@ -422,54 +436,94 @@ let test_transient_identity_with_journal () =
     (List.map Int64.bits_of_float (waveform ~journaled:false))
     (List.map Int64.bits_of_float (waveform ~journaled:true))
 
-(* ---------------- trace cap overflow ---------------- *)
+(* ---------------- spans in the journal ---------------- *)
 
-let test_trace_cap_journal () =
-  let was = Control.enabled () in
-  let cap = Control.trace_cap () in
-  M.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Rlc_instr.Trace.stop ();
-      Journal.stop ();
-      Control.set_trace_cap cap;
-      Control.set_enabled was)
-    (fun () ->
-      Control.set_trace_cap 4;
-      Alcotest.(check int) "cap getter reflects setter" 4
-        (Control.trace_cap ());
-      Journal.start ();
-      Rlc_instr.Trace.start ();
-      for _ = 1 to 10 do
-        Rlc_instr.Span.with_ "obs.capped" (fun () -> ())
-      done;
-      Alcotest.(check int) "overflow counted" 6
-        (Rlc_instr.Trace.dropped_events ());
-      (* the overflow leaves exactly one journal trail per shard *)
-      let dropped =
-        List.filter
-          (fun e -> e.Journal.name = "trace.dropped")
-          (Journal.events ())
+let test_span_cap () =
+  with_journal (fun () ->
+      let cap = Journal.cap () in
+      Journal.set_cap 4;
+      Fun.protect
+        ~finally:(fun () -> Journal.set_cap cap)
+        (fun () ->
+          for _ = 1 to 10 do
+            Rlc_instr.Span.with_ "obs.capped" (fun () -> ())
+          done;
+          Alcotest.(check int) "spans kept at the cap" 4
+            (List.length (Journal.events ()));
+          Alcotest.(check int) "overflow counted" 6 (Journal.dropped ())))
+
+let test_span_provenance () =
+  with_journal (fun () ->
+      Journal.with_provenance "job-s#7" (fun () ->
+          Rlc_instr.Span.with_ "obs.attributed" (fun () -> ()));
+      Rlc_instr.Span.with_ "obs.bare" (fun () -> ());
+      let prov name =
+        match
+          List.find_opt
+            (fun e -> Journal.str_field e "name" = Some name)
+            (Journal.events ())
+        with
+        | Some e ->
+            Alcotest.(check string) "span event kind" "span" e.Journal.name;
+            e.Journal.provenance
+        | None -> Alcotest.failf "no span event for %s" name
       in
-      (match dropped with
-      | [ e ] ->
-          Alcotest.(check (option string)) "span name" (Some "obs.capped")
-            (Journal.str_field e "span");
-          Alcotest.(check (option (float 0.0))) "cap field" (Some 4.0)
-            (Journal.num_field e "cap")
-      | l -> Alcotest.failf "expected one trace.dropped, got %d" (List.length l));
-      (* the rollup surfaces it *)
-      let r =
-        Stat.rollup (List.map Stat.entry_of_event (Journal.events ()))
+      Alcotest.(check string) "span inherits the job id" "job-s#7"
+        (prov "obs.attributed");
+      Alcotest.(check string) "span outside a job has none" ""
+        (prov "obs.bare"))
+
+let test_chrome_trace () =
+  with_journal (fun () ->
+      Rlc_instr.Span.with_ "outer" (fun () ->
+          Rlc_instr.Span.with_ "inner" (fun () ->
+              ignore (Sys.opaque_identity (Array.make 1000 0.0))));
+      Journal.record "not.a.span" [];
+      let events = Journal.events () in
+      let shard = (List.hd events).Journal.shard in
+      let trace = Rlc_instr.Trace.to_string events in
+      (* offline rendering from the JSONL is the same bytes *)
+      let parsed, _ = Stat.events_of_lines (Journal.to_lines ()) in
+      Alcotest.(check string) "offline render is byte-identical" trace
+        (Rlc_instr.Trace.to_string parsed);
+      let spans =
+        match Jsonv.member "traceEvents" (parse_json trace) with
+        | Some (Jsonv.List l) ->
+            List.filter
+              (fun ev -> Jsonv.member "ph" ev = Some (Jsonv.Str "X"))
+              l
+        | _ -> Alcotest.fail "traceEvents is not a list"
       in
-      Alcotest.(check int) "rollup trace_dropped" 1 r.Stat.trace_dropped)
+      Alcotest.(check int) "only span events render" 2 (List.length spans);
+      let num ev k =
+        match Option.bind (Jsonv.member k ev) Jsonv.to_float with
+        | Some v -> v
+        | None -> Alcotest.failf "trace event lacks %s" k
+      in
+      let find name =
+        match
+          List.find_opt
+            (fun ev -> Jsonv.member "name" ev = Some (Jsonv.Str name))
+            spans
+        with
+        | Some ev -> ev
+        | None -> Alcotest.failf "no %s span in the trace" name
+      in
+      let outer = find "outer" and inner = find "inner" in
+      List.iter
+        (fun ev ->
+          Alcotest.(check (float 0.0)) "tid is the shard" (float_of_int shard)
+            (num ev "tid"))
+        spans;
+      (* ts/dur print at 1 ns resolution: allow that much rounding *)
+      let eps = 2e-3 in
+      Alcotest.(check bool) "inner starts inside outer" true
+        (num inner "ts" >= num outer "ts" -. eps);
+      Alcotest.(check bool) "inner ends inside outer" true
+        (num inner "ts" +. num inner "dur"
+        <= num outer "ts" +. num outer "dur" +. eps))
 
 (* ---------------- snapshot regression diff ---------------- *)
-
-let parse_json s =
-  match Jsonv.parse s with
-  | Ok j -> j
-  | Error m -> Alcotest.failf "json parse: %s" m
 
 let test_diff_flags_regression () =
   let old_snap =
@@ -551,10 +605,14 @@ let () =
           Alcotest.test_case "transient identity with journal" `Quick
             test_transient_identity_with_journal;
         ] );
-      ( "trace cap",
+      ( "span events",
         [
-          Alcotest.test_case "overflow journals trace.dropped" `Quick
-            test_trace_cap_journal;
+          Alcotest.test_case "spans past the cap are dropped" `Quick
+            test_span_cap;
+          Alcotest.test_case "span carries provenance" `Quick
+            test_span_provenance;
+          Alcotest.test_case "chrome trace renders the journal" `Quick
+            test_chrome_trace;
         ] );
       ( "rlcstat diff",
         [
