@@ -574,7 +574,7 @@ let sparse_case ~name ~reps ~with_dense (asm : Rlc_circuit.Assembly.t) =
   in
   let sym = Solver.symbolic_of fs in
   let _, sparse_refactor_s =
-    wall_best reps (fun () -> Solver.factor_with ?symbolic:sym sparse_plan ~fill)
+    wall_best reps (fun () -> Solver.factor ?symbolic:sym sparse_plan ~fill)
   in
   let fb, banded_factor_s =
     wall_best reps (fun () -> Solver.factor banded_plan ~fill)
@@ -1692,26 +1692,34 @@ let run_serve_bench ~json =
   let n_jobs = List.length lines in
   let config = { Service.default_config with pool; batch_size = n_jobs } in
   let reps = 3 in
-  (* cold: a fresh service per rep (first sight of every family pays
-     plan + validation + symbolic analysis); keep the fastest rep's
-     service for the warm passes *)
-  let svc = ref (Service.create ~config ()) in
+  (* each rep: a cold pass on a fresh service (first sight of every
+     family pays plan + validation + symbolic analysis), then a warm
+     pass on that same service.  Interleaving puts a VM slowdown of a
+     few seconds on both sides of the best-of-reps ratio instead of
+     on all the cold or all the warm passes, and a full major GC
+     before each pass keeps the cold pass's garbage off the warm
+     pass's clock. *)
+  let timed f =
+    Gc.full_major ();
+    wall f
+  in
   let cold_results = ref [] and cold_s = ref infinity in
+  let warm_results = ref [] and warm_s = ref infinity in
+  let warm_hits = ref 0 and warm_stats = ref None in
   for _ = 1 to reps do
-    let s = Service.create ~config () in
-    let r, t = wall (fun () -> Service.process_lines s lines) in
+    let svc = Service.create ~config () in
+    let r, t = timed (fun () -> Service.process_lines svc lines) in
     cold_results := r;
     if t < !cold_s then cold_s := t;
-    svc := s
-  done;
-  let hits_before = (Service.cache_stats !svc).Rlc_serve.Deck_cache.hits in
-  let warm_results = ref [] and warm_s = ref infinity in
-  for _ = 1 to reps do
-    let r, t = wall (fun () -> Service.process_lines !svc lines) in
+    let hits () = (Service.cache_stats svc).Rlc_serve.Deck_cache.hits in
+    let hits_before = hits () in
+    let r, t = timed (fun () -> Service.process_lines svc lines) in
     warm_results := r;
-    if t < !warm_s then warm_s := t
+    if t < !warm_s then warm_s := t;
+    warm_hits := !warm_hits + hits () - hits_before;
+    warm_stats := Some (Service.cache_stats svc)
   done;
-  let warm_stats = Service.cache_stats !svc in
+  let warm_stats = Option.get !warm_stats in
   let speedup = !cold_s /. !warm_s in
   let identical = List.equal String.equal !cold_results !warm_results in
   let quantiles =
@@ -1746,13 +1754,12 @@ let run_serve_bench ~json =
       (Printf.sprintf
          "serve bench: warm pass only %.2fx faster than cold (gate: 2x)"
          speedup);
-  let warm_hits = warm_stats.Rlc_serve.Deck_cache.hits - hits_before in
-  if warm_hits <> reps * n_jobs then
+  if !warm_hits <> reps * n_jobs then
     failwith
       (Printf.sprintf
          "serve bench: warm passes should hit on every job (%d hits over \
           %d jobs)"
-         warm_hits (reps * n_jobs));
+         !warm_hits (reps * n_jobs));
   if quantiles = None then
     failwith "serve bench: no p50/p99 job latency recorded";
   Rlc_instr.Control.set_enabled was_recording;

@@ -282,7 +282,7 @@ let b_column t input =
   col
 
 let factor_g ?symbolic t =
-  Solver.factor_with ?symbolic t.plan ~fill:(Coo.iter t.g)
+  Solver.factor ?symbolic t.plan ~fill:(Coo.iter t.g)
 
 let solve_g t f b = Solver.solve t.plan f b
 
@@ -334,7 +334,7 @@ let cengine_scratch e = Solver.cscratch e.ce_plan
 
 let cengine_solve_into e cs ~s ~rhs ~x =
   let f =
-    Solver.cfactor_with ?symbolic:e.ce_sym e.ce_plan ~fill:(cfill e.ce_asm s)
+    Solver.cfactor ?symbolic:e.ce_sym e.ce_plan ~fill:(cfill e.ce_asm s)
   in
   Solver.csolve_into e.ce_plan f cs ~b:rhs ~x
 

@@ -140,7 +140,7 @@ val iter_b : t -> (int -> int -> float -> unit) -> unit
 val cfill : t -> Cx.t -> (int -> int -> Cx.t -> unit) -> unit
 (** [cfill t s add] streams the entries of [G + sC] through [add] in
     natural coordinates — the fill callback shape
-    {!Rlc_numerics.Solver.cfactor_with} consumes.  Exposed so
+    {!Rlc_numerics.Solver.cfactor} consumes.  Exposed so
     incremental consumers ({!Whatif}) can append their own delta
     stamps to the base pattern under one factorisation. *)
 
@@ -148,9 +148,8 @@ val factor_g : ?symbolic:Solver.symbolic -> t -> Solver.factor
 (** Factor G under the shared plan (banded + RCM when the band is
     narrow).  On the sparse backend [?symbolic] replays a previous
     analysis of the same G pattern (value-only restamps go straight to
-    numeric refactor; see {!Rlc_numerics.Solver.factor_with}).  Raises
-    {!Rlc_numerics.Lu.Singular}, {!Rlc_numerics.Banded.Singular} or
-    {!Rlc_numerics.Sparse.Singular}. *)
+    numeric refactor; see {!Rlc_numerics.Solver.factor}).  Raises
+    {!Rlc_numerics.Solver.Singular}. *)
 
 val solve_g : t -> Solver.factor -> float array -> float array
 (** Solve [G x = b] in natural unknown order with a {!factor_g}
@@ -165,8 +164,7 @@ val solve_complex : ?backend:Solver.backend -> t -> s:Cx.t
     Allocates its own storage, so concurrent calls from a
     {!Rlc_parallel.Pool} fan-out are safe.  [backend] overrides the
     shared plan's choice (the AC bench times the dense path through
-    exactly this override).  Raises {!Rlc_numerics.Clu.Singular},
-    {!Rlc_numerics.Cbanded.Singular} or {!Rlc_numerics.Sparse.Singular}
+    exactly this override).  Raises {!Rlc_numerics.Solver.Singular}
     at a frequency where the pencil is singular.
 
     For a *sweep* of frequency points against one assembly, build a

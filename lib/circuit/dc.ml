@@ -54,7 +54,7 @@ let make ?(max_state_iterations = 64) ?assembly ?symbolic netlist =
   in
   let factor =
     try Assembly.factor_g ?symbolic asm
-    with Lu.Singular | Banded.Singular | Sparse.Singular ->
+    with Solver.Singular ->
       failwith "Dc.operating_point: singular system"
   in
   let elems = Netlist.elements netlist in

@@ -74,7 +74,7 @@ val solve_s : t -> input:int -> s:Cx.t -> Cx.t array
     frequency with a unit source, through
     {!Assembly.solve_complex} — complex banded LU in RCM order when
     the structure is narrow (O(n·b^2) per point), dense complex LU
-    otherwise.  Raises [Clu.Singular] or [Cbanded.Singular] at a
+    otherwise.  Raises {!Rlc_numerics.Solver.Singular} at a
     frequency where the matrix pencil is singular and
     [Invalid_argument] on a bad input index. *)
 

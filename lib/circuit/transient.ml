@@ -368,9 +368,9 @@ let factorization eng meth dt =
       in
       let f =
         try
-          Solver.factor_with ?symbolic:eng.sparse_sym eng.plan
+          Solver.factor ?symbolic:eng.sparse_sym eng.plan
             ~fill:(Assembly.Coo.iter coo)
-        with Lu.Singular | Banded.Singular | Sparse.Singular ->
+        with Solver.Singular ->
           failwith "Transient: singular MNA matrix"
       in
       if eng.sparse_sym = None then eng.sparse_sym <- Solver.symbolic_of f;

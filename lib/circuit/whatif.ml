@@ -338,7 +338,7 @@ let refactor_g ?(fallback = false) t gterms =
     Assembly.Coo.iter t.asm.Assembly.g add;
     stamp_deltas gterms add
   in
-  R_refactored (Solver.factor_with ?symbolic:t.g_symbolic (plan t) ~fill)
+  R_refactored (Solver.factor ?symbolic:t.g_symbolic (plan t) ~fill)
 
 (* A tripped SMW guard means the rank-k path was abandoned for a full
    refactor: journal the reason (and count the solve degraded only
@@ -530,7 +530,7 @@ let ac_point t omega =
   | None ->
       let s = Cx.make 0.0 omega in
       let acf =
-        Solver.cfactor_with ?symbolic:t.ac_sym (plan t)
+        Solver.cfactor ?symbolic:t.ac_sym (plan t)
           ~fill:(Assembly.cfill t.asm s)
       in
       (match t.ac_sym with
@@ -576,7 +576,7 @@ let ac_refactor ?(fallback = false) ?(count = true) t ~s terms =
           tm.tu.vidx)
       terms
   in
-  Solver.cfactor_with ?symbolic:t.ac_sym (plan t) ~fill
+  Solver.cfactor ?symbolic:t.ac_sym (plan t) ~fill
 
 let ac_solution t set omega =
   let s = Cx.make 0.0 omega in
@@ -640,8 +640,7 @@ let evaluate ?(set = []) t target =
     | Ac_mag (node, omega) -> ac_eval t set node omega
   with
   | Reject
-  | Lu.Singular | Banded.Singular | Sparse.Singular
-  | Clu.Singular | Cbanded.Singular
+  | Solver.Singular
   | Roots.No_bracket
   | Roots.No_convergence _ ->
       Float.nan
@@ -658,7 +657,7 @@ let transpose_factor t gterms =
     Assembly.Coo.iter t.asm.Assembly.g (fun i j v -> add j i v);
     stamp_deltas gterms (fun i j v -> add j i v)
   in
-  Solver.factor_with ?symbolic:t.g_symbolic (plan t) ~fill
+  Solver.factor ?symbolic:t.g_symbolic (plan t) ~fill
 
 let base_transpose_factor t =
   match t.tfactor with
@@ -680,7 +679,7 @@ let gradient_factors t gterms =
         Assembly.Coo.iter t.asm.Assembly.g add;
         stamp_deltas gterms add
       in
-      ( Solver.factor_with ?symbolic:t.g_symbolic (plan t) ~fill,
+      ( Solver.factor ?symbolic:t.g_symbolic (plan t) ~fill,
         transpose_factor t gterms )
 
 let unit_vec n p =
@@ -841,7 +840,7 @@ let ac_gradient t set node omega ~wrt =
               tm.tu.vidx)
           terms
       in
-      Solver.cfactor_with ?symbolic:t.ac_sym (plan t) ~fill
+      Solver.cfactor ?symbolic:t.ac_sym (plan t) ~fill
     in
     let e = Array.make (size t) Cx.zero in
     e.(node - 1) <- Cx.one;
@@ -886,8 +885,7 @@ let gradient ?(set = []) t target ~wrt =
     | Ac_mag (node, omega) -> ac_gradient t set node omega ~wrt
   with
   | Reject
-  | Lu.Singular | Banded.Singular | Sparse.Singular
-  | Clu.Singular | Cbanded.Singular
+  | Solver.Singular
   | Roots.No_bracket
   | Roots.No_convergence _ ->
       Array.make (Array.length wrt) Float.nan

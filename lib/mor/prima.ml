@@ -28,7 +28,7 @@ let ( /: ) = Cx.( /: )
 let make_g_solver (asm : Rlc_circuit.Assembly.t) =
   let f =
     try Rlc_circuit.Assembly.factor_g asm
-    with Lu.Singular | Banded.Singular | Sparse.Singular ->
+    with Solver.Singular ->
       failwith "Prima: singular G matrix"
   in
   fun b -> Rlc_circuit.Assembly.solve_g asm f b
@@ -100,8 +100,8 @@ let residue_at g_r c_r b_r l_r p =
   let rec decompose_near p attempt =
     match (Clu.decompose (pencil g_r c_r p), Clu.decompose (pencil_t p)) with
     | lu, lu_t -> (lu, lu_t)
-    | exception Clu.Singular ->
-        if attempt > 3 then raise Clu.Singular
+    | exception Solver.Singular ->
+        if attempt > 3 then raise Solver.Singular
         else decompose_near (p *: Cx.make (1.0 +. 1e-10) 1e-10) (attempt + 1)
   in
   let lu, lu_t = decompose_near p 0 in

@@ -4,70 +4,75 @@
    created by row pivoting (U gains up to kl extra superdiagonals)
    stays inside the array. *)
 
-type storage = {
+type geometry = {
   n : int;
-  skl : int;
-  sku : int;
-  ldab : int; (* 2*skl + sku + 1 *)
+  kl : int;
+  ku : int;
+  ldab : int; (* 2*kl + ku + 1 *)
+}
+
+type storage = {
+  g : geometry;
   ab : float array; (* column-major, n columns of height ldab *)
 }
 
 type t = {
-  fn : int;
-  fkl : int;
-  fku : int;
-  fldab : int;
+  fg : geometry;
   fab : float array; (* factorised bands: L multipliers + widened U *)
   ipiv : int array; (* row interchanged with row k at step k *)
 }
 
-exception Singular
+exception Singular = Lu.Singular
+
+let geometry ~who ~n ~kl ~ku =
+  if n <= 0 then invalid_arg (who ^ ".create_storage: n <= 0");
+  if kl < 0 || ku < 0 then
+    invalid_arg (who ^ ".create_storage: negative bandwidth");
+  if kl >= n || ku >= n then
+    invalid_arg (who ^ ".create_storage: bandwidth >= n");
+  { n; kl; ku; ldab = (2 * kl) + ku + 1 }
 
 let create_storage ~n ~kl ~ku =
-  if n <= 0 then invalid_arg "Banded.create_storage: n <= 0";
-  if kl < 0 || ku < 0 then invalid_arg "Banded.create_storage: negative bandwidth";
-  if kl >= n || ku >= n then invalid_arg "Banded.create_storage: bandwidth >= n";
-  let ldab = (2 * kl) + ku + 1 in
-  { n; skl = kl; sku = ku; ldab; ab = Array.make (n * ldab) 0.0 }
+  let g = geometry ~who:"Banded" ~n ~kl ~ku in
+  { g; ab = Array.make (n * g.ldab) 0.0 }
 
-let storage_n s = s.n
-let storage_kl s = s.skl
-let storage_ku s = s.sku
+let storage_n s = s.g.n
+let storage_kl s = s.g.kl
+let storage_ku s = s.g.ku
 
-let idx s i j = (j * s.ldab) + s.skl + s.sku + i - j
+let idx g i j = (j * g.ldab) + g.kl + g.ku + i - j
 
-let check_bounds s i j =
-  if i < 0 || i >= s.n || j < 0 || j >= s.n then
+let check_bounds ~who g i j =
+  if i < 0 || i >= g.n || j < 0 || j >= g.n then
     invalid_arg
-      (Printf.sprintf "Banded: index (%d,%d) out of %dx%d" i j s.n s.n)
+      (Printf.sprintf "%s: index (%d,%d) out of %dx%d" who i j g.n g.n)
 
-let in_band s i j = i - j <= s.skl && j - i <= s.sku
+let in_band g i j = i - j <= g.kl && j - i <= g.ku
+
+let band_idx ~who g i j =
+  check_bounds ~who g i j;
+  if not (in_band g i j) then
+    invalid_arg
+      (Printf.sprintf "%s: (%d,%d) outside band (kl=%d, ku=%d)" who i j g.kl
+         g.ku);
+  idx g i j
 
 let get s i j =
-  check_bounds s i j;
-  if in_band s i j then s.ab.(idx s i j) else 0.0
+  check_bounds ~who:"Banded" s.g i j;
+  if in_band s.g i j then s.ab.(idx s.g i j) else 0.0
 
-let check_band s i j =
-  check_bounds s i j;
-  if not (in_band s i j) then
-    invalid_arg
-      (Printf.sprintf "Banded: (%d,%d) outside band (kl=%d, ku=%d)" i j s.skl
-         s.sku)
-
-let set s i j v =
-  check_band s i j;
-  s.ab.(idx s i j) <- v
+let set s i j v = s.ab.(band_idx ~who:"Banded" s.g i j) <- v
 
 let add_to s i j v =
-  check_band s i j;
-  let k = idx s i j in
+  let k = band_idx ~who:"Banded" s.g i j in
   s.ab.(k) <- s.ab.(k) +. v
 
 let to_dense s =
-  let m = Matrix.create s.n s.n in
-  for j = 0 to s.n - 1 do
-    for i = Int.max 0 (j - s.sku) to Int.min (s.n - 1) (j + s.skl) do
-      Matrix.set m i j s.ab.(idx s i j)
+  let { n; kl; ku; _ } = s.g in
+  let m = Matrix.create n n in
+  for j = 0 to n - 1 do
+    for i = Int.max 0 (j - ku) to Int.min (n - 1) (j + kl) do
+      Matrix.set m i j s.ab.(idx s.g i j)
     done
   done;
   m
@@ -97,7 +102,7 @@ let of_matrix ?kl ?ku m =
   let s = create_storage ~n ~kl ~ku in
   for j = 0 to n - 1 do
     for i = Int.max 0 (j - ku) to Int.min (n - 1) (j + kl) do
-      s.ab.(idx s i j) <- Matrix.get m i j
+      s.ab.(idx s.g i j) <- Matrix.get m i j
     done
   done;
   s
@@ -123,7 +128,7 @@ let band_amax ab =
 
 let decompose ?(pivot_tol = 1e-300) s =
   Rlc_instr.Metrics.incr m_decompose;
-  let { n; skl = kl; sku = ku; ldab; ab } = s in
+  let { g = { n; kl; ku; ldab } as g; ab } = s in
   let at i j = (j * ldab) + kl + ku + i - j in
   let probing = Rlc_instr.Metrics.recording () in
   let amax = if probing then band_amax ab else 0.0 in
@@ -180,19 +185,18 @@ let decompose ?(pivot_tol = 1e-300) s =
     Rlc_instr.Health.observe_factor ~kind:"banded" ~amax ~umax ~dmin:!dmin
       ~dmax:!dmax
   end;
-  { fn = n; fkl = kl; fku = ku; fldab = ldab; fab = ab; ipiv }
+  { fg = g; fab = ab; ipiv }
 
-let size f = f.fn
-let kl f = f.fkl
-let ku f = f.fku
+let size f = f.fg.n
+let kl f = f.fg.kl
+let ku f = f.fg.ku
 
 let solve_into f ~b ~x =
   Rlc_instr.Metrics.incr m_solve;
-  let n = f.fn in
+  let { fg = { n; kl; ku; ldab }; fab = ab; ipiv } = f in
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Banded.solve_into: size mismatch";
   if x != b then Array.blit b 0 x 0 n;
-  let { fkl = kl; fku = ku; fldab = ldab; fab = ab; ipiv; _ } = f in
   let at i j = (j * ldab) + kl + ku + i - j in
   (* L y = P b, applying the interchanges in factorisation order *)
   for j = 0 to n - 1 do
@@ -223,6 +227,6 @@ let solve_into f ~b ~x =
   done
 
 let solve f b =
-  let x = Array.make f.fn 0.0 in
+  let x = Array.make (size f) 0.0 in
   solve_into f ~b ~x;
   x

@@ -16,7 +16,39 @@ type t
 (** A pivoted banded factorisation, ready to solve. *)
 
 exception Singular
-(** Raised when a pivot falls below the singularity threshold. *)
+(** Raised when a pivot falls below the singularity threshold; the
+    same exception as {!Solver.Singular}. *)
+
+(** {1 Band geometry (shared with {!Cbanded})} *)
+
+type geometry = private {
+  n : int;  (** order *)
+  kl : int;  (** subdiagonals *)
+  ku : int;  (** superdiagonals *)
+  ldab : int;  (** column height, [2*kl + ku + 1] *)
+}
+(** LAPACK general-band layout: column [j] is contiguous and entry
+    [(i, j)] lives at {!idx}; the top [kl] rows of each column are
+    workspace for the fill-in of row pivoting. *)
+
+val geometry : who:string -> n:int -> kl:int -> ku:int -> geometry
+(** Raises [Invalid_argument] (message prefixed [who ^ ".create_storage"])
+    when [n <= 0], a bandwidth is negative, or a bandwidth is [>= n]. *)
+
+val idx : geometry -> int -> int -> int
+(** Array offset of entry [(i, j)]. *)
+
+val in_band : geometry -> int -> int -> bool
+
+val check_bounds : who:string -> geometry -> int -> int -> unit
+(** Raises [Invalid_argument] outside the [n] x [n] bounds. *)
+
+val band_idx : who:string -> geometry -> int -> int -> int
+(** {!idx} of an entry that must lie in the band: {!check_bounds},
+    then raises [Invalid_argument] for an entry strictly outside the
+    declared band.  One call per stamp on the assembly path. *)
+
+(** {1 Real band storage} *)
 
 val create_storage : n:int -> kl:int -> ku:int -> storage
 (** Zero matrix of order [n] with [kl] sub- and [ku] superdiagonals.
@@ -51,7 +83,7 @@ val of_matrix : ?kl:int -> ?ku:int -> Matrix.t -> storage
 val decompose : ?pivot_tol:float -> storage -> t
 (** Banded LU with partial (row) pivoting.  The storage is consumed:
     it is factorised in place and must not be reused.  Raises
-    [Singular] when a pivot column is below [pivot_tol] in absolute
+    {!Singular} when a pivot column is below [pivot_tol] in absolute
     value (default 1e-300, i.e. only exact breakdown). *)
 
 val solve : t -> float array -> float array

@@ -1,92 +1,55 @@
-(* Complex band storage in LAPACK's general-band convention (see
-   Banded for the real twin): column j is contiguous, entry (i,j)
-   lives at offset [kl + ku + i - j], and the top [kl] rows of each
-   column are workspace so that the fill-in created by row pivoting (U
-   gains up to kl extra superdiagonals) stays inside the array.  Real
-   and imaginary parts are split into two float arrays so assembly and
-   factorisation never box a complex value. *)
+(* Complex band storage in Banded's geometry (LAPACK general-band
+   layout, see Banded).  Real and imaginary parts are split into two
+   float arrays so assembly and factorisation never box a complex
+   value. *)
 
 type storage = {
-  n : int;
-  skl : int;
-  sku : int;
-  ldab : int; (* 2*skl + sku + 1 *)
+  g : Banded.geometry;
   re : float array; (* column-major, n columns of height ldab *)
   im : float array;
 }
 
 type t = {
-  fn : int;
-  fkl : int;
-  fku : int;
-  fldab : int;
+  fg : Banded.geometry;
   fre : float array; (* factorised bands: L multipliers + widened U *)
   fim : float array;
   ipiv : int array; (* row interchanged with row k at step k *)
 }
 
-exception Singular
+exception Singular = Lu.Singular
 
 let create_storage ~n ~kl ~ku =
-  if n <= 0 then invalid_arg "Cbanded.create_storage: n <= 0";
-  if kl < 0 || ku < 0 then
-    invalid_arg "Cbanded.create_storage: negative bandwidth";
-  if kl >= n || ku >= n then
-    invalid_arg "Cbanded.create_storage: bandwidth >= n";
-  let ldab = (2 * kl) + ku + 1 in
-  {
-    n;
-    skl = kl;
-    sku = ku;
-    ldab;
-    re = Array.make (n * ldab) 0.0;
-    im = Array.make (n * ldab) 0.0;
-  }
+  let g = Banded.geometry ~who:"Cbanded" ~n ~kl ~ku in
+  let len = n * g.Banded.ldab in
+  { g; re = Array.make len 0.0; im = Array.make len 0.0 }
 
-let storage_n s = s.n
-let storage_kl s = s.skl
-let storage_ku s = s.sku
-
-let idx s i j = (j * s.ldab) + s.skl + s.sku + i - j
-
-let check_bounds s i j =
-  if i < 0 || i >= s.n || j < 0 || j >= s.n then
-    invalid_arg
-      (Printf.sprintf "Cbanded: index (%d,%d) out of %dx%d" i j s.n s.n)
-
-let in_band s i j = i - j <= s.skl && j - i <= s.sku
+let storage_n s = s.g.Banded.n
+let storage_kl s = s.g.Banded.kl
+let storage_ku s = s.g.Banded.ku
 
 let get s i j =
-  check_bounds s i j;
-  if in_band s i j then
-    let k = idx s i j in
+  Banded.check_bounds ~who:"Cbanded" s.g i j;
+  if Banded.in_band s.g i j then
+    let k = Banded.idx s.g i j in
     Cx.make s.re.(k) s.im.(k)
   else Cx.zero
 
-let check_band s i j =
-  check_bounds s i j;
-  if not (in_band s i j) then
-    invalid_arg
-      (Printf.sprintf "Cbanded: (%d,%d) outside band (kl=%d, ku=%d)" i j s.skl
-         s.sku)
-
 let set s i j v =
-  check_band s i j;
-  let k = idx s i j in
+  let k = Banded.band_idx ~who:"Cbanded" s.g i j in
   s.re.(k) <- Cx.re v;
   s.im.(k) <- Cx.im v
 
 let add_to s i j v =
-  check_band s i j;
-  let k = idx s i j in
+  let k = Banded.band_idx ~who:"Cbanded" s.g i j in
   s.re.(k) <- s.re.(k) +. Cx.re v;
   s.im.(k) <- s.im.(k) +. Cx.im v
 
 let to_dense s =
-  let m = Cmatrix.create s.n s.n in
-  for j = 0 to s.n - 1 do
-    for i = Int.max 0 (j - s.sku) to Int.min (s.n - 1) (j + s.skl) do
-      let k = idx s i j in
+  let { Banded.n; kl; ku; _ } = s.g in
+  let m = Cmatrix.create n n in
+  for j = 0 to n - 1 do
+    for i = Int.max 0 (j - ku) to Int.min (n - 1) (j + kl) do
+      let k = Banded.idx s.g i j in
       Cmatrix.set m i j (Cx.make s.re.(k) s.im.(k))
     done
   done;
@@ -125,7 +88,7 @@ let cband_amax re im =
 
 let decompose ?(pivot_tol = 1e-300) s =
   Rlc_instr.Metrics.incr m_decompose;
-  let { n; skl = kl; sku = ku; ldab; re; im } = s in
+  let { g = { Banded.n; kl; ku; ldab } as g; re; im } = s in
   let at i j = (j * ldab) + kl + ku + i - j in
   let probing = Rlc_instr.Metrics.recording () in
   let amax = if probing then cband_amax re im else 0.0 in
@@ -195,18 +158,17 @@ let decompose ?(pivot_tol = 1e-300) s =
     Rlc_instr.Health.observe_factor ~kind:"cbanded" ~amax ~umax ~dmin:!dmin
       ~dmax:!dmax
   end;
-  { fn = n; fkl = kl; fku = ku; fldab = ldab; fre = re; fim = im; ipiv }
+  { fg = g; fre = re; fim = im; ipiv }
 
-let size f = f.fn
-let kl f = f.fkl
-let ku f = f.fku
+let size f = f.fg.Banded.n
+let kl f = f.fg.Banded.kl
+let ku f = f.fg.Banded.ku
 
 let solve_into f ~b ~x =
   Rlc_instr.Metrics.incr m_solve;
-  let n = f.fn in
+  let { fg = { Banded.n; kl; ku; ldab }; fre = re; fim = im; ipiv } = f in
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Cbanded.solve_into: size mismatch";
-  let { fkl = kl; fku = ku; fldab = ldab; fre = re; fim = im; ipiv; _ } = f in
   let at i j = (j * ldab) + kl + ku + i - j in
   (* split the RHS so the substitution sweeps stay box-free *)
   let xr = Array.make n 0.0 and xi = Array.make n 0.0 in
@@ -256,6 +218,6 @@ let solve_into f ~b ~x =
   done
 
 let solve f b =
-  let x = Array.make f.fn Cx.zero in
+  let x = Array.make (size f) Cx.zero in
   solve_into f ~b ~x;
   x

@@ -7,7 +7,8 @@
     split real/imaginary float arrays, so assembling and factoring an
     n-unknown system with half-bandwidths (kl, ku) allocates no
     per-entry boxes and costs O(n·kl·(kl+ku)) — the kernel behind the
-    O(n·b^2) per-frequency AC solves of {!Rlc_circuit.Mna}. *)
+    O(n·b^2) per-frequency AC solves of {!Rlc_circuit.Mna}.  The band
+    geometry and its checks are {!Banded}'s. *)
 
 type storage
 (** An n x n complex banded matrix being assembled (mutable). *)
@@ -16,7 +17,8 @@ type t
 (** A pivoted complex banded factorisation, ready to solve. *)
 
 exception Singular
-(** Raised when a pivot falls below the singularity threshold. *)
+(** Raised when a pivot falls below the singularity threshold; the
+    same exception as {!Solver.Singular}. *)
 
 val create_storage : n:int -> kl:int -> ku:int -> storage
 (** Zero matrix of order [n] with [kl] sub- and [ku] superdiagonals.
@@ -42,7 +44,7 @@ val to_dense : storage -> Cmatrix.t
 val decompose : ?pivot_tol:float -> storage -> t
 (** Banded LU with partial (row) pivoting by modulus.  The storage is
     consumed: it is factorised in place and must not be reused.
-    Raises [Singular] when a pivot column is below [pivot_tol] in
+    Raises {!Singular} when a pivot column is below [pivot_tol] in
     modulus (default 1e-300, i.e. only exact breakdown). *)
 
 val solve : t -> Cx.t array -> Cx.t array

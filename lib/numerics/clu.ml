@@ -3,7 +3,7 @@ type t = {
   perm : int array; (* row permutation *)
 }
 
-exception Singular
+exception Singular = Lu.Singular
 
 let m_decompose = Rlc_instr.Metrics.counter "clu.decompose"
 let m_solve = Rlc_instr.Metrics.counter "clu.solve"
@@ -27,7 +27,10 @@ let decompose ?(pivot_tol = 1e-300) a =
         pivot_row := r
       end
     done;
-    if !pivot_val <= pivot_tol then raise Singular;
+    if !pivot_val <= pivot_tol then begin
+      Rlc_instr.Health.failure ~kind:"clu" ~reason:"singular pivot";
+      raise Singular
+    end;
     if !pivot_row <> k then begin
       for j = 0 to n - 1 do
         let tmp = Cmatrix.get lu k j in
@@ -49,6 +52,10 @@ let decompose ?(pivot_tol = 1e-300) a =
       done
     done
   done;
+  if Rlc_instr.Metrics.recording () then
+    Lu.probe_factor ~kind:"clu" n
+      ~input:(fun i j -> Cx.norm (Cmatrix.get a i j))
+      ~factor:(fun i j -> Cx.norm (Cmatrix.get lu i j));
   { lu; perm }
 
 let solve_into f ~b ~x =

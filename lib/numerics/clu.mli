@@ -3,13 +3,14 @@
     reduced-model transfer evaluations of [Rlc_mor].
 
     Mirrors {!Lu} over {!Cmatrix}; pivots are chosen by complex
-    modulus. *)
+    modulus.  Like {!Lu} it reports a health probe while recording
+    and a [clu] health failure before raising. *)
 
 type t
 
 exception Singular
 (** Raised when the best remaining pivot's modulus falls below the
-    threshold. *)
+    threshold; the same exception as {!Solver.Singular}. *)
 
 val decompose : ?pivot_tol:float -> Cmatrix.t -> t
 (** Doolittle factorisation of a square matrix.  Raises

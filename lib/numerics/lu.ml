@@ -11,21 +11,28 @@ let m_solve = Rlc_instr.Metrics.counter "lu.solve"
 
 let size f = Array.length f.perm
 
-(* Health probes (pivot growth = max |U| over max |A|, rcond proxy =
-   min over max |U diagonal|) are cheap by-products of the factor but
-   still O(n^2) reads, so they are computed only while recording. *)
-let probe_decompose ~amax lu n =
-  let umax = ref 0.0 and dmin = ref infinity and dmax = ref 0.0 in
+(* Health probe (pivot growth = max |U| over max |A|, rcond proxy =
+   min over max |U diagonal|): cheap by-products of the factor but
+   still O(n^2) reads, so callers run it only while recording.  The
+   input survives the factor (it is copied), so [input i j] and
+   [factor i j] read the moduli of A and of the combined L\U. *)
+let probe_factor ~kind n ~input ~factor =
+  let amax = ref 0.0 and umax = ref 0.0 in
+  let dmin = ref infinity and dmax = ref 0.0 in
   for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let v = input i j in
+      if v > !amax then amax := v
+    done;
     for j = i to n - 1 do
-      let v = Float.abs (Matrix.get lu i j) in
+      let v = factor i j in
       if v > !umax then umax := v
     done;
-    let d = Float.abs (Matrix.get lu i i) in
+    let d = factor i i in
     if d < !dmin then dmin := d;
     if d > !dmax then dmax := d
   done;
-  Rlc_instr.Health.observe_factor ~kind:"lu" ~amax ~umax:!umax ~dmin:!dmin
+  Rlc_instr.Health.observe_factor ~kind ~amax:!amax ~umax:!umax ~dmin:!dmin
     ~dmax:!dmax
 
 (* Doolittle factorisation with partial (row) pivoting. *)
@@ -33,15 +40,6 @@ let decompose ?(pivot_tol = 1e-300) a =
   Rlc_instr.Metrics.incr m_decompose;
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Lu.decompose: matrix not square";
-  let probing = Rlc_instr.Metrics.recording () in
-  let amax = ref 0.0 in
-  if probing then
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let v = Float.abs (Matrix.get a i j) in
-        if v > !amax then amax := v
-      done
-    done;
   let lu = Matrix.copy a in
   let perm = Array.init n (fun k -> k) in
   let sign = ref 1.0 in
@@ -80,7 +78,10 @@ let decompose ?(pivot_tol = 1e-300) a =
       done
     done
   done;
-  if probing then probe_decompose ~amax:!amax lu n;
+  if Rlc_instr.Metrics.recording () then
+    probe_factor ~kind:"lu" n
+      ~input:(fun i j -> Float.abs (Matrix.get a i j))
+      ~factor:(fun i j -> Float.abs (Matrix.get lu i j));
   { lu; perm; sign = !sign }
 
 let solve_into f ~b ~x =
@@ -110,26 +111,8 @@ let solve_into f ~b ~x =
   done
 
 let solve f b =
-  Rlc_instr.Metrics.incr m_solve;
-  let n = size f in
-  if Array.length b <> n then invalid_arg "Lu.solve: size mismatch";
-  let x = Array.init n (fun k -> b.(f.perm.(k))) in
-  (* forward substitution: L y = P b *)
-  for k = 1 to n - 1 do
-    let acc = ref x.(k) in
-    for j = 0 to k - 1 do
-      acc := !acc -. (Matrix.get f.lu k j *. x.(j))
-    done;
-    x.(k) <- !acc
-  done;
-  (* back substitution: U x = y *)
-  for k = n - 1 downto 0 do
-    let acc = ref x.(k) in
-    for j = k + 1 to n - 1 do
-      acc := !acc -. (Matrix.get f.lu k j *. x.(j))
-    done;
-    x.(k) <- !acc /. Matrix.get f.lu k k
-  done;
+  let x = Array.make (size f) 0.0 in
+  solve_into f ~b ~x;
   x
 
 let solve_matrix ?pivot_tol a b = solve (decompose ?pivot_tol a) b

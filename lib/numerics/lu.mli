@@ -8,7 +8,10 @@ type t
 (** A factorisation [P*A = L*U] of a square matrix [A]. *)
 
 exception Singular
-(** Raised when a pivot falls below the singularity threshold. *)
+(** Raised when a pivot falls below the singularity threshold.  The
+    one factor-failure exception of the library: {!Clu}, {!Banded},
+    {!Cbanded}, {!Sparse} and {!Solver} re-export it, so a caller
+    catches {!Solver.Singular} whichever kernel ran. *)
 
 val decompose : ?pivot_tol:float -> Matrix.t -> t
 (** [decompose a] factorises square [a].  Raises [Singular] when the
@@ -30,3 +33,15 @@ val solve_matrix : ?pivot_tol:float -> Matrix.t -> float array -> float array
 val det : t -> float
 val inverse : t -> Matrix.t
 val size : t -> int
+
+val probe_factor :
+  kind:string ->
+  int ->
+  input:(int -> int -> float) ->
+  factor:(int -> int -> float) ->
+  unit
+(** The dense health probe, shared with {!Clu}: reports a factor of
+    order [n] to {!Rlc_instr.Health.observe_factor}, reading entry
+    moduli of the input ([input i j]) and of the combined L\U storage
+    ([factor i j]).  Callers run it only while
+    {!Rlc_instr.Metrics.recording}. *)

@@ -21,6 +21,8 @@ let m_crefactor = M.counter "solver.sparse.crefactor"
 let m_repivot = M.counter "solver.sparse.repivot"
 let m_lu_nnz = M.gauge "solver.sparse.lu_nnz"
 
+exception Singular = Lu.Singular
+
 type backend = Auto | Dense | Banded | Sparse
 type choice = Dense_lu | Banded_lu | Sparse_lu
 
@@ -29,7 +31,6 @@ type plan = {
   perm : int array;
   kl : int;
   ku : int;
-  use_banded : bool;
   choice : choice;
   sparse_flops : float;
 }
@@ -122,7 +123,7 @@ let plan ?(backend = Auto) adj =
   M.set m_bandwidth (Float.of_int (kl + ku + 1));
   M.set m_n (Float.of_int n);
   if choice = Sparse_lu then M.set m_sparse_flops sparse_flops;
-  { n; perm; kl; ku; use_banded = choice = Banded_lu; choice; sparse_flops }
+  { n; perm; kl; ku; choice; sparse_flops }
 
 type factor =
   | F_dense of Lu.t
@@ -135,9 +136,8 @@ let symbolic_of = function
   | F_sparse sf -> Some (Sparse.symbolic sf)
   | F_dense _ | F_banded _ -> None
 
-let sparse_csc p ~fill =
-  Sparse.of_fill ~n:p.n (fun add ->
-      fill (fun i j v -> add p.perm.(i) p.perm.(j) v))
+(* [fill] with the plan's permutation applied to both indices *)
+let permuted p fill add = fill (fun i j v -> add p.perm.(i) p.perm.(j) v)
 
 (* The repivot fallback is the serving layer's main health signal:
    journal it (with the plan size, under the current provenance) and
@@ -154,7 +154,33 @@ let note_fallback ~kind n =
       ];
   Rlc_instr.Health.degraded ~kind ~reason:"repivot"
 
-let factor_with ?symbolic p ~fill =
+(* The sparse backend's analyse -> refactor -> repivot-fallback
+   block, once for both fields: [fresh a] analyses, [replay sym a]
+   replays a recorded analysis.  A replay whose values moved too far
+   from the analysed ones for the recorded pivots re-analyses (a
+   genuinely singular system re-raises from the fresh factor). *)
+let sparse_factor ?symbolic ~kind ~n ~m_analyze ~m_refactor ~fresh ~replay
+    ~lu_nnz a =
+  let sf =
+    match symbolic with
+    | None ->
+        M.incr m_analyze;
+        fresh a
+    | Some sym -> begin
+        try
+          let sf = replay sym a in
+          M.incr m_refactor;
+          sf
+        with Sparse.Repivot | Singular ->
+          note_fallback ~kind n;
+          M.incr m_analyze;
+          fresh a
+      end
+  in
+  M.set m_lu_nnz (Float.of_int (lu_nnz sf));
+  sf
+
+let factor ?symbolic p ~fill =
   M.incr m_factor;
   M.timed m_factor_s (fun () ->
       match p.choice with
@@ -167,30 +193,13 @@ let factor_with ?symbolic p ~fill =
           fill (fun i j v -> Matrix.add_to a p.perm.(i) p.perm.(j) v);
           F_dense (Lu.decompose a)
       | Sparse_lu ->
-          let a = sparse_csc p ~fill in
-          let sf =
-            match symbolic with
-            | None ->
-                M.incr m_analyze;
-                Sparse.factor a
-            | Some sym -> begin
-                try
-                  let sf = Sparse.refactor sym a in
-                  M.incr m_refactor;
-                  sf
-                with Sparse.Repivot | Sparse.Singular ->
-                  (* values moved too far from the analysed ones for
-                     the recorded pivots: analyse afresh (a genuinely
-                     singular system re-raises from the factor) *)
-                  note_fallback ~kind:"sparse" p.n;
-                  M.incr m_analyze;
-                  Sparse.factor a
-              end
-          in
-          M.set m_lu_nnz (Float.of_int (Sparse.lu_nnz sf));
-          F_sparse sf)
-
-let factor p ~fill = factor_with p ~fill
+          F_sparse
+            (sparse_factor ?symbolic ~kind:"sparse" ~n:p.n
+               ~m_analyze ~m_refactor
+               ~fresh:(fun a -> Sparse.factor a)
+               ~replay:(fun sym a -> Sparse.refactor sym a)
+               ~lu_nnz:Sparse.lu_nnz
+               (Sparse.of_fill ~n:p.n (permuted p fill))))
 
 let solve_permuted_into_raw f ~b ~x =
   match f with
@@ -209,22 +218,29 @@ let solve_permuted_into f ~b ~x =
   end
   else solve_permuted_into_raw f ~b ~x
 
+(* Natural-coordinate solves permute [b] into the scratch, solve in
+   permuted coordinates and un-permute into [x], so [b] and [x] may
+   alias.  The checks are shared; the two permute loops stay typed
+   per field, because a polymorphic loop would box every float. *)
+let check_natural ~who p ~sb ~b ~x =
+  let n = p.n in
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg (who ^ ": size mismatch");
+  if Array.length sb <> n then
+    invalid_arg (who ^ ": scratch from another plan")
+
 type scratch = { sb : float array; sx : float array }
 
 let scratch p = { sb = Array.make p.n 0.0; sx = Array.make p.n 0.0 }
 
-let solve_into p f s ~b ~x =
-  let n = p.n in
-  if Array.length b <> n || Array.length x <> n then
-    invalid_arg "Solver.solve_into: size mismatch";
-  if Array.length s.sb <> n then
-    invalid_arg "Solver.solve_into: scratch from another plan";
-  for i = 0 to n - 1 do
-    s.sb.(p.perm.(i)) <- b.(i)
+let solve_into p f { sb; sx } ~b ~x =
+  check_natural ~who:"Solver.solve_into" p ~sb ~b ~x;
+  for i = 0 to p.n - 1 do
+    sb.(p.perm.(i)) <- b.(i)
   done;
-  solve_permuted_into f ~b:s.sb ~x:s.sx;
-  for i = 0 to n - 1 do
-    x.(i) <- s.sx.(p.perm.(i))
+  solve_permuted_into f ~b:sb ~x:sx;
+  for i = 0 to p.n - 1 do
+    x.(i) <- sx.(p.perm.(i))
   done
 
 let solve p f b =
@@ -242,11 +258,7 @@ let csymbolic_of = function
   | C_sparse sf -> Some (Sparse.csymbolic sf)
   | C_dense _ | C_banded _ -> None
 
-let sparse_ccsc p ~fill =
-  Sparse.cof_fill ~n:p.n (fun add ->
-      fill (fun i j v -> add p.perm.(i) p.perm.(j) v))
-
-let cfactor_with ?symbolic p ~fill =
+let cfactor ?symbolic p ~fill =
   M.incr m_cfactor;
   M.timed m_cfactor_s (fun () ->
       match p.choice with
@@ -259,27 +271,13 @@ let cfactor_with ?symbolic p ~fill =
           fill (fun i j v -> Cmatrix.add_to a p.perm.(i) p.perm.(j) v);
           C_dense (Clu.decompose a)
       | Sparse_lu ->
-          let a = sparse_ccsc p ~fill in
-          let sf =
-            match symbolic with
-            | None ->
-                M.incr m_canalyze;
-                Sparse.cfactor a
-            | Some sym -> begin
-                try
-                  let sf = Sparse.crefactor sym a in
-                  M.incr m_crefactor;
-                  sf
-                with Sparse.Repivot | Sparse.Singular ->
-                  note_fallback ~kind:"csparse" p.n;
-                  M.incr m_canalyze;
-                  Sparse.cfactor a
-              end
-          in
-          M.set m_lu_nnz (Float.of_int (Sparse.clu_nnz sf));
-          C_sparse sf)
-
-let cfactor p ~fill = cfactor_with p ~fill
+          C_sparse
+            (sparse_factor ?symbolic ~kind:"csparse" ~n:p.n
+               ~m_analyze:m_canalyze ~m_refactor:m_crefactor
+               ~fresh:(fun a -> Sparse.cfactor a)
+               ~replay:(fun sym a -> Sparse.crefactor sym a)
+               ~lu_nnz:Sparse.clu_nnz
+               (Sparse.cof_fill ~n:p.n (permuted p fill))))
 
 type cscratch = { cb : Cx.t array; cx : Cx.t array }
 
@@ -291,24 +289,23 @@ let csolve_permuted_into_raw f ~b ~x =
   | C_banded bd -> Cbanded.solve_into bd ~b ~x
   | C_sparse sf -> Sparse.csolve_into sf ~b ~x
 
-let csolve_into p f s ~b ~x =
-  let n = p.n in
-  if Array.length b <> n || Array.length x <> n then
-    invalid_arg "Solver.csolve_into: size mismatch";
-  if Array.length s.cb <> n then
-    invalid_arg "Solver.csolve_into: scratch from another plan";
-  for i = 0 to n - 1 do
-    s.cb.(p.perm.(i)) <- b.(i)
-  done;
+let csolve_permuted_into f ~b ~x =
   if M.recording () then begin
     M.incr m_csolve;
     let t = Rlc_instr.Timer.start () in
-    csolve_permuted_into_raw f ~b:s.cb ~x:s.cx;
+    csolve_permuted_into_raw f ~b ~x;
     M.observe m_csolve_s (Rlc_instr.Timer.elapsed_s t)
   end
-  else csolve_permuted_into_raw f ~b:s.cb ~x:s.cx;
-  for i = 0 to n - 1 do
-    x.(i) <- s.cx.(p.perm.(i))
+  else csolve_permuted_into_raw f ~b ~x
+
+let csolve_into p f { cb; cx } ~b ~x =
+  check_natural ~who:"Solver.csolve_into" p ~sb:cb ~b ~x;
+  for i = 0 to p.n - 1 do
+    cb.(p.perm.(i)) <- b.(i)
+  done;
+  csolve_permuted_into f ~b:cb ~x:cx;
+  for i = 0 to p.n - 1 do
+    x.(i) <- cx.(p.perm.(i))
   done
 
 let csolve p f b =

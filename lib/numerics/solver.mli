@@ -17,12 +17,17 @@
     type.
 
     The sparse backend splits symbolic analysis from numeric
-    factorisation: {!factor_with} / {!cfactor_with} replay a previous
-    factor's analysis (pattern + pivot sequence) against new values in
-    the same stamped structure, which is what an AC sweep does per
-    frequency and the transient engine per (method, dt).  An unstable
-    replay falls back to a fresh analysis transparently (counted on
-    [solver.sparse.repivot]). *)
+    factorisation: {!factor} / {!cfactor} given [?symbolic] replay a
+    previous factor's analysis (pattern + pivot sequence) against new
+    values in the same stamped structure, which is what an AC sweep
+    does per frequency and the transient engine per (method, dt).  An
+    unstable replay falls back to a fresh analysis transparently
+    (counted on [solver.sparse.repivot]). *)
+
+exception Singular
+(** Numerical breakdown of whichever kernel the plan chose — the one
+    factor-failure exception, {!Lu.Singular}, which {!Clu}, {!Banded},
+    {!Cbanded} and {!Sparse} re-export too. *)
 
 type backend =
   | Auto
@@ -44,7 +49,6 @@ type plan = private {
           sparse *)
   kl : int;  (** sub-bandwidth the stamps achieve under [perm] *)
   ku : int;  (** super-bandwidth under [perm] *)
-  use_banded : bool;  (** [choice = Banded_lu], kept for callers *)
   choice : choice;  (** the backend the plan settled on *)
   sparse_flops : float;
       (** the cost model's work estimate for the sparse backend (0
@@ -74,27 +78,26 @@ type symbolic
     patterns + pivot sequence).  Immutable — safe to share across
     {!Rlc_parallel.Pool} domains. *)
 
-val factor : plan -> fill:((int -> int -> float -> unit) -> unit) -> factor
+val factor :
+  ?symbolic:symbolic ->
+  plan ->
+  fill:((int -> int -> float -> unit) -> unit) ->
+  factor
 (** [factor p ~fill] assembles and factorises a real matrix.  [fill]
     is called once with an [add i j v] accumulator taking *natural*
     (unpermuted) indices; the plan's permutation is applied inside.
     Banded assembly requires every stamped (i,j) to satisfy the plan's
     bandwidth — guaranteed when [fill] stamps the structure the plan
-    was built from.  Raises {!Lu.Singular}, {!Banded.Singular} or
-    {!Sparse.Singular} on numerical breakdown. *)
+    was built from.
 
-val factor_with :
-  ?symbolic:symbolic ->
-  plan ->
-  fill:((int -> int -> float -> unit) -> unit) ->
-  factor
-(** {!factor}, reusing a previous sparse symbolic analysis when one is
-    given and the plan is sparse: the recorded pattern and pivot
-    sequence are replayed against the new values (no graph search, no
-    pivot search).  [fill] must stamp the same structure the analysis
-    saw.  When the replay is numerically unstable the call falls back
-    to a fresh analysis (counter [solver.sparse.repivot]).  With no
-    [symbolic], or a dense/banded plan, identical to {!factor}. *)
+    On a sparse plan, [?symbolic] replays a previous analysis: the
+    recorded pattern and pivot sequence are applied to the new values
+    (no graph search, no pivot search), and [fill] must stamp the same
+    structure the analysis saw.  When the replay is numerically
+    unstable the call falls back to a fresh analysis (counter
+    [solver.sparse.repivot], a [solver.fallback] journal event and a
+    degraded health note).  Dense and banded plans ignore it.  Raises
+    {!Singular} on numerical breakdown. *)
 
 val symbolic_of : factor -> symbolic option
 (** The reusable analysis of a sparse factor ([None] for dense and
@@ -128,19 +131,15 @@ type cfactor
 (** A factorised complex system, dense, banded or sparse per the
     plan. *)
 
-val cfactor : plan -> fill:((int -> int -> Cx.t -> unit) -> unit) -> cfactor
-(** Complex twin of {!factor}: assembles [G + sC]-shaped systems into
-    {!Cbanded} storage, a dense {!Cmatrix} or complex sparse CSC and
-    factorises.  Raises {!Clu.Singular}, {!Cbanded.Singular} or
-    {!Sparse.Singular}. *)
-
-val cfactor_with :
+val cfactor :
   ?symbolic:symbolic ->
   plan ->
   fill:((int -> int -> Cx.t -> unit) -> unit) ->
   cfactor
-(** Complex twin of {!factor_with} — the per-frequency entry of an AC
-    sweep that analysed once at a reference frequency. *)
+(** Complex twin of {!factor}: assembles [G + sC]-shaped systems into
+    {!Cbanded} storage, a dense {!Cmatrix} or complex sparse CSC and
+    factorises; [?symbolic] is the per-frequency replay of an AC sweep
+    that analysed once at a reference frequency.  Raises {!Singular}. *)
 
 val csymbolic_of : cfactor -> symbolic option
 

@@ -31,10 +31,12 @@
    U separate.  Row indices inside the factors live in *pivot*
    coordinates (position in the elimination sequence); {!solve_into}
    carries the row permutation.  The complex mirror ({!cfactor} /
-   {!crefactor} / {!csolve_into}) duplicates the code over split
-   re/im arrays rather than an array of records, like {!Cbanded}. *)
+   {!crefactor} / {!csolve_into}) repeats only the numeric loops, over
+   split re/im arrays rather than an array of records, like
+   {!Cbanded}; the symbolic record and the argument checks around
+   those loops are shared. *)
 
-exception Singular
+exception Singular = Lu.Singular
 exception Repivot
 
 (* ------------------------------------------------------------------ *)
@@ -228,6 +230,26 @@ let reach ~n ~acolptr ~arowind ~j ~pinv ~lp_live ~li_buf ~mark ~xi ~pstack =
   done;
   !top
 
+(* The symbolic record {!factor} and {!cfactor} leave behind: [li]
+   and [ui] are the grown pattern buffers, [li] still in input row
+   coordinates. *)
+let symbolic_of_pattern ~n ~pinv ~prow ~lp ~li ~up ~ui ~annz =
+  (* remap L row indices into pivot coordinates *)
+  let lin = Array.sub li.a 0 li.len in
+  for k = 0 to li.len - 1 do
+    lin.(k) <- pinv.(lin.(k))
+  done;
+  { n; pinv; prow; lp; li = lin; up; ui = Array.sub ui.a 0 ui.len; annz }
+
+let check_pattern ~who sym ~n ~nnz =
+  if n <> sym.n || nnz <> sym.annz then
+    invalid_arg (who ^ ": pattern mismatch")
+
+let check_solve ~who n ~b ~x =
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg (who ^ ": size mismatch");
+  if b == x then invalid_arg (who ^ ": b and x must be distinct")
+
 (* ------------------------------------------------------------------ *)
 (* real factorisation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -317,22 +339,8 @@ let factor ?(pivot_tol = 0.001) (a : csc) =
     lp_live.(j + 1) <- li.len;
     up.(j + 1) <- ui.len
   done;
-  (* remap L row indices into pivot coordinates *)
-  let lin = Array.sub li.a 0 li.len in
-  for k = 0 to li.len - 1 do
-    lin.(k) <- pinv.(lin.(k))
-  done;
   let sym =
-    {
-      n;
-      pinv;
-      prow;
-      lp = lp_live;
-      li = lin;
-      up;
-      ui = Array.sub ui.a 0 ui.len;
-      annz = nnz a;
-    }
+    symbolic_of_pattern ~n ~pinv ~prow ~lp:lp_live ~li ~up ~ui ~annz:(nnz a)
   in
   if Rlc_instr.Metrics.recording () then begin
     let vmax arr len =
@@ -358,10 +366,8 @@ let factor ?(pivot_tol = 0.001) (a : csc) =
   { sym; lx = Array.sub lx.a 0 lx.len; ux = Array.sub ux.a 0 ux.len; ud }
 
 let refactor ?(growth_limit = 1e8) sym (a : csc) =
-  let n = sym.n in
-  if a.n <> n || nnz a <> sym.annz then
-    invalid_arg "Sparse.refactor: pattern mismatch";
-  let { pinv; lp; li; up; ui; _ } = sym in
+  check_pattern ~who:"Sparse.refactor" sym ~n:a.n ~nnz:(nnz a);
+  let { n; pinv; lp; li; up; ui; _ } = sym in
   let lx = Array.make (Array.length li) 0.0 in
   let ux = Array.make (Array.length ui) 0.0 in
   let ud = Array.make n 0.0 in
@@ -408,9 +414,7 @@ let refactor ?(growth_limit = 1e8) sym (a : csc) =
 
 let solve_into t ~b ~x =
   let { n; prow; lp; li; up; ui; _ } = t.sym in
-  if Array.length b <> n || Array.length x <> n then
-    invalid_arg "Sparse.solve_into: size mismatch";
-  if b == x then invalid_arg "Sparse.solve_into: b and x must be distinct";
+  check_solve ~who:"Sparse.solve_into" n ~b ~x;
   for k = 0 to n - 1 do
     x.(k) <- b.(prow.(k))
   done;
@@ -531,21 +535,8 @@ let cfactor ?(pivot_tol = 0.001) (a : ccsc) =
     lp_live.(j + 1) <- li.len;
     up.(j + 1) <- ui.len
   done;
-  let lin = Array.sub li.a 0 li.len in
-  for k = 0 to li.len - 1 do
-    lin.(k) <- pinv.(lin.(k))
-  done;
   let csym =
-    {
-      n;
-      pinv;
-      prow;
-      lp = lp_live;
-      li = lin;
-      up;
-      ui = Array.sub ui.a 0 ui.len;
-      annz = cnnz a;
-    }
+    symbolic_of_pattern ~n ~pinv ~prow ~lp:lp_live ~li ~up ~ui ~annz:(cnnz a)
   in
   if Rlc_instr.Metrics.recording () then begin
     let vmax2 re im len =
@@ -580,10 +571,8 @@ let cfactor ?(pivot_tol = 0.001) (a : ccsc) =
   }
 
 let crefactor ?(growth_limit = 1e8) sym (a : ccsc) =
-  let n = sym.n in
-  if a.cn <> n || cnnz a <> sym.annz then
-    invalid_arg "Sparse.crefactor: pattern mismatch";
-  let { pinv; lp; li; up; ui; _ } = sym in
+  check_pattern ~who:"Sparse.crefactor" sym ~n:a.cn ~nnz:(cnnz a);
+  let { n; pinv; lp; li; up; ui; _ } = sym in
   let lre = Array.make (Array.length li) 0.0 in
   let lim = Array.make (Array.length li) 0.0 in
   let ure = Array.make (Array.length ui) 0.0 in
@@ -644,9 +633,7 @@ let crefactor ?(growth_limit = 1e8) sym (a : ccsc) =
 
 let csolve_into t ~b ~x =
   let { n; prow; lp; li; up; ui; _ } = t.csym in
-  if Array.length b <> n || Array.length x <> n then
-    invalid_arg "Sparse.csolve_into: size mismatch";
-  if b == x then invalid_arg "Sparse.csolve_into: b and x must be distinct";
+  check_solve ~who:"Sparse.csolve_into" n ~b ~x;
   for k = 0 to n - 1 do
     x.(k) <- (b.(prow.(k)) : Cx.t)
   done;

@@ -39,7 +39,8 @@
 
 exception Singular
 (** A column ran out of candidate pivots (structural singularity) or
-    the best candidate is numerically zero / non-finite. *)
+    the best candidate is numerically zero / non-finite; the same
+    exception as {!Solver.Singular}. *)
 
 exception Repivot
 (** Raised by {!refactor} / {!crefactor} when the recorded pivot

@@ -53,34 +53,43 @@ type t = {
   condition : float;
 }
 
-let check_columns ~what ~n ~k cols =
+(* shape checks and bookkeeping shared by [make] and [cmake] *)
+let check_columns ~who ~what ~n ~k cols =
   if Array.length cols <> k then
-    invalid_arg (Printf.sprintf "Update.make: %s has %d columns, expected %d"
-                   what (Array.length cols) k);
+    invalid_arg (Printf.sprintf "%s: %s has %d columns, expected %d"
+                   who what (Array.length cols) k);
   Array.iter
     (fun c ->
       if Array.length c <> n then
-        invalid_arg (Printf.sprintf "Update.make: %s column length %d <> n=%d"
-                       what (Array.length c) n))
+        invalid_arg (Printf.sprintf "%s: %s column length %d <> n=%d"
+                       who what (Array.length c) n))
     cols
+
+let check_scale ~who ~k ~one = function
+  | None -> Array.make k one
+  | Some s ->
+      if Array.length s <> k then invalid_arg (who ^ ": scale length mismatch");
+      s
+
+let record_make ~k ~condition =
+  if M.recording () then begin
+    M.incr m_make;
+    M.set m_rank (float_of_int k);
+    M.set m_cond (Float.min condition 1e18);
+    if k > 0 then M.observe m_cond_h condition
+  end
 
 let make ?z ?scale plan factor ~u ~v =
   let n = plan.Solver.n in
   let k = Array.length u in
-  check_columns ~what:"u" ~n ~k u;
-  check_columns ~what:"v" ~n ~k v;
-  let scale =
-    match scale with
-    | None -> Array.make k 1.0
-    | Some s ->
-        if Array.length s <> k then
-          invalid_arg "Update.make: scale length mismatch";
-        s
-  in
+  let who = "Update.make" in
+  check_columns ~who ~what:"u" ~n ~k u;
+  check_columns ~who ~what:"v" ~n ~k v;
+  let scale = check_scale ~who ~k ~one:1.0 scale in
   let z =
     match z with
     | Some z ->
-        check_columns ~what:"z" ~n ~k z;
+        check_columns ~who ~what:"z" ~n ~k z;
         z
     | None -> Array.map (fun ui -> Solver.solve plan factor ui) u
   in
@@ -96,7 +105,7 @@ let make ?z ?scale plan factor ~u ~v =
       done;
       let lu =
         try Lu.decompose s
-        with Lu.Singular ->
+        with Solver.Singular ->
           Rlc_instr.Health.failure ~kind:"smw"
             ~reason:"singular capacitance matrix";
           raise Singular
@@ -106,12 +115,7 @@ let make ?z ?scale plan factor ~u ~v =
       (Some lu, norm s *. norm s_inv)
     end
   in
-  if M.recording () then begin
-    M.incr m_make;
-    M.set m_rank (float_of_int k);
-    M.set m_cond (Float.min condition 1e18);
-    if k > 0 then M.observe m_cond_h condition
-  end;
+  record_make ~k ~condition;
   { rank = k; plan; factor; z; v; scale; s_lu; condition }
 
 let rank t = t.rank
@@ -165,34 +169,17 @@ type ct = {
   ccondition_ : float;
 }
 
-let ccheck_columns ~what ~n ~k cols =
-  if Array.length cols <> k then
-    invalid_arg (Printf.sprintf "Update.cmake: %s has %d columns, expected %d"
-                   what (Array.length cols) k);
-  Array.iter
-    (fun c ->
-      if Array.length c <> n then
-        invalid_arg (Printf.sprintf "Update.cmake: %s column length %d <> n=%d"
-                       what (Array.length c) n))
-    cols
-
 let cmake ?z ?scale plan factor ~u ~v =
   let n = plan.Solver.n in
   let k = Array.length u in
-  ccheck_columns ~what:"u" ~n ~k u;
-  ccheck_columns ~what:"v" ~n ~k v;
-  let scale =
-    match scale with
-    | None -> Array.make k Cx.one
-    | Some s ->
-        if Array.length s <> k then
-          invalid_arg "Update.cmake: scale length mismatch";
-        s
-  in
+  let who = "Update.cmake" in
+  check_columns ~who ~what:"u" ~n ~k u;
+  check_columns ~who ~what:"v" ~n ~k v;
+  let scale = check_scale ~who ~k ~one:Cx.one scale in
   let z =
     match z with
     | Some z ->
-        ccheck_columns ~what:"z" ~n ~k z;
+        check_columns ~who ~what:"z" ~n ~k z;
         z
     | None -> Array.map (fun ui -> Solver.csolve plan factor ui) u
   in
@@ -208,7 +195,7 @@ let cmake ?z ?scale plan factor ~u ~v =
       done;
       let lu =
         try Clu.decompose s
-        with Clu.Singular ->
+        with Solver.Singular ->
           Rlc_instr.Health.failure ~kind:"smw"
             ~reason:"singular capacitance matrix";
           raise Singular
@@ -226,12 +213,7 @@ let cmake ?z ?scale plan factor ~u ~v =
       (Some lu, norm_s *. norm_inv)
     end
   in
-  if M.recording () then begin
-    M.incr m_make;
-    M.set m_rank (float_of_int k);
-    M.set m_cond (Float.min condition 1e18);
-    if k > 0 then M.observe m_cond_h condition
-  end;
+  record_make ~k ~condition;
   { crank_ = k; cplan = plan; cfactor_ = factor; cz = z; cv = v;
     cscale = scale; cs_lu; ccondition_ = condition }
 

@@ -180,9 +180,7 @@ let ensure_artifacts e netlist query asm =
         if e.Deck_cache.tran_plan = None then
           e.Deck_cache.tran_plan <- Some (Transient.structure_plan netlist)
   with
-  | Failure _ | Invalid_argument _ | Lu.Singular | Clu.Singular
-  | Banded.Singular | Cbanded.Singular | Sparse.Singular ->
-      ()
+  | Failure _ | Invalid_argument _ | Solver.Singular -> ()
 
 let kind_name = function
   | Protocol.Q_dc _ -> "dc"

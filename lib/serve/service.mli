@@ -27,7 +27,7 @@
 
     {b Cache poisoning visibility.}  When a value-only variant drifts
     far enough that the replayed pivot sequence goes bad,
-    {!Rlc_numerics.Solver.factor_with} silently falls back to a fresh
+    {!Rlc_numerics.Solver.factor} silently falls back to a fresh
     analysis (counted on [solver.sparse.repivot]).  The service
     detects the fallback per job — the resulting factor no longer
     shares the cached symbolic — counts it on [serve.cache.resym],

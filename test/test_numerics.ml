@@ -359,16 +359,16 @@ let tridiag_adjacency n =
       List.filter (fun j -> j >= 0 && j < n) [ i - 1; i + 1 ])
 
 let test_solver_plan () =
+  let banded p = p.Solver.choice = Solver.Banded_lu in
   let small = Solver.plan (tridiag_adjacency 5) in
-  Alcotest.(check bool) "small system stays dense" false
-    small.Solver.use_banded;
+  Alcotest.(check bool) "small system stays dense" false (banded small);
   let big = Solver.plan (tridiag_adjacency 30) in
-  Alcotest.(check bool) "ladder goes banded" true big.Solver.use_banded;
+  Alcotest.(check bool) "ladder goes banded" true (banded big);
   Alcotest.(check bool) "narrow band" true (big.Solver.kl + big.Solver.ku <= 4);
   let forced = Solver.plan ~backend:Solver.Dense (tridiag_adjacency 30) in
-  Alcotest.(check bool) "Dense override" false forced.Solver.use_banded;
+  Alcotest.(check bool) "Dense override" false (banded forced);
   let forced_b = Solver.plan ~backend:Solver.Banded (tridiag_adjacency 5) in
-  Alcotest.(check bool) "Banded override" true forced_b.Solver.use_banded;
+  Alcotest.(check bool) "Banded override" true (banded forced_b);
   Alcotest.(check bool) "banded_pays heuristic" true
     (Solver.banded_pays ~n:30 ~kl:2 ~ku:2
     && not (Solver.banded_pays ~n:8 ~kl:1 ~ku:1))

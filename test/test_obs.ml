@@ -182,24 +182,59 @@ let test_health_observe_and_report () =
 
 (* ---------------- numerics probes ---------------- *)
 
-let test_singular_lu_probe () =
-  with_journal (fun () ->
-      let m = Rlc_numerics.Matrix.create 2 2 in
-      Rlc_numerics.Matrix.set m 0 0 1.0;
-      Rlc_numerics.Matrix.set m 0 1 1.0;
-      Rlc_numerics.Matrix.set m 1 0 1.0;
-      Rlc_numerics.Matrix.set m 1 1 1.0;
-      (match Rlc_numerics.Lu.decompose m with
-      | exception Rlc_numerics.Lu.Singular -> ()
-      | _ -> Alcotest.fail "rank-1 matrix must be singular");
-      let r = Health.report () in
-      Alcotest.(check bool) "failure recorded" true (r.Health.failed >= 1);
-      Alcotest.(check bool) "journaled as failed" true
-        (List.exists
-           (fun e ->
-             e.Journal.name = "health"
-             && Journal.str_field e "class" = Some "failed")
-           (Journal.events ())))
+(* One rank-1 system per factor kernel: each must raise, be caught as
+   the one [Solver.Singular], and journal a [failed] health event of
+   its own kind. *)
+let test_singular_factor_probes () =
+  let module N = Rlc_numerics in
+  let ones_real add =
+    List.iter (fun (i, j) -> add i j 1.0) [ (0, 0); (0, 1); (1, 0); (1, 1) ]
+  in
+  let ones_cx add = ones_real (fun i j v -> add i j (N.Cx.of_float v)) in
+  let rows =
+    [
+      ( "lu",
+        fun () ->
+          let m = N.Matrix.create 2 2 in
+          ones_real (N.Matrix.set m);
+          ignore (N.Lu.decompose m) );
+      ( "clu",
+        fun () ->
+          let m = N.Cmatrix.create 2 2 in
+          ones_cx (N.Cmatrix.set m);
+          ignore (N.Clu.decompose m) );
+      ( "banded",
+        fun () ->
+          let s = N.Banded.create_storage ~n:2 ~kl:1 ~ku:1 in
+          ones_real (N.Banded.set s);
+          ignore (N.Banded.decompose s) );
+      ( "cbanded",
+        fun () ->
+          let s = N.Cbanded.create_storage ~n:2 ~kl:1 ~ku:1 in
+          ones_cx (N.Cbanded.set s);
+          ignore (N.Cbanded.decompose s) );
+      ( "sparse",
+        fun () -> ignore (N.Sparse.factor (N.Sparse.of_fill ~n:2 ones_real)) );
+      ( "csparse",
+        fun () -> ignore (N.Sparse.cfactor (N.Sparse.cof_fill ~n:2 ones_cx)) );
+    ]
+  in
+  List.iter
+    (fun (kind, factor) ->
+      with_journal (fun () ->
+          (match factor () with
+          | exception N.Solver.Singular -> ()
+          | () -> Alcotest.failf "%s: rank-1 matrix must be singular" kind);
+          Alcotest.(check int) (kind ^ ": failure recorded") 1
+            (Health.report ()).Health.failed;
+          Alcotest.(check bool) (kind ^ ": journaled as failed") true
+            (List.exists
+               (fun e ->
+                 e.Journal.name = "health"
+                 && Journal.str_field e "class" = Some "failed"
+                 && Journal.str_field e "kind" = Some kind)
+               (Journal.events ()))))
+    rows
 
 let test_newton_divergence_probe () =
   with_journal (fun () ->
@@ -225,16 +260,17 @@ let test_newton_divergence_probe () =
    recorded pivot order produce 1e9 multipliers.  That trips the
    sparse refactor growth limit and forces the solver fallback, while
    the fresh threshold-pivoted factor recovers on the ±1 entries and
-   the job still succeeds (followed by a symbolic refresh).
+   the job still succeeds (followed by a symbolic refresh).  [ll] is
+   the branch inductance, which the AC variant shrinks as well.
    [dup_source] adds a second identical voltage source in parallel:
    every node keeps its DC path to ground (validation passes), but
    the two constraint rows are exactly dependent, so the factor runs
    out of pivots and raises Singular. *)
-let obs_grid ?(rl = "") ?(dup_source = false) n =
+let obs_grid ?(rl = "") ?(ll = "1n") ?(dup_source = false) n =
   let b = Buffer.create 4096 in
   Buffer.add_string b "* obs grid\nV1 n_0_0 0 DC 1\n";
   if dup_source then Buffer.add_string b "V2 n_0_0 0 DC 1\n";
-  if rl <> "" then Printf.bprintf b "B1 n_12_12 n_12_13 r=%s l=1n\n" rl;
+  if rl <> "" then Printf.bprintf b "B1 n_12_12 n_12_13 r=%s l=%s\n" rl ll;
   for r = 0 to n - 1 do
     for c = 0 to n - 1 do
       if c + 1 < n then
@@ -288,6 +324,52 @@ let names_for events prov =
     (fun e ->
       if e.Journal.provenance = prov then Some e.Journal.name else None)
     events
+
+(* The complex twin of the serve chain's repivot job: the healthy
+   deck's G + sC analysis replayed on the variant whose branch r and l
+   are both shrunk, at 1 Hz, where the branch diagonal r + sl is ~1e-9
+   and the recorded pivot order yields ~1e9 multipliers.  The sweep
+   engine must fall back to a fresh analysis once, journal it as a
+   [csparse] fallback, and return the fresh factor's solution. *)
+let test_complex_repivot_fallback () =
+  let module N = Rlc_numerics in
+  let asm_of ~rl ~ll =
+    Assembly.of_netlist
+      (Parser.parse_string (obs_grid ~rl ~ll 24)).Parser.netlist
+  in
+  let healthy = asm_of ~rl:"10" ~ll:"1n" in
+  let variant = asm_of ~rl:"1e-9" ~ll:"1f" in
+  let s = Ac.s_of_freq 1.0 in
+  with_journal (fun () ->
+      let reference = Assembly.cengine healthy ~s_ref:s in
+      Alcotest.(check bool) "grid plan is sparse" true
+        ((Assembly.cengine_plan reference).N.Solver.choice
+        = N.Solver.Sparse_lu);
+      let engine =
+        Assembly.cengine ?symbolic:(Assembly.cengine_symbolic reference)
+          variant ~s_ref:s
+      in
+      let repivots = M.counter "solver.sparse.repivot" in
+      let before = M.value repivots in
+      let rhs = Array.map N.Cx.of_float (Assembly.b_column variant 0) in
+      let x = Assembly.cengine_solve engine ~s ~rhs in
+      Alcotest.(check (float 0.0)) "one repivot" 1.0
+        (M.value repivots -. before);
+      Alcotest.(check bool) "csparse fallback journaled" true
+        (List.exists
+           (fun e ->
+             e.Journal.name = "solver.fallback"
+             && Journal.str_field e "kind" = Some "csparse")
+           (Journal.events ()));
+      let fresh = Assembly.solve_complex variant ~s ~rhs in
+      let scale =
+        Array.fold_left (fun m v -> Float.max m (N.Cx.norm v)) 0.0 fresh
+      in
+      Array.iteri
+        (fun k v ->
+          if N.Cx.norm (N.Cx.( -: ) v fresh.(k)) > 1e-12 *. scale then
+            Alcotest.failf "unknown %d differs from the fresh factor" k)
+        x)
 
 let check_serve_chain ~domains =
   (* journal state is reset per run, so the same job ids can be
@@ -590,7 +672,10 @@ let () =
           Alcotest.test_case "classify thresholds" `Quick test_health_classify;
           Alcotest.test_case "observe + report" `Quick
             test_health_observe_and_report;
-          Alcotest.test_case "singular LU probe" `Quick test_singular_lu_probe;
+          Alcotest.test_case "singular factor probes" `Quick
+            test_singular_factor_probes;
+          Alcotest.test_case "complex repivot fallback" `Quick
+            test_complex_repivot_fallback;
           Alcotest.test_case "newton divergence probe" `Quick
             test_newton_divergence_probe;
         ] );

@@ -278,7 +278,8 @@ let test_plan_grid_not_banded () =
   (* the grid-blind heuristic used to accept any band <= n/3, sending a
      32x32 mesh (band ~ 32) to the O(n * b^2) banded kernel *)
   let p = Solver.plan (grid_adjacency 32 32) in
-  Alcotest.(check bool) "use_banded" false p.Solver.use_banded;
+  Alcotest.(check bool) "not banded" false
+    (p.Solver.choice = Solver.Banded_lu);
   Alcotest.(check bool) "sparse chosen" true
     (p.Solver.choice = Solver.Sparse_lu)
 
@@ -334,7 +335,7 @@ let test_solver_symbolic_reuse () =
   let sym = Solver.symbolic_of f0 in
   Alcotest.(check bool) "sparse factor has a symbolic" true (sym <> None);
   let fill2 = fill_of_edges n edges vals2 in
-  let f2 = Solver.factor_with ?symbolic:sym p ~fill:fill2 in
+  let f2 = Solver.factor ?symbolic:sym p ~fill:fill2 in
   let b = Array.init n (fun i -> Float.cos (float_of_int i)) in
   let x = Solver.solve p f2 b in
   let xd = Lu.solve (Lu.decompose (dense_of_fill n fill2)) b in
