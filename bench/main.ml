@@ -241,12 +241,13 @@ let ladder_case ~segments ~steps =
     max_diff = !max_diff;
   }
 
-(* [f ()] and the engine advances it made, read from the metrics
-   registry with recording on — counted by the engine's solve path, not
-   derived from the driver's step bookkeeping.  Call it outside any pool
-   fan-out: the registry sums every domain's records. *)
-let counting_advances f =
-  let c = Rlc_instr.Metrics.counter "transient.advances" in
+(* [f ()] and how far it moved counter [name] (e.g. the engine advances
+   it made), read from the metrics registry with recording on — counted
+   by the engine's own path, not derived from the caller's bookkeeping.
+   Call it outside any pool fan-out: the registry sums every domain's
+   records. *)
+let counting name f =
+  let c = Rlc_instr.Metrics.counter name in
   let was = Rlc_instr.Control.enabled () in
   Rlc_instr.Control.set_enabled true;
   Fun.protect
@@ -268,7 +269,7 @@ let adaptive_case ~segments =
       nl ~t_end ~dt_max:(t_end /. 64.0) ~probes:[ Transient.Node_v far ]
   in
   let ra, auto_s = wall run in
-  let _, advances = counting_advances run in
+  let _, advances = counting "transient.advances" run in
   let s = Transient.stats ra in
   {
     a_segments = segments;
@@ -376,7 +377,7 @@ let run_adaptive_gate () =
   let reference = fixed (dt_max /. 256.0) in
   let moved = deviation ~reference (fixed (dt_max /. 128.0)) in
   let r, advances =
-    counting_advances (fun () ->
+    counting "transient.advances" (fun () ->
         Transient.simulate_adaptive nl ~t_end ~dt_max ~probes:[ probe ])
   in
   let s = Transient.stats r in
@@ -397,6 +398,30 @@ let run_adaptive_gate () =
   if err > 2.0 then
     failwith
       (Printf.sprintf "adaptive gate: error %.3f%% of swing (gate: 2%%)" err)
+
+(* The paper's (h, k) optimization is Newton-first: over an 8-point
+   sweep of each preset every optimum must come from Newton, so no
+   fallback is counted and Nelder-Mead never iterates. *)
+let run_optimize_gate () =
+  section "Optimization gate: Newton-first (h, k) sweeps";
+  let sweep () =
+    List.iter
+      (fun node ->
+        let l_max = node.Rlc_tech.Node.l_max in
+        ignore (Rlc_core.Rlc_opt.sweep ~n:8 node ~l_max))
+      Rlc_tech.Presets.all
+  in
+  let ((), nm_iterations), fallbacks =
+    counting "rlc_opt.fallbacks" (fun () ->
+        counting "nelder_mead.iterations" sweep)
+  in
+  Printf.printf "%d fallbacks, %d Nelder-Mead iterations\n" fallbacks
+    nm_iterations;
+  if fallbacks > 0 || nm_iterations > 0 then
+    failwith
+      (Printf.sprintf
+         "optimization gate: %d fallbacks, %d Nelder-Mead iterations"
+         fallbacks nm_iterations)
 
 (* ------------------------------------------------------------------ *)
 (* AC: dense-complex vs complex-banded per-frequency solves            *)
@@ -1778,6 +1803,7 @@ let () =
     let rows = run_ladder_scaling ~sizes:[ 10; 24 ] ~steps:200 ~json:None in
     if List.exists (fun r -> r.max_diff > 1e-9) rows then exit 1;
     run_adaptive_gate ();
+    run_optimize_gate ();
     (* small sizes, no JSON: the recorded BENCH_ac.json baseline comes
        from the full run's 100/400/800-segment cases *)
     ignore (run_ac_bench ~cases:[ (24, 8, 8); (64, 8, 8) ] ~json:None);

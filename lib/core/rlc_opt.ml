@@ -12,9 +12,12 @@ type result = {
   newton_iterations : int;
 }
 
-(* Raw residuals of equations (7)-(8), computed in complex arithmetic
-   (the conjugate pole pair makes the imaginary parts cancel). *)
-let residuals_raw ?(f = 0.5) stage =
+(* Residuals of equations (7)-(8), computed in complex arithmetic.  Both
+   are the delay equation (3)'s structure times (s2 - s1): real for real
+   poles, purely imaginary for a conjugate pair, zero at critical
+   damping.  Dividing that factor out leaves a real function, smooth
+   across critical damping; scaling by h and k makes it dimensionless. *)
+let residuals ?(f = 0.5) stage =
   let cs = Pade.coeffs stage in
   let { Poles.s1; s2 } = Poles.of_coeffs cs in
   let sens = Poles.sensitivities stage in
@@ -22,37 +25,19 @@ let residuals_raw ?(f = 0.5) stage =
   let h = stage.Stage.h in
   let open Cx in
   let e1 = exp (scale tau s1) and e2 = exp (scale tau s2) in
-  let one_minus_f = of_float (1.0 -. f) in
+  (* (7) and (8) share one form; [c1], [c2] are (7)'s extra s/h terms *)
+  let g ds1 ds2 c1 c2 =
+    (of_float (1.0 -. f) *: (ds2 -: ds1))
+    -: (ds2 *: e1) +: (ds1 *: e2)
+    -: (scale tau s2 *: (ds1 +: c1) *: e1)
+    +: (scale tau s1 *: (ds2 +: c2) *: e2)
+  in
   let g1 =
-    (one_minus_f *: (sens.Poles.ds2_dh -: sens.Poles.ds1_dh))
-    -: (sens.Poles.ds2_dh *: e1)
-    +: (sens.Poles.ds1_dh *: e2)
-    -: (scale tau s2 *: (sens.Poles.ds1_dh +: scale (1.0 /. h) s1) *: e1)
-    +: (scale tau s1 *: (sens.Poles.ds2_dh +: scale (1.0 /. h) s2) *: e2)
-  in
-  let g2 =
-    (one_minus_f *: (sens.Poles.ds2_dk -: sens.Poles.ds1_dk))
-    -: (sens.Poles.ds2_dk *: e1)
-    -: (scale tau s2 *: sens.Poles.ds1_dk *: e1)
-    +: (sens.Poles.ds1_dk *: e2)
-    +: (scale tau s1 *: sens.Poles.ds2_dk *: e2)
-  in
-  (* Equations (7)-(8) inherit the structure of (3) multiplied by
-     (s2 - s1): real when the poles are real, PURELY IMAGINARY when
-     they are a conjugate pair (every term is then z - conj z).  The
-     scalar content is the non-vanishing component. *)
-  let project g =
-    if Pade.discriminant cs < 0.0 then Cx.im g else Cx.re g
-  in
-  (project g1, project g2)
-
-let residuals ?f stage =
-  let g1, g2 = residuals_raw ?f stage in
-  (* Normalize: poles scale as 1/b1, so ds/dh ~ 1/(b1 h) and
-     ds/dk ~ 1/(b1 k).  Multiplying by (b1 h) and (b1 k) makes both
-     residuals dimensionless and O(1) away from the optimum. *)
-  let b1 = (Pade.coeffs stage).Pade.b1 in
-  (g1 *. b1 *. stage.Stage.h, g2 *. b1 *. stage.Stage.k)
+    g sens.Poles.ds1_dh sens.Poles.ds2_dh (scale (1.0 /. h) s1)
+      (scale (1.0 /. h) s2)
+  and g2 = g sens.Poles.ds1_dk sens.Poles.ds2_dk zero zero in
+  let d = s2 -: s1 in
+  (re (g1 /: d) *. h, re (g2 /: d) *. stage.Stage.k)
 
 let objective ?(f = 0.5) node ~l ~h ~k =
   if h <= 0.0 || k <= 0.0 then nan
@@ -63,24 +48,14 @@ let objective ?(f = 0.5) node ~l ~h ~k =
     with Invalid_argument _ | Delay.No_delay -> nan
   end
 
-let make_result ?(f = 0.5) node ~l ~h ~k ~method_ ~newton_converged
-    ~newton_iterations =
-  let stage = Stage.of_node node ~l ~h ~k in
-  let tau = Delay.of_stage ~f stage in
-  {
-    h;
-    k;
-    tau;
-    delay_per_length = tau /. h;
-    method_;
-    newton_converged;
-    newton_iterations;
-  }
+let make_result ~f node ~l ~h ~k ~method_ ~newton_iterations =
+  let tau = Delay.of_stage ~f (Stage.of_node node ~l ~h ~k) in
+  let newton_converged = method_ = Newton_g in
+  { h; k; tau; delay_per_length = tau /. h; method_; newton_converged;
+    newton_iterations }
 
-(* The stage-model evaluation workspace: the precomputed context the
-   optimizer loops re-evaluate against, carried explicitly through the
-   unified {!Rlc_circuit.Whatif} objective/residuals interface instead
-   of being captured in per-call-site closure shapes. *)
+(* The context both optimizer loops evaluate against, carried through
+   the {!Rlc_circuit.Whatif} objective/residuals interface. *)
 type stage_workspace = {
   sw_node : Rlc_tech.Node.t;
   sw_l : float;
@@ -113,33 +88,30 @@ let optimize_newton_only ?(f = 0.5) node ~l =
         ~lower:[| 1e-3; 1e-3 |] ~upper:[| 1e3; 1e3 |] system
         ~x0:[| 1.0; 1.0 |]
     in
+    let h = sol.Newton.x.(0) *. h0 and k = sol.Newton.x.(1) *. k0 in
     if not sol.Newton.converged then None
-    else begin
-      let h = sol.Newton.x.(0) *. h0 and k = sol.Newton.x.(1) *. k0 in
+    else
       Some
-        (make_result ~f node ~l ~h ~k ~method_:Newton_g ~newton_converged:true
+        (make_result ~f node ~l ~h ~k ~method_:Newton_g
            ~newton_iterations:sol.Newton.iterations)
-    end
   with Invalid_argument _ | Delay.No_delay | Lu.Singular -> None
 
 (* Coarse multiplicative grid scan around the RC optimum to seed
    Nelder-Mead: at large l the optimum drifts several-fold away. *)
-let grid_seed ?f node ~l ~h0 ~k0 =
-  let h_mults = [ 0.5; 0.75; 1.0; 1.5; 2.0; 3.0; 4.5 ] in
+let grid_seed ~f node ~l ~h0 ~k0 =
+  let pick ((_, _, vb) as best) (hm, km) =
+    let h = hm *. h0 and k = km *. k0 in
+    let v = objective ~f node ~l ~h ~k in
+    if (not (Float.is_nan v)) && (Float.is_nan vb || v < vb) then (h, k, v)
+    else best
+  in
   let k_mults = [ 0.2; 0.35; 0.5; 0.7; 1.0; 1.4 ] in
-  let best = ref (h0, k0, objective ?f node ~l ~h:h0 ~k:k0) in
-  List.iter
-    (fun hm ->
-      List.iter
-        (fun km ->
-          let h = hm *. h0 and k = km *. k0 in
-          let v = objective ?f node ~l ~h ~k in
-          let _, _, vb = !best in
-          if (not (Float.is_nan v)) && (Float.is_nan vb || v < vb) then
-            best := (h, k, v))
-        k_mults)
-    h_mults;
-  let h, k, _ = !best in
+  let grid =
+    List.concat_map
+      (fun hm -> List.map (fun km -> (hm, km)) k_mults)
+      [ 0.5; 0.75; 1.0; 1.5; 2.0; 3.0; 4.5 ]
+  in
+  let h, k, _ = List.fold_left pick (pick (h0, k0, nan) (1.0, 1.0)) grid in
   (h, k)
 
 (* tau/h over log-space (h, k) — Nelder-Mead's half of the unified
@@ -159,21 +131,37 @@ let optimize_nm_only ?(f = 0.5) node ~l =
   in
   let h = Float.exp sol.Nelder_mead.x.(0)
   and k = Float.exp sol.Nelder_mead.x.(1) in
-  make_result ~f node ~l ~h ~k ~method_:Nelder_mead ~newton_converged:false
-    ~newton_iterations:0
+  make_result ~f node ~l ~h ~k ~method_:Nelder_mead ~newton_iterations:0
+
+(* Second-order check at a Newton point: tau/h is not lower 1% away
+   along +-h, +-k and both diagonals, so a saddle or a maximum of tau/h
+   is never reported as the optimum. *)
+let is_minimum ?f node ~l ~h ~k =
+  let at (dh, dk) = objective ?f node ~l ~h:(h *. dh) ~k:(k *. dk) in
+  let best = at (1.0, 1.0) in
+  List.for_all
+    (fun d -> not (at d < best))
+    [ (1.01, 1.0); (0.99, 1.0); (1.0, 1.01); (1.0, 0.99); (1.01, 1.01);
+      (1.01, 0.99) ]
+
+let m_fallbacks = Rlc_instr.Metrics.counter "rlc_opt.fallbacks"
 
 let optimize ?(f = 0.5) node ~l =
+  let fallback reason =
+    Rlc_instr.Metrics.incr m_fallbacks;
+    if Rlc_instr.Journal.capturing () then
+      Rlc_instr.Journal.record "rlc_opt.fallback"
+        [
+          ("reason", Rlc_instr.Journal.Str reason);
+          ("node", Rlc_instr.Journal.Str node.Rlc_tech.Node.name);
+          ("l", Rlc_instr.Journal.Num l);
+        ];
+    optimize_nm_only ~f node ~l
+  in
   match optimize_newton_only ~f node ~l with
-  | Some newton_result ->
-      (* Guard against converging to a stationary point that is not the
-         minimum: accept Newton only if Nelder-Mead cannot beat it. *)
-      let nm = optimize_nm_only ~f node ~l in
-      if
-        nm.delay_per_length
-        < newton_result.delay_per_length *. (1.0 -. 1e-6)
-      then { nm with newton_converged = false }
-      else newton_result
-  | None -> optimize_nm_only ~f node ~l
+  | Some r when is_minimum ~f node ~l ~h:r.h ~k:r.k -> r
+  | Some _ -> fallback "not_minimum"
+  | None -> fallback "newton_diverged"
 
 let sweep ?f ?(n = 26) node ~l_max =
   if n < 2 then invalid_arg "Rlc_opt.sweep: n < 2";

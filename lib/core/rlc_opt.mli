@@ -13,10 +13,11 @@
               + s1 tau s2_k e^{s2 tau}
 
     (x_y denotes dx/dy).  [optimize] drives (g1, g2) to zero with a
-    damped Newton iteration (the paper's method) and cross-checks /
-    falls back to a derivative-free Nelder-Mead minimization of the
-    same objective; both agree to optimizer tolerance on every
-    configuration the test suite sweeps. *)
+    damped Newton iteration (the paper's method) and accepts the point
+    when a second-order check ({!is_minimum}) passes.  Only when Newton
+    diverges or the check fails does it fall back to a derivative-free
+    Nelder-Mead minimization of the same objective, counted in
+    [rlc_opt.fallbacks] and journaled as an [rlc_opt.fallback] event. *)
 
 type method_ = Newton_g | Nelder_mead
 
@@ -31,13 +32,19 @@ type result = {
 }
 
 val residuals : ?f:float -> Stage.t -> float * float
-(** (g1, g2) of equations (7)-(8) at the stage's (h, k), normalized to
-    O(1) by the natural time/length scales so they are comparable
-    across technologies.  [f] defaults to 0.5. *)
+(** (g1, g2) of equations (7)-(8) at the stage's (h, k), divided by the
+    (s2 - s1) factor they share, so both stay real and smooth across
+    critical damping, and scaled by h and k to be dimensionless.  [f]
+    defaults to 0.5. *)
 
 val objective : ?f:float -> Rlc_tech.Node.t -> l:float -> h:float -> k:float -> float
 (** tau/h for explicit (h, k) — the raw objective surface (used by
     benches and tests; [nan] outside the physical domain). *)
+
+val is_minimum :
+  ?f:float -> Rlc_tech.Node.t -> l:float -> h:float -> k:float -> bool
+(** The second-order check [optimize] applies to a Newton point: tau/h
+    is not lower 1% away along +-h, +-k and both diagonals. *)
 
 val optimize : ?f:float -> Rlc_tech.Node.t -> l:float -> result
 (** Full optimization for a node at line inductance [l] (H/m).
@@ -45,8 +52,8 @@ val optimize : ?f:float -> Rlc_tech.Node.t -> l:float -> result
 
 val optimize_newton_only : ?f:float -> Rlc_tech.Node.t -> l:float -> result option
 (** The paper's Newton iteration alone; [None] when it fails to
-    converge (near-critical-damping singularities).  Exposed so tests
-    and benches can quantify how often the fallback is needed. *)
+    converge.  Exposed so tests and benches can time it and quantify
+    how often the fallback is needed. *)
 
 val optimize_nm_only : ?f:float -> Rlc_tech.Node.t -> l:float -> result
 (** Nelder-Mead alone (always converges on this problem). *)

@@ -24,10 +24,7 @@ let gradient ?rel_step f x =
 
 let jacobian ?(rel_step = default_rel) f x =
   let n = Array.length x in
-  let fx = f x in
-  let m = Array.length fx in
-  let jac = Matrix.create m n in
-  for j = 0 to n - 1 do
+  let column j =
     let h = step_for rel_step x.(j) in
     let at v =
       let x' = Array.copy x in
@@ -35,8 +32,14 @@ let jacobian ?(rel_step = default_rel) f x =
       f x'
     in
     let fp = at (x.(j) +. h) and fm = at (x.(j) -. h) in
-    for i = 0 to m - 1 do
-      Matrix.set jac i j ((fp.(i) -. fm.(i)) /. (2.0 *. h))
-    done
-  done;
+    Array.mapi (fun i p -> (p -. fm.(i)) /. (2.0 *. h)) fp
+  in
+  (* the output length comes from the perturbed evaluations: [f x]
+     itself is evaluated only when there is no column to learn it from *)
+  let cols = Array.init n column in
+  let m = if n = 0 then Array.length (f x) else Array.length cols.(0) in
+  let jac = Matrix.create m n in
+  Array.iteri
+    (fun j col -> Array.iteri (fun i v -> Matrix.set jac i j v) col)
+    cols;
   jac

@@ -517,7 +517,7 @@ let test_derive_driver_rejects_inconsistent () =
 
 let test_rlc_opt_newton_matches_nm () =
   List.iter
-    (fun node ->
+    (fun (node, near_critical) ->
       List.iter
         (fun l ->
           match Rlc_opt.optimize_newton_only node ~l with
@@ -534,8 +534,85 @@ let test_rlc_opt_newton_matches_nm () =
                 (Printf.sprintf "objective agree at l=%g" l)
                 nm.Rlc_opt.delay_per_length nw.Rlc_opt.delay_per_length
                 ~tol:1e-7)
-        [ 0.0; 1e-6; 2.5e-6; 5e-6 ])
-    [ node250; node100 ]
+        ([ 0.0; 1e-6; 2.5e-6; 5e-6 ] @ near_critical))
+    (* plus points where Newton's iterates cross critical damping, the
+       bands where it once stalled *)
+    [ (node250, [ 1.4e-7; 1.7e-7 ]); (node100, [ 5e-8; 2.34e-6 ]) ]
+
+(* Run [f] with journaling (and therefore metrics recording) on,
+   restoring both switches afterwards. *)
+let with_journal f =
+  let was = Rlc_instr.Control.enabled () in
+  Rlc_instr.Journal.start ();
+  Fun.protect
+    ~finally:(fun () ->
+      Rlc_instr.Journal.stop ();
+      Rlc_instr.Control.set_enabled was)
+    f
+
+let fallback_events () =
+  List.filter
+    (fun e -> e.Rlc_instr.Journal.name = "rlc_opt.fallback")
+    (Rlc_instr.Journal.events ())
+
+let test_rlc_opt_no_fallback_on_sweep () =
+  let fallbacks = Rlc_instr.Metrics.counter "rlc_opt.fallbacks" in
+  let nm_iterations = Rlc_instr.Metrics.counter "nelder_mead.iterations" in
+  with_journal (fun () ->
+      let fb0 = Rlc_instr.Metrics.value fallbacks
+      and nm0 = Rlc_instr.Metrics.value nm_iterations in
+      List.iter
+        (fun node ->
+          List.iter
+            (fun (l, r) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s l=%g from Newton" node.Rlc_tech.Node.name l)
+                true
+                (r.Rlc_opt.method_ = Rlc_opt.Newton_g
+                && r.Rlc_opt.newton_converged))
+            (Rlc_opt.sweep ~n:41 node ~l_max:node.Rlc_tech.Node.l_max))
+        [ node250; node100 ];
+      check_close "no fallback counted" 0.0
+        (Rlc_instr.Metrics.value fallbacks -. fb0);
+      check_close "Nelder-Mead never iterates" 0.0
+        (Rlc_instr.Metrics.value nm_iterations -. nm0);
+      Alcotest.(check int) "no fallback journaled" 0
+        (List.length (fallback_events ())))
+
+let test_rlc_opt_second_order_check () =
+  let l = 2e-6 in
+  let opt = Rlc_opt.optimize node100 ~l in
+  let h = opt.Rlc_opt.h and k = opt.Rlc_opt.k in
+  Alcotest.(check bool) "optimum passes" true
+    (Rlc_opt.is_minimum node100 ~l ~h ~k);
+  Alcotest.(check bool) "k 5% off rejected" false
+    (Rlc_opt.is_minimum node100 ~l ~h ~k:(1.05 *. k));
+  Alcotest.(check bool) "h 5% off rejected" false
+    (Rlc_opt.is_minimum node100 ~l ~h:(0.95 *. h) ~k);
+  (* At f = 1e-9 the residuals are so small that Newton meets its
+     absolute tolerance at a point that is not stationary: the check
+     must reject it and [optimize] fall back, explaining why. *)
+  let f = 1e-9 and l = 0.0 in
+  match Rlc_opt.optimize_newton_only ~f node100 ~l with
+  | None -> Alcotest.fail "expected Newton to converge at f = 1e-9"
+  | Some nw ->
+      Alcotest.(check bool) "Newton point rejected" false
+        (Rlc_opt.is_minimum ~f node100 ~l ~h:nw.Rlc_opt.h ~k:nw.Rlc_opt.k);
+      with_journal (fun () ->
+          let r = Rlc_opt.optimize ~f node100 ~l in
+          Alcotest.(check bool) "fell back to Nelder-Mead" true
+            (r.Rlc_opt.method_ = Rlc_opt.Nelder_mead);
+          Alcotest.(check bool) "fallback beats the Newton point" true
+            (r.Rlc_opt.delay_per_length < nw.Rlc_opt.delay_per_length);
+          match fallback_events () with
+          | [ e ] ->
+              Alcotest.(check (option string)) "reason" (Some "not_minimum")
+                (Rlc_instr.Journal.str_field e "reason");
+              Alcotest.(check (option string)) "node" (Some "100nm")
+                (Rlc_instr.Journal.str_field e "node");
+              Alcotest.(check (option (float 0.0))) "l" (Some l)
+                (Rlc_instr.Journal.num_field e "l")
+          | es -> Alcotest.failf "%d fallback events" (List.length es))
 
 let test_rlc_opt_residuals_zero_at_optimum () =
   let l = 1.5e-6 in
@@ -796,6 +873,10 @@ let () =
         [
           Alcotest.test_case "newton = nelder-mead" `Slow
             test_rlc_opt_newton_matches_nm;
+          Alcotest.test_case "no fallback on sweeps" `Quick
+            test_rlc_opt_no_fallback_on_sweep;
+          Alcotest.test_case "second-order check" `Quick
+            test_rlc_opt_second_order_check;
           Alcotest.test_case "residuals vanish at optimum" `Quick
             test_rlc_opt_residuals_zero_at_optimum;
           Alcotest.test_case "residuals nonzero off optimum" `Quick
