@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check fmt fmt-check test test-jobs4 test-all stats-check bench bench-fast bench-smoke serve-demo obs-check examples clean
+.PHONY: all build check fmt fmt-check test test-jobs4 test-all stats-check bench bench-fast bench-smoke serve-demo netlist-demo obs-check examples clean
 
 all: build
 
@@ -10,9 +10,10 @@ all: build
 # the parallel runs are bit-identical, gates the disabled-path
 # instrumentation overhead and the serving layer's warm >= 2x cache
 # speedup, and records BENCH_parallel.json / BENCH_instr.json /
-# BENCH_serve.json), the rlcserved demo round-trip, and the
-# observability gate below (in-process vs offline trace identity)
-check: build test test-jobs4 stats-check bench-smoke serve-demo obs-check
+# BENCH_serve.json), the rlcserved demo round-trip, the rlcsim
+# example-netlist golden, and the observability gate below (in-process
+# vs offline trace identity)
+check: build test test-jobs4 stats-check bench-smoke serve-demo netlist-demo obs-check
 
 # observability self-check: run the demo job stream with both
 # --journal and --trace, render the trace again offline from the
@@ -67,6 +68,15 @@ bench-smoke:
 serve-demo:
 	dune exec bin/rlcserved.exe -- --jobs-file examples/jobs/demo.jobs -q \
 	  | diff examples/jobs/demo.golden -
+
+# run rlcsim on every example netlist and diff against the checked-in
+# golden; the v(<name>) probe labels exercise the parsed deck's node
+# names end to end
+netlist-demo:
+	dune build bin/rlcsim.exe
+	for f in examples/netlists/*.sp; do \
+	  echo "## $$f"; dune exec bin/rlcsim.exe -- $$f; \
+	done | diff examples/netlists/rlcsim.golden -
 
 examples:
 	dune exec examples/quickstart.exe

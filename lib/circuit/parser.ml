@@ -98,26 +98,26 @@ let positional tokens =
 
 type builder = {
   nl : Netlist.t;
-  names : (string, Netlist.node) Hashtbl.t;
   mutable b_tran : (float * float) option;
   mutable b_ac : ac_spec option;
-  mutable b_probes : Transient.probe list;
-  mutable probe_names : (string * [ `V | `I ]) list; (* resolved later *)
+  mutable probe_names : (int * string * [ `V | `I ]) list;
+      (* (line, target, kind), resolved after the last card *)
 }
 
+(* The one rule for node names: case-insensitive, and "0"/"gnd" are
+   ground.  The netlist's name table holds the lowercased keys. *)
+let find_node nl name =
+  match lowercase name with
+  | "0" | "gnd" -> Some Netlist.ground
+  | key -> Netlist.find_node nl key
+
+(* registering the name on the netlist makes parsed decks
+   order-independently hashable (Netlist.structural_hash labels nodes
+   by name) and the deck's nodes findable by name *)
 let node_id b name =
-  let key = lowercase name in
-  if key = "0" || key = "gnd" then Netlist.ground
-  else
-    match Hashtbl.find_opt b.names key with
-    | Some n -> n
-    | None ->
-        (* registering the name on the netlist too makes parsed decks
-           order-independently hashable (Netlist.structural_hash
-           labels nodes by name) and Netlist.find_node usable *)
-        let n = Netlist.fresh_node ~name:key b.nl in
-        Hashtbl.add b.names key n;
-        n
+  match find_node b.nl name with
+  | Some n -> n
+  | None -> Netlist.fresh_node ~name:(lowercase name) b.nl
 
 let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
 
@@ -210,10 +210,10 @@ let dispatch b lineno line =
               let rec walk = function
                 | [] -> ()
                 | kind :: target :: more when lowercase kind = "v" ->
-                    b.probe_names <- (target, `V) :: b.probe_names;
+                    b.probe_names <- (lineno, target, `V) :: b.probe_names;
                     walk more
                 | kind :: target :: more when lowercase kind = "i" ->
-                    b.probe_names <- (target, `I) :: b.probe_names;
+                    b.probe_names <- (lineno, target, `I) :: b.probe_names;
                     walk more
                 | t :: _ -> fail lineno "probe must be v(node) or i(elem), got %s" t
               in
@@ -318,20 +318,13 @@ let dispatch b lineno line =
       | c -> fail lineno "unknown card type '%c'" c
     end
 
-(* node lookup after parsing needs the name table; stash it in a side
-   table keyed by the deck's netlist *)
-let side_tables : (Netlist.t, (string, Netlist.node) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 4
-
 let parse_string text =
   let lines = String.split_on_char '\n' text in
   let b =
     {
       nl = Netlist.create ();
-      names = Hashtbl.create 16;
       b_tran = None;
       b_ac = None;
-      b_probes = [];
       probe_names = [];
     }
   in
@@ -370,39 +363,23 @@ let parse_string text =
     body;
   let probes =
     List.rev_map
-      (fun (target, kind) ->
+      (fun (lineno, target, kind) ->
         match kind with
         | `V -> begin
-            match
-              if target = "0" || target = "gnd" then Some Netlist.ground
-              else Hashtbl.find_opt b.names (lowercase target)
-            with
+            match find_node b.nl target with
             | Some n -> Transient.Node_v n
-            | None -> raise (Parse_error (0, "probe of unknown node " ^ target))
+            | None -> fail lineno "probe of unknown node %s" target
           end
         | `I -> Transient.Branch_i target)
       b.probe_names
   in
-  Hashtbl.replace side_tables b.nl b.names;
   { netlist = b.nl; tran = b.b_tran; ac = b.b_ac; probes; title }
 
-let node_of_name deck name =
-  let key = lowercase name in
-  if key = "0" || key = "gnd" then Some Netlist.ground
-  else
-    match Hashtbl.find_opt side_tables deck.netlist with
-    | Some tbl -> Hashtbl.find_opt tbl key
-    | None -> None
+let node_of_name deck name = find_node deck.netlist name
 
 let name_of_node deck node =
   if node = Netlist.ground then Some "0"
-  else
-    match Hashtbl.find_opt side_tables deck.netlist with
-    | None -> None
-    | Some tbl ->
-        Hashtbl.fold
-          (fun name n acc -> if n = node then Some name else acc)
-          tbl None
+  else Netlist.node_name deck.netlist node
 
 let parse_file path =
   let ic = open_in path in

@@ -25,7 +25,8 @@
     .end                                 optional terminator
     v}
 
-    Node names are arbitrary tokens; "0" and "gnd" are ground. *)
+    Node names are arbitrary case-insensitive tokens; "0" and "gnd" are
+    ground (see {!find_node}). *)
 
 exception Parse_error of int * string
 (** Line number (1-based) and description. *)
@@ -42,11 +43,20 @@ type deck = {
   title : string option;  (** first line when it is not a card *)
 }
 
+val find_node : Netlist.t -> string -> Netlist.node option
+(** Look up a node by its netlist-file name.  The one rule for node
+    names: they are case-insensitive ([Netlist.find_node] holds them
+    lowercased), and "0" and "gnd" in any case are ground. *)
+
 val node_of_name : deck -> string -> Netlist.node option
-(** Look up a node by its netlist-file name ("0"/"gnd" map to 0). *)
+(** [find_node] on the deck's netlist: reads the netlist's own name
+    table, so it keeps answering after elements are added to
+    [deck.netlist]. *)
 
 val name_of_node : deck -> Netlist.node -> string option
-(** Reverse lookup (ground reports "0"). *)
+(** Reverse lookup through [Netlist.node_name] on the deck's netlist:
+    a card's node reports its lowercased name, a W card's internal
+    ladder node the name the ladder gave it, and ground ["0"]. *)
 
 val parse_string : string -> deck
 val parse_file : string -> deck

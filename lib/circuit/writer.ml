@@ -17,14 +17,9 @@ let stimulus_to_string = function
         (value v1)
 
 let node_name ?deck n =
-  if n = Netlist.ground then "0"
-  else
-    match deck with
-    | Some d -> (
-        match Parser.name_of_node d n with
-        | Some name -> name
-        | None -> Printf.sprintf "n%d" n)
-    | None -> Printf.sprintf "n%d" n
+  match Option.bind deck (fun d -> Parser.name_of_node d n) with
+  | Some name -> name
+  | None -> if n = Netlist.ground then "0" else Printf.sprintf "n%d" n
 
 let netlist_to_string_inner ?deck ?title netlist =
   let buf = Buffer.create 256 in

@@ -42,15 +42,16 @@ let default_config =
    structural cache shares artifacts across value-only *variants*,
    the memo short-circuits byte-identical *replays* — a resubmitted
    deck skips parse, hash and stamping and goes straight to numeric
-   work.  Sound because the key is the exact text; all entries are
-   created and read on the coordinating domain. *)
+   work.  Sound because the key is the exact text; an entry is built
+   whole, once, and never changed, and all entries are created and
+   read on the coordinating domain. *)
 module Memo = struct
   type entry = {
     netlist : Netlist.t;
     skey : Netlist.structural_key;
         (* the hash/signature pairing travels as one value; it can no
            longer be recombined across netlists *)
-    mutable asm : Assembly.t option;
+    asm : Assembly.t;
   }
 
   (* counts the memo's hit/miss/evict metrics around the shared LRU *)
@@ -106,8 +107,8 @@ let cache_stats t = Deck_cache.stats t.cache
 (* A line ready for the pool: either a result decided during prepare
    (malformed line, unreadable deck, parse error) or a runnable job.
    [entry] is [None] on the alias path — a hash collision must not
-   touch the cached artifacts.  [asm] is the memoised stamped
-   assembly, which prepare always materialises. *)
+   touch the cached artifacts.  [asm] is the memo entry's stamped
+   assembly. *)
 type exec =
   | E_done of Protocol.result
   | E_run of {
@@ -127,35 +128,6 @@ let deck_text = function
         (fun () -> really_input_string ic (in_channel_length ic))
 
 let sparse_plan (p : Solver.plan) = p.Solver.choice = Solver.Sparse_lu
-
-(* Parse (or recall) a deck.  The memo is keyed on the exact bytes, so
-   a byte-identical replay skips the parse and the structural hash. *)
-let memo_deck t text =
-  let key = Digest.string text in
-  match Memo.find t.memo key with
-  | Some m -> m
-  | None ->
-      let netlist = (Parser.parse_string text).Parser.netlist in
-      let m =
-        { Memo.netlist; skey = Netlist.structural_key netlist; asm = None }
-      in
-      Memo.insert t.memo key m;
-      m
-
-(* The deck's stamped assembly, materialised at most once per exact
-   text: under the family plan when the structural cache already knows
-   the pattern, with full validation on first sight of a family. *)
-let memo_assembly (m : Memo.entry) plan_hint =
-  match m.Memo.asm with
-  | Some a -> a
-  | None ->
-      let a =
-        match plan_hint with
-        | Some plan -> Assembly.of_netlist ~plan ~validate:false m.Memo.netlist
-        | None -> Assembly.of_netlist m.Memo.netlist
-      in
-      m.Memo.asm <- Some a;
-      a
 
 (* Build the artifacts [query] needs that [e] still lacks — runs at
    most once per (family, query kind), sequentially, so the entry
@@ -199,6 +171,62 @@ let journal_rejected job =
         ("status", Journal.Str "rejected");
       ]
 
+(* A deck's netlist, structural-cache entry and stamped assembly.  The
+   memo is keyed on the exact bytes: a byte-identical replay skips the
+   parse, the structural hash and the stamping, and only probes the
+   structural cache.  A memo miss builds the whole entry at once. *)
+let stage t text query =
+  let key = Digest.string text in
+  let memo = Memo.find t.memo key in
+  let netlist, skey =
+    match memo with
+    | Some m -> (m.Memo.netlist, m.Memo.skey)
+    | None ->
+        let netlist = (Parser.parse_string text).Parser.netlist in
+        (netlist, Netlist.structural_key netlist)
+  in
+  let probe = Deck_cache.find_key t.cache skey in
+  if Journal.capturing () then
+    Journal.record
+      (match probe with
+      | Deck_cache.Hit _ -> "cache.hit"
+      | Deck_cache.Alias -> "cache.alias"
+      | Deck_cache.Miss -> "cache.miss")
+      [];
+  (* stamped once per exact text: under the family plan when the
+     structural cache knows the pattern, with full validation on first
+     sight of a family or on an alias *)
+  let asm =
+    match (memo, probe) with
+    | Some m, _ -> m.Memo.asm
+    | None, Deck_cache.Hit e ->
+        Assembly.of_netlist ~plan:e.Deck_cache.asm_plan ~validate:false
+          netlist
+    | None, (Deck_cache.Alias | Deck_cache.Miss) ->
+        Assembly.of_netlist netlist
+  in
+  if Option.is_none memo then
+    Memo.insert t.memo key { Memo.netlist; skey; asm };
+  let entry =
+    match probe with
+    | Deck_cache.Alias -> None
+    | Deck_cache.Hit e -> Some e
+    | Deck_cache.Miss ->
+        let e =
+          {
+            Deck_cache.signature = skey.Netlist.signature;
+            asm_plan = asm.Assembly.plan;
+            dc_sym = None;
+            ac_sym = None;
+            tran_plan = None;
+          }
+        in
+        Deck_cache.insert_key t.cache skey e;
+        Some e
+  in
+  Option.iter (fun e -> ensure_artifacts e netlist query asm) entry;
+  (netlist, entry, asm)
+
 let prepare t line =
   match Protocol.parse_job_line line with
   | Protocol.Blank -> None
@@ -207,39 +235,13 @@ let prepare t line =
   | Protocol.Job job ->
       t.seq <- t.seq + 1;
       let prov = Printf.sprintf "%s#%d" job.Protocol.id t.seq in
-      let journal_cache what =
-        if Journal.capturing () then Journal.record ("cache." ^ what) []
-      in
       let exec =
         Journal.with_provenance prov (fun () ->
             try
-              let m = memo_deck t (deck_text job.Protocol.deck) in
-              let netlist = m.Memo.netlist in
-              match Deck_cache.find_key t.cache m.Memo.skey with
-              | Deck_cache.Alias ->
-                  journal_cache "alias";
-                  let asm = memo_assembly m None in
-                  E_run { job; prov; netlist; entry = None; asm }
-              | Deck_cache.Hit e ->
-                  journal_cache "hit";
-                  let asm = memo_assembly m (Some e.Deck_cache.asm_plan) in
-                  ensure_artifacts e netlist job.Protocol.query asm;
-                  E_run { job; prov; netlist; entry = Some e; asm }
-              | Deck_cache.Miss ->
-                  journal_cache "miss";
-                  let asm = memo_assembly m None in
-                  let e =
-                    {
-                      Deck_cache.signature = m.Memo.skey.Netlist.signature;
-                      asm_plan = asm.Assembly.plan;
-                      dc_sym = None;
-                      ac_sym = None;
-                      tran_plan = None;
-                    }
-                  in
-                  Deck_cache.insert_key t.cache m.Memo.skey e;
-                  ensure_artifacts e netlist job.Protocol.query asm;
-                  E_run { job; prov; netlist; entry = Some e; asm }
+              let netlist, entry, asm =
+                stage t (deck_text job.Protocol.deck) job.Protocol.query
+              in
+              E_run { job; prov; netlist; entry; asm }
             with
             | Parser.Parse_error (ln, msg) ->
                 journal_rejected job;
@@ -259,12 +261,9 @@ let prepare t line =
 (* ------------------------------------------------------------------ *)
 
 let resolve_node netlist name =
-  let key = String.lowercase_ascii name in
-  if key = "0" || key = "gnd" then Netlist.ground
-  else
-    match Netlist.find_node netlist key with
-    | Some n -> n
-    | None -> failwith (Printf.sprintf "unknown node %S" name)
+  match Parser.find_node netlist name with
+  | Some n -> n
+  | None -> failwith (Printf.sprintf "unknown node %S" name)
 
 let waveform_summary w =
   let values = Rlc_waveform.Waveform.values w in

@@ -1008,7 +1008,70 @@ let test_parser_errors () =
   check_error "R1 a 0\n" 1;
   check_error "* ok\nQ1 a b c 1k\n" 2;
   check_error "V1 a 0 DC 1\n.tran 1\n" 2;
-  check_error "W1 a b r=1 c=1 len=1\n" 1 (* missing l= *)
+  check_error "W1 a b r=1 c=1 len=1\n" 1 (* missing l= *);
+  (* an unknown probe node: the line of its .probe card *)
+  check_error
+    "V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1p\n.tran 1p 1n\n.probe v(b)\n\
+     .probe v(nowhere)\n"
+    6
+
+(* probe targets follow the card-node rule: any case of "gnd" is
+   ground *)
+let test_parser_probe_gnd () =
+  let deck =
+    Parser.parse_string "V1 a 0 DC 1\nR1 a GND 1k\n.probe v(GND) v(A)\n"
+  in
+  match deck.Parser.probes with
+  | [ Transient.Node_v g; Transient.Node_v a ] ->
+      Alcotest.(check int) "v(GND) is ground" Netlist.ground g;
+      Alcotest.(check (option int)) "v(A) is node a"
+        (Parser.node_of_name deck "a") (Some a)
+  | _ -> Alcotest.fail "expected two node probes"
+
+(* name lookups read the deck's netlist, so they survive edits to it *)
+let test_parser_names_after_edit () =
+  let deck = Parser.parse_string sample_deck in
+  let nl = deck.Parser.netlist in
+  let mid = Option.get (Parser.node_of_name deck "mid") in
+  Netlist.add_resistor ~name:"Rx" nl mid Netlist.ground 1e3;
+  Alcotest.(check (option int)) "node_of_name after an edit" (Some mid)
+    (Parser.node_of_name deck "MID");
+  Alcotest.(check (option string)) "name_of_node after an edit" (Some "mid")
+    (Parser.name_of_node deck mid);
+  let extra = Netlist.fresh_node ~name:"extra" nl in
+  Alcotest.(check (option int)) "a node added by name" (Some extra)
+    (Parser.node_of_name deck "Extra")
+
+(* live heap in MB once garbage is gone: OCaml 5.1 reports a block freed
+   only a couple of major cycles after it died, so compact until the
+   count stops falling *)
+let live_mb () =
+  let rec settle prev =
+    Gc.compact ();
+    let words = (Gc.quick_stat ()).Gc.live_words in
+    if words >= prev then words else settle words
+  in
+  float_of_int (settle max_int * (Sys.word_size / 8)) /. 1048576.0
+
+(* a parsed deck is garbage once dropped: nothing global keeps it *)
+let test_parser_retains_nothing () =
+  let parse_all first =
+    for i = first to first + 49 do
+      let text =
+        Printf.sprintf
+          "V1 in 0 DC 1\nW%d in far r=4.4k l=1.5u c=123p len=%dm seg=400\n\
+           .tran 1p 1n\n.probe v(far)\n"
+          i (i + 1)
+      in
+      ignore (Sys.opaque_identity (Parser.parse_string text))
+    done
+  in
+  parse_all 0;
+  let before = live_mb () in
+  parse_all 50;
+  let after = live_mb () in
+  if after -. before > 0.5 then
+    Alcotest.failf "50 parsed decks left %.2f MB live" (after -. before)
 
 let test_parser_run_requires_tran () =
   let deck = Parser.parse_string "R1 a 0 1k\nV1 a 0 DC 1\n.probe v(a)\n" in
@@ -1240,6 +1303,11 @@ let () =
             test_parser_run_requires_tran;
           Alcotest.test_case ".ac card" `Quick test_parser_ac_card;
           Alcotest.test_case "B card" `Quick test_parser_b_card;
+          Alcotest.test_case "probe of GND" `Quick test_parser_probe_gnd;
+          Alcotest.test_case "names after a netlist edit" `Quick
+            test_parser_names_after_edit;
+          Alcotest.test_case "parsed decks are not retained" `Quick
+            test_parser_retains_nothing;
         ] );
       ( "writer",
         [

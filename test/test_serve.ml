@@ -370,6 +370,50 @@ let test_memo_transparent () =
   Alcotest.(check (list string)) "memo capacity 1: stream unchanged"
     baseline tiny
 
+(* ---------------- memory: a dropped service leaves nothing -------- *)
+
+(* live heap in MB once garbage is gone: OCaml 5.1 reports a block freed
+   only a couple of major cycles after it died, so compact until the
+   count stops falling *)
+let live_mb () =
+  let rec settle prev =
+    Gc.compact ();
+    let words = (Gc.quick_stat ()).Gc.live_words in
+    if words >= prev then words else settle words
+  in
+  float_of_int (settle max_int * (Sys.word_size / 8)) /. 1048576.0
+
+(* structurally new each time: the line and its far node are renamed *)
+let fresh_line_jobs first count =
+  List.init count (fun k ->
+      let i = first + k in
+      job (Printf.sprintf "f%d" i) (Printf.sprintf "dc far%d" i)
+        (Printf.sprintf
+           "V1 in 0 DC 1\nW%d in far%d r=4.4k l=1.5u c=123p len=1m seg=200\n\
+            Rl far%d 0 1k\n.end\n"
+           i i i))
+
+let test_dropped_service_frees_heap () =
+  let config =
+    { Service.default_config with memo_capacity = 4; cache_capacity = 4 }
+  in
+  let run first =
+    let svc = Service.create ~config () in
+    let out = Service.process_lines svc (fresh_line_jobs first 100) in
+    List.iter
+      (fun l ->
+        if not (String.starts_with ~prefix:"ok " l) then
+          Alcotest.failf "job failed: %s" l)
+      out
+  in
+  (* first use settles lazily built global state *)
+  run 0;
+  let before = live_mb () in
+  run 100;
+  let after = live_mb () in
+  if after -. before > 1.0 then
+    Alcotest.failf "a dropped service left %.2f MB live" (after -. before)
+
 (* ---------------- cache hooks: bitwise neutrality ------------------ *)
 
 let test_dc_hooks_bitwise () =
@@ -511,6 +555,11 @@ let () =
           Alcotest.test_case "domain-count invariant" `Quick
             test_domain_count_invariance;
           Alcotest.test_case "memo transparent" `Quick test_memo_transparent;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "dropped service frees its heap" `Quick
+            test_dropped_service_frees_heap;
         ] );
       ( "cache hooks",
         [
