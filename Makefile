@@ -72,11 +72,30 @@ serve-demo:
 # run rlcsim on every example netlist and diff against the checked-in
 # golden; the v(<name>) probe labels exercise the parsed deck's node
 # names end to end
+# rlcsim on every example deck -- and, for a deck with an .ac card,
+# its AC sweep summary and CSV too -- diffed against the golden; then
+# each deck under bad/ must be refused with an rlcsim: message and
+# exit status 1, never an uncaught exception
 netlist-demo:
 	dune build bin/rlcsim.exe
 	for f in examples/netlists/*.sp; do \
 	  echo "## $$f"; dune exec bin/rlcsim.exe -- $$f; \
+	  if grep -q '^\.ac' $$f; then \
+	    echo "## $$f --ac"; \
+	    dune exec bin/rlcsim.exe -- $$f --ac --csv _netlist_demo.csv \
+	      && cat _netlist_demo.csv; \
+	  fi; \
 	done | diff examples/netlists/rlcsim.golden -
+	rm -f _netlist_demo.csv
+	for run in "no_source.sp --ac" "no_tran.sp" "no_probe.sp"; do \
+	  dune exec bin/rlcsim.exe -- examples/netlists/bad/$$run \
+	    > /dev/null 2> _netlist_demo.err; st=$$?; cat _netlist_demo.err; \
+	  if [ $$st -ne 1 ] || grep -q "internal error" _netlist_demo.err; then \
+	    echo "rlcsim bad/$$run: exit $$st, want 1 and no internal error"; \
+	    rm -f _netlist_demo.err; exit 1; \
+	  fi; \
+	done
+	rm -f _netlist_demo.err
 
 examples:
 	dune exec examples/quickstart.exe

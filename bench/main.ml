@@ -449,21 +449,12 @@ let ac_case ~segments ~dense_points ~banded_points =
   let open Rlc_circuit in
   let open Rlc_numerics in
   let nl, _src, far = Ladder.driven_line (ladder_spec segments) in
-  let m = Mna.of_netlist nl in
-  let asm = m.Mna.asm in
-  let output = Mna.output_of_node m far in
+  let asm = Assembly.of_netlist nl in
+  let k = Assembly.probe ~ctx:"ac_case" asm far in
   let rhs = Array.map Cx.of_float (Assembly.b_column asm 0) in
   let freqs = Ac.decade_grid ~points_per_decade:7 ~fstart:1e7 ~fstop:1e10 in
-  let dot x =
-    let acc = ref Cx.zero in
-    Array.iteri
-      (fun i l -> if l <> 0.0 then acc := Cx.( +: ) !acc (Cx.scale l x.(i)))
-      output;
-    !acc
-  in
   let point backend f =
-    let s = Cx.make 0.0 (2.0 *. Float.pi *. f) in
-    dot (Assembly.solve_complex ~backend asm ~s ~rhs)
+    (Assembly.solve_complex ~backend asm ~s:(Ac.s_of_freq f) ~rhs).(k)
   in
   let take k = Array.sub freqs 0 (Int.min k (Array.length freqs)) in
   let dense_fs = take dense_points and banded_fs = take banded_points in
@@ -482,7 +473,7 @@ let ac_case ~segments ~dense_points ~banded_points =
   let banded_per = banded_t /. float_of_int (Array.length banded_fs) in
   {
     ac_segments = segments;
-    ac_unknowns = m.Mna.size;
+    ac_unknowns = asm.Assembly.size;
     band = plan.Solver.kl + plan.Solver.ku + 1;
     banded_points = Array.length banded_fs;
     dense_points = Array.length dense_fs;
@@ -498,10 +489,10 @@ let write_ac_json path rows =
   write_meta oc ~jobs;
   Printf.fprintf oc
     "  \"description\": \"Per-frequency-point cost of the AC path on \
-     step-driven RLC ladders (Mna.solve_s / Assembly.solve_complex, three \
-     decades at 7 points/decade): dense complex LU vs the shared plan's \
-     complex banded LU in RCM order. Transfer functions compared at every \
-     dense-timed point; times in seconds per point.\",\n\
+     step-driven RLC ladders (Assembly.solve_complex on the sparse stamp \
+     IR, three decades at 7 points/decade): dense complex LU vs the shared \
+     plan's complex banded LU in RCM order. Transfer functions compared at \
+     every dense-timed point; times in seconds per point.\",\n\
     \  \"points\": [\n";
   List.iteri
     (fun i (r : ac_row) ->
@@ -858,10 +849,9 @@ let mor_case ~segments ~order =
     { Ladder.r = 4400.0; l = 0.1e-6; c = 123.33e-12; length = 0.05; segments }
     ~from_node:inp ~to_node:far;
   Netlist.add_capacitor nl far Netlist.ground 50e-15;
-  let m = Mna.of_netlist nl in
-  let output = Mna.output_of_node m far in
+  let asm = Assembly.of_netlist nl in
   let model, reduce_s =
-    wall (fun () -> Rlc_mor.Prima.reduce ~order m ~input:0 ~output)
+    wall (fun () -> Rlc_mor.Prima.reduce ~order asm ~node:far)
   in
   let t_end = 8e-9 and dt = 8e-12 in
   let probes = [ Transient.Node_v far ] in
@@ -895,7 +885,7 @@ let mor_case ~segments ~order =
     values;
   {
     m_segments = segments;
-    m_unknowns = m.Rlc_circuit.Mna.size;
+    m_unknowns = asm.Assembly.size;
     m_order = order;
     kept_poles = Array.length model.Rlc_mor.Prima.poles;
     stable = model.Rlc_mor.Prima.stable;

@@ -56,6 +56,14 @@ let summarize deck result probe =
   end
 
 let run_transient deck csv =
+  if deck.Rlc_circuit.Parser.tran = None then begin
+    prerr_endline "rlcsim: the deck has no .tran card (use --ac for an .ac sweep)";
+    exit 1
+  end;
+  if deck.Rlc_circuit.Parser.probes = [] then begin
+    prerr_endline "rlcsim: the deck has no .probe card";
+    exit 1
+  end;
   let result = Rlc_circuit.Parser.run deck in
   Printf.printf "transient: %d steps\n\n"
     (Rlc_circuit.Transient.steps_taken result);
@@ -90,12 +98,16 @@ let run_ac deck pool csv =
         prerr_endline "rlcsim: --ac requested but the deck has no .ac card";
         exit 1
   in
-  let m = Mna.of_netlist deck.Parser.netlist in
-  if Array.length m.Mna.inputs > 1 then
+  let asm = Assembly.of_netlist deck.Parser.netlist in
+  let inputs = asm.Assembly.inputs in
+  if Array.length inputs = 0 then begin
+    prerr_endline "rlcsim: --ac needs an independent source; the deck has none";
+    exit 1
+  end;
+  if Array.length inputs > 1 then
     Printf.eprintf
       "rlcsim: %d independent sources; sweeping the first one (%s)\n"
-      (Array.length m.Mna.inputs)
-      m.Mna.inputs.(0).Mna.name;
+      (Array.length inputs) inputs.(0).Assembly.name;
   let freqs =
     Ac.decade_grid ~points_per_decade:spec.Parser.points_per_decade
       ~fstart:spec.Parser.fstart ~fstop:spec.Parser.fstop
@@ -119,9 +131,7 @@ let run_ac deck pool csv =
     spec.Parser.fstart spec.Parser.fstop;
   let sweeps =
     List.map
-      (fun (label, node) ->
-        let output = Mna.output_of_node m node in
-        (label, Ac.bode ~pool m ~input:0 ~output ~freqs))
+      (fun (label, node) -> (label, Ac.bode ~pool asm ~node ~freqs))
       node_probes
   in
   List.iter

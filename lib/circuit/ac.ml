@@ -21,11 +21,6 @@ let decade_grid ~points_per_decade ~fstart ~fstop =
 
 let s_of_freq freq = Cx.make 0.0 (2.0 *. Float.pi *. freq)
 
-let solve mna ~input ~freq = Mna.solve_s mna ~input ~s:(s_of_freq freq)
-
-let transfer mna ~input ~output freq =
-  Mna.transfer mna ~input ~output (s_of_freq freq)
-
 let point_of ~freq h =
   {
     freq;
@@ -50,29 +45,26 @@ let unwrap phases =
 let m_points = Rlc_instr.Metrics.counter "ac.points"
 let m_point_s = Rlc_instr.Metrics.hist "ac.point_s"
 
-let bode ?pool mna ~input ~output ~freqs =
+let bode ?pool asm ~node ~freqs =
   let pool =
     match pool with Some p -> p | None -> Rlc_parallel.Pool.sequential
   in
-  if Array.length output <> mna.Mna.size then
-    invalid_arg "Ac.bode: output selector length mismatch";
+  let k = Assembly.probe ~ctx:"Ac.bode" asm node in
   if Array.length freqs = 0 then [||]
   else
     Rlc_instr.Span.with_ "ac.bode" (fun () ->
-        let asm = mna.Mna.asm in
         (* engine built before the fan-out: one structure analysis
            (and one sparse symbolic factorisation) shared read-only by
            every point, with the pivot sequence pinned at the first
            frequency — deterministic at any domain count *)
         let eng = Assembly.cengine asm ~s_ref:(s_of_freq freqs.(0)) in
-        let plan = Assembly.cengine_plan eng in
-        let rhs = Array.map Cx.of_float (Assembly.b_column asm input) in
+        let rhs = Array.map Cx.of_float (Assembly.b_column asm 0) in
         (* per-domain scratch: the solve buffers are the only mutable
            state a point touches besides its own [x] *)
         let scratch_key =
           Domain.DLS.new_key (fun () -> Assembly.cengine_scratch eng)
         in
-        let n = plan.Solver.n in
+        let n = (Assembly.cengine_plan eng).Solver.n in
         Rlc_parallel.Pool.map pool
           (fun f ->
             Rlc_instr.Metrics.incr m_points;
@@ -81,9 +73,5 @@ let bode ?pool mna ~input ~output ~freqs =
                 Assembly.cengine_solve_into eng
                   (Domain.DLS.get scratch_key)
                   ~s:(s_of_freq f) ~rhs ~x;
-                let acc = ref Cx.zero in
-                for k = 0 to n - 1 do
-                  acc := Cx.( +: ) !acc (Cx.scale output.(k) x.(k))
-                done;
-                point_of ~freq:f !acc))
+                point_of ~freq:f x.(k)))
           freqs)

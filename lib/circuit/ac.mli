@@ -1,6 +1,13 @@
-(** AC small-signal analysis over the {!Mna} descriptor: solve
-    [(G + jwC) x = B u] with a unit-amplitude source at each frequency
-    of a sweep and report Bode points.
+(** AC small-signal analysis over the sparse stamp IR
+    ({!Assembly.t}): solve [(G + jwC) x = B u] with a unit-amplitude
+    source at each frequency of a sweep and report Bode points.
+
+    Inductor branch currents are explicit unknowns of the IR — the
+    transient engine's companion-model trick has no meaning at a
+    single complex frequency.  Inverters enter linearised at their
+    output stage: gate and drain capacitances stamp into [C], the
+    on-resistance into [G], and the switching source contributes
+    nothing (small-signal analysis of a held logic state).
 
     The grid convention follows the SPICE [.ac dec] card: a fixed
     number of points per decade on a logarithmic grid, both endpoints
@@ -22,14 +29,6 @@ val decade_grid :
 val s_of_freq : float -> Cx.t
 (** [s = j 2 pi f], the Laplace point of a real frequency. *)
 
-val solve : Mna.t -> input:int -> freq:float -> Cx.t array
-(** Full phasor solution at [s = j 2 pi freq]; one complex
-    factorisation.  Multiple probes of the same sweep should share this
-    solution rather than re-solving. *)
-
-val transfer : Mna.t -> input:int -> output:float array -> float -> Cx.t
-(** Complex transfer-function value [H(j 2 pi f)]. *)
-
 val point_of : freq:float -> Cx.t -> point
 (** Magnitude (dB) and unwrapped-free phase (degrees, atan2 branch) of
     one complex response value. *)
@@ -46,13 +45,14 @@ val unwrap : float array -> float array
 
 val bode :
   ?pool:Rlc_parallel.Pool.t ->
-  Mna.t ->
-  input:int ->
-  output:float array ->
+  Assembly.t ->
+  node:Netlist.node ->
   freqs:float array ->
   point array
-(** One Bode point per frequency for a single output selector.  The
-    whole sweep shares one {!Assembly.cengine} — on the sparse backend
-    the symbolic analysis happens once and every point refactors it —
-    and [pool] fans the points out, slotted back in [freqs] order
-    (bit-identical for any domain count). *)
+(** One Bode point per frequency: the voltage at [node] driven by the
+    deck's first source at unit amplitude.  The whole sweep shares one
+    {!Assembly.cengine} — on the sparse backend the symbolic analysis
+    happens once and every point refactors it — and [pool] fans the
+    points out, slotted back in [freqs] order (bit-identical for any
+    domain count).  Raises [Invalid_argument] on ground, an
+    out-of-range node or a source-free deck (see {!Assembly.probe}). *)

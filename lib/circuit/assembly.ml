@@ -84,6 +84,14 @@ module Coo = struct
       f t.rows.(k) t.cols.(k) t.vals.(k)
     done
 
+  let mul_vec t y =
+    let r = Array.make t.csize 0.0 in
+    for k = 0 to t.n - 1 do
+      let i = t.rows.(k) in
+      r.(i) <- r.(i) +. (t.vals.(k) *. y.(t.cols.(k)))
+    done;
+    r
+
   let adjacency_into t adj =
     for k = 0 to t.n - 1 do
       let i = t.rows.(k) and j = t.cols.(k) in
@@ -269,17 +277,20 @@ let dense_c t = Coo.to_dense t.c
 let iter_b t f =
   Array.iteri (fun k row -> f row t.b_cols.(k) t.b_vals.(k)) t.b_rows
 
-let dense_b t =
-  let m = Matrix.create t.size (Int.max 1 (Array.length t.inputs)) in
-  iter_b t (fun r cl v -> Matrix.add_to m r cl v);
-  m
-
 let b_column t input =
   if input < 0 || input >= Array.length t.inputs then
     invalid_arg "Assembly.b_column: input index out of range";
   let col = Array.make t.size 0.0 in
   iter_b t (fun r cl v -> if cl = input then col.(r) <- col.(r) +. v);
   col
+
+let probe ~ctx t node =
+  if node = Netlist.ground then invalid_arg (ctx ^ ": ground has no voltage")
+  else if node < 0 || node >= t.n_nodes then
+    invalid_arg (ctx ^ ": node out of range")
+  else if Array.length t.inputs = 0 then
+    invalid_arg (ctx ^ ": deck has no independent source")
+  else vi node
 
 let factor_g ?symbolic t =
   Solver.factor ?symbolic t.plan ~fill:(Coo.iter t.g)

@@ -64,6 +64,12 @@ module Coo : sig
   (** One call per distinct slot with its accumulated value, in
       first-stamp order. *)
 
+  val mul_vec : t -> float array -> float array
+  (** [mul_vec coo y] is the fresh product [M y] of the accumulated
+      matrix, summed slot by slot in first-stamp order.  The one
+      sparse mat-vec the frequency-domain consumers ({!Whatif}'s
+      moment recurrence, PRIMA's Krylov step and projections) share. *)
+
   val adjacency_into : t -> int list array -> unit
   (** Append each off-diagonal slot (both directions) to an adjacency
       under construction; callers [List.sort_uniq] afterwards.  Used
@@ -108,10 +114,10 @@ type t = private {
 
 val of_netlist : ?plan:Solver.plan -> ?validate:bool -> Netlist.t -> t
 (** Validates the netlist (see {!Netlist.validate}) and compiles the
-    stamp IR.  Unlike the frequency-domain descriptor {!Mna.t}, a
-    source-free netlist (e.g. a latch of inverters, solved for its DC
-    point) is accepted; only an empty system raises
-    [Invalid_argument].
+    stamp IR.  A source-free netlist (e.g. a latch of inverters,
+    solved for its DC point) is accepted — the frequency-domain
+    consumers refuse it through {!probe} — and only an empty system
+    raises [Invalid_argument].
 
     [?plan] substitutes a previously computed structure analysis for
     the fresh [Solver.plan] call — sound only when it was built from a
@@ -125,10 +131,8 @@ val of_netlist : ?plan:Solver.plan -> ?validate:bool -> Netlist.t -> t
 val dense_g : t -> Matrix.t
 val dense_c : t -> Matrix.t
 (** Dense materialisations of the IR (entry-identical to stamping the
-    elements straight into a dense matrix). *)
-
-val dense_b : t -> Matrix.t
-(** [size] x [max 1 (Array.length inputs)] dense B. *)
+    elements straight into a dense matrix) — test references only; no
+    analysis works on them. *)
 
 val b_column : t -> int -> float array
 (** Column of B for one input.  Raises [Invalid_argument] on a bad
@@ -143,6 +147,13 @@ val cfill : t -> Cx.t -> (int -> int -> Cx.t -> unit) -> unit
     {!Rlc_numerics.Solver.cfactor} consumes.  Exposed so
     incremental consumers ({!Whatif}) can append their own delta
     stamps to the base pattern under one factorisation. *)
+
+val probe : ctx:string -> t -> Netlist.node -> int
+(** [probe ~ctx t node] is the unknown index of [node]'s voltage in a
+    transfer function driven by the deck's first source (B column 0),
+    the convention of {!Ac.bode}, [Rlc_mor.Prima.reduce] and the
+    {!Whatif} targets.  Raises [Invalid_argument] prefixed by [ctx]
+    on ground, an out-of-range node or a source-free deck. *)
 
 val factor_g : ?symbolic:Solver.symbolic -> t -> Solver.factor
 (** Factor G under the shared plan (banded + RCM when the band is

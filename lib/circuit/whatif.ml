@@ -490,9 +490,7 @@ let require_source t ctx =
 
 (* C' * y with the value deltas applied on the fly. *)
 let cmatvec t cterms y =
-  let r = Array.make (size t) 0.0 in
-  Assembly.Coo.iter t.asm.Assembly.c (fun i j v ->
-      r.(i) <- r.(i) +. (v *. y.(j)));
+  let r = Assembly.Coo.mul_vec t.asm.Assembly.c y in
   List.iter
     (fun (tm, d) ->
       let vy = sparse_dot tm.tv y in

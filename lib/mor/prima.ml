@@ -20,18 +20,18 @@ let ( /: ) = Cx.( /: )
 (* ---------------- fast solves with G ----------------
 
    The Krylov recurrence applies G^-1 many times; the factorisation
-   comes straight from the MNA descriptor's stamp IR under the shared
-   structure plan (RCM + banded-when-narrow), so PRIMA, the transient
+   comes straight from the stamp IR under the shared structure plan
+   (RCM + banded-when-narrow), so PRIMA, the transient
    engine and the AC path all make the same backend choice from the
    same analysis. *)
 
-let make_g_solver (asm : Rlc_circuit.Assembly.t) =
+let make_g_solver asm =
   let f =
-    try Rlc_circuit.Assembly.factor_g asm
+    try Assembly.factor_g asm
     with Solver.Singular ->
       failwith "Prima: singular G matrix"
   in
-  fun b -> Rlc_circuit.Assembly.solve_g asm f b
+  fun b -> Assembly.solve_g asm f b
 
 (* ---------------- projection ---------------- *)
 
@@ -42,14 +42,14 @@ let dot a b =
   done;
   !acc
 
-(* V^T M V for a dense M and the Krylov basis V (columns as rows of
+(* V^T M V for a sparse M and the Krylov basis V (columns as rows of
    [v]); one mat-vec per column. *)
 let project m v =
   let q = Array.length v in
   let r = Matrix.create q q in
   Array.iteri
     (fun j vj ->
-      let mvj = Matrix.mul_vec m vj in
+      let mvj = Assembly.Coo.mul_vec m vj in
       for i = 0 to q - 1 do
         Matrix.set r i j (dot v.(i) mvj)
       done)
@@ -172,21 +172,17 @@ let spectrum g_r c_r b_r l_r ~dc =
 
 let m_moments = Rlc_instr.Metrics.counter "prima.moments"
 
-let reduce ~order (mna : Mna.t) ~input ~output =
+let reduce ~order asm ~node =
   if order < 1 then invalid_arg "Prima.reduce: order < 1";
-  if input < 0 || input >= Array.length mna.Mna.inputs then
-    invalid_arg "Prima.reduce: input index out of range";
-  if Array.length output <> mna.Mna.size then
-    invalid_arg "Prima.reduce: output selector length mismatch";
+  let k = Assembly.probe ~ctx:"Prima.reduce" asm node in
   Rlc_instr.Span.with_ "prima.reduce" (fun () ->
-      let n = mna.Mna.size in
-      let solve_g = make_g_solver mna.Mna.asm in
-      let b_col = Array.init n (fun i -> Matrix.get mna.Mna.b i input) in
+      let solve_g = make_g_solver asm in
+      let b_col = Assembly.b_column asm 0 in
       let r0 = solve_g b_col in
       let mul v =
         Rlc_instr.Metrics.incr m_moments;
         Rlc_instr.Span.with_ "prima.moment" (fun () ->
-            solve_g (Matrix.mul_vec mna.Mna.c v))
+            solve_g (Assembly.Coo.mul_vec asm.Assembly.c v))
       in
       let v =
         Rlc_instr.Span.with_ "prima.krylov" (fun () ->
@@ -195,10 +191,10 @@ let reduce ~order (mna : Mna.t) ~input ~output =
       let q = Array.length v in
       let g_r, c_r =
         Rlc_instr.Span.with_ "prima.project" (fun () ->
-            (project mna.Mna.g v, project mna.Mna.c v))
+            (project asm.Assembly.g v, project asm.Assembly.c v))
       in
       let b_r = Array.map (fun vi -> dot vi b_col) v in
-      let l_r = Array.map (fun vi -> dot vi output) v in
+      let l_r = Array.map (fun vi -> vi.(k)) v in
       let dc =
         let lu = Lu.decompose (Matrix.copy g_r) in
         dot l_r (Lu.solve lu b_r)

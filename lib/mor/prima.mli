@@ -1,6 +1,9 @@
-(** PRIMA-style passive model-order reduction of an MNA descriptor.
+(** PRIMA-style passive model-order reduction of a netlist's sparse
+    stamp IR ({!Rlc_circuit.Assembly.t}).
 
-    From the full system [(G + sC) x = b u], [y = l^T x] the reducer
+    From the full system [(G + sC) x = b u], [y = l^T x] — [b] the
+    deck's first source column, [l] the unit selector of one node
+    voltage — the reducer
     builds an orthonormal basis [V] of the order-[q] block Krylov
     subspace of [(G^-1 C, G^-1 b)] and projects by congruence:
 
@@ -15,7 +18,10 @@
     strategy: reverse Cuthill-McKee ordering ({!Rlc_numerics.Rcm}) and
     the banded LU kernel whenever the permuted bandwidth pays,
     so reducing a many-hundred-segment line costs a handful of banded
-    solves rather than a dense factorisation.
+    solves rather than a dense factorisation; the [C] products of the
+    Krylov recurrence and both congruence projections are sparse
+    mat-vecs over the IR ({!Rlc_circuit.Assembly.Coo.mul_vec}), so no
+    dense n x n matrix is ever formed.
 
     The reduced model is post-processed into poles and residues (via
     {!Rlc_numerics.Eig} on the projected pencil plus inverse
@@ -37,11 +43,13 @@ type model = {
   stable : bool;  (** all poles strictly in the left half-plane *)
 }
 
-val reduce : order:int -> Mna.t -> input:int -> output:float array -> model
-(** [reduce ~order mna ~input ~output] projects the descriptor onto the
-    order-[order] Krylov subspace for one source column and one output
-    selector.  Raises [Invalid_argument] on a bad order, input or
-    selector, and [Failure] when [G] is singular (no DC solution). *)
+val reduce : order:int -> Assembly.t -> node:Netlist.node -> model
+(** [reduce ~order asm ~node] projects the system onto the
+    order-[order] Krylov subspace of the deck's first source, observed
+    at [node]'s voltage.  Raises [Invalid_argument] on [order < 1], on
+    ground, an out-of-range node or a source-free deck (see
+    {!Rlc_circuit.Assembly.probe}), and [Failure] when [G] is singular
+    (no DC solution). *)
 
 val eval : model -> Cx.t -> Cx.t
 (** [eval m s] is [H_r(s) = l_r^T (G_r + s C_r)^-1 b_r]; one complex

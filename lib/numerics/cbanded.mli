@@ -7,7 +7,7 @@
     split real/imaginary float arrays, so assembling and factoring an
     n-unknown system with half-bandwidths (kl, ku) allocates no
     per-entry boxes and costs O(n·kl·(kl+ku)) — the kernel behind the
-    O(n·b^2) per-frequency AC solves of {!Rlc_circuit.Mna}.  The band
+    O(n·b^2) per-frequency AC solves of {!Rlc_circuit.Ac}.  The band
     geometry and its checks are {!Banded}'s. *)
 
 type storage

@@ -1,8 +1,9 @@
-(* Tests for the AC small-signal engine (Mna + Ac) and the PRIMA
-   model-order reducer (Rlc_mor.Prima): moment cross-validation against
-   the tree engine, pole recovery against the paper's analytic two-pole
-   model and AWE, and step-response agreement with both the banded
-   transient engine and the Talbot inverse Laplace transform. *)
+(* Tests for the AC small-signal engine (Ac over the Assembly IR) and
+   the PRIMA model-order reducer (Rlc_mor.Prima): moment matching
+   against the tree engine and the closed-form two-pole series, pole
+   recovery against the paper's analytic two-pole model and AWE, and
+   step-response agreement with both the banded transient engine and
+   the Talbot inverse Laplace transform. *)
 
 open Rlc_numerics
 open Rlc_circuit
@@ -47,6 +48,12 @@ let h_lumped s =
   Cx.inv
     (Cx.( +: ) Cx.one
        (Cx.( +: ) (Cx.scale b1 s) (Cx.( *: ) (Cx.scale b2 s) s)))
+
+(* Taylor coefficients of h_lumped about s = 0:
+   1/(1 + b1 s + b2 s^2) = 1 - b1 s + (b1^2 - b2) s^2
+                           + (2 b1 b2 - b1^3) s^3 + ... *)
+let lumped_moments =
+  [| 1.0; -.b1; (b1 *. b1) -. b2; (2.0 *. b1 *. b2) -. (b1 *. b1 *. b1) |]
 
 (* Discretised paper-style stage: driver resistance + parasitic cap,
    [segments]-section RLC ladder, receiver load cap.  The same
@@ -111,83 +118,71 @@ let ladder_tree segments =
   Rlc_tree.Tree.chain ~sink_cap:load_cl
     (List.init segments (fun _ -> wire))
 
-let mna_of nl = Mna.of_netlist nl
+(* Far-node moments of the discretised ladder from the tree engine: an
+   independent reference for the reducer's moment matching. *)
+let tree_moments segments ~order =
+  match
+    Rlc_tree.Moments.voltage_moments ~driver_cp:drv_cp ~driver_rs:drv_rs
+      ~order (ladder_tree segments)
+  with
+  | [ (_, arr) ] -> arr
+  | _ -> Alcotest.fail "expected a single sink"
 
-let far_output mna far = Mna.output_of_node mna far
-
-(* ---------------- Mna ---------------- *)
-
-let test_mna_shapes () =
-  let nl, far = lumped_stage () in
-  let m = mna_of nl in
-  (* 3 non-ground nodes + 1 inductor current + 1 vsource current *)
-  Alcotest.(check int) "size" 5 m.Mna.size;
-  Alcotest.(check int) "currents" 1 m.Mna.n_currents;
-  Alcotest.(check int) "inputs" 1 (Array.length m.Mna.inputs);
-  Alcotest.(check (option int)) "input by name" (Some 0) (Mna.input_index m "vin");
-  Alcotest.(check (option int)) "unknown input" None (Mna.input_index m "nope");
-  let l = far_output m far in
-  check_close "selector is a unit vector" 1.0 (Array.fold_left ( +. ) 0.0 l);
-  Alcotest.check_raises "ground has no unknown"
-    (Invalid_argument "Mna.unknown_of_node: ground has no unknown") (fun () ->
-      ignore (Mna.unknown_of_node m Netlist.ground))
-
-let test_mna_transfer_analytic () =
-  let nl, far = lumped_stage () in
-  let m = mna_of nl in
-  let output = far_output m far in
-  List.iter
-    (fun f ->
-      let s = Cx.make 0.0 (2.0 *. Float.pi *. f) in
-      check_cx ~tol:1e-9
-        (Printf.sprintf "H at %.0e Hz" f)
-        (h_lumped s)
-        (Mna.transfer m ~input:0 ~output s))
-    [ 1e6; 1e8; 1e9; 5e9; 2e10 ];
-  (* a real (damping-axis) point too: the descriptor is not just a
-     jw-axis story *)
-  let s = Cx.of_float 1e9 in
-  check_cx ~tol:1e-9 "H at real s" (h_lumped s) (Mna.transfer m ~input:0 ~output s)
-
-let test_mna_dc_and_moments_analytic () =
-  let nl, far = lumped_stage () in
-  let m = mna_of nl in
-  let output = far_output m far in
-  check_close "dc gain" 1.0 (Mna.dc_gain m ~input:0 ~output);
-  let mom = Mna.moments m ~input:0 ~output ~order:3 in
-  (* 1/(1 + b1 s + b2 s^2) = 1 - b1 s + (b1^2 - b2) s^2
-                             + (2 b1 b2 - b1^3) s^3 + ... *)
-  check_close "m0" 1.0 mom.(0);
-  check_close ~tol:1e-9 "m1" (-.b1) mom.(1);
-  check_close ~tol:1e-9 "m2" ((b1 *. b1) -. b2) mom.(2);
-  check_close ~tol:1e-9 "m3"
-    ((2.0 *. b1 *. b2) -. (b1 *. b1 *. b1))
-    mom.(3)
-
-let test_mna_moments_match_tree () =
-  let segments = 16 in
-  let nl, far = ladder_stage segments in
-  let m = mna_of nl in
-  let mom =
-    Mna.moments m ~input:0 ~output:(far_output m far) ~order:5
-  in
-  let tree_mom =
-    match
-      Rlc_tree.Moments.voltage_moments ~driver_cp:drv_cp ~driver_rs:drv_rs
-        ~order:5 (ladder_tree segments)
-    with
-    | [ (_, arr) ] -> arr
-    | _ -> Alcotest.fail "expected a single sink"
-  in
-  for k = 0 to 5 do
-    let scale = Float.max (Float.abs tree_mom.(k)) 1e-300 in
-    check_close ~tol:1e-9
-      (Printf.sprintf "moment %d" k)
-      (tree_mom.(k) /. scale)
-      (mom.(k) /. scale)
-  done
+(* H(s) at [node] for a unit first source: one direct complex solve of
+   the full system, the reference for the sweep and the reducer. *)
+let transfer asm node s =
+  let rhs = Array.map Cx.of_float (Assembly.b_column asm 0) in
+  (Assembly.solve_complex asm ~s ~rhs).(Assembly.probe ~ctx:"test" asm node)
 
 (* ---------------- Ac ---------------- *)
+
+let test_transfer_analytic () =
+  let nl, far = lumped_stage () in
+  let asm = Assembly.of_netlist nl in
+  List.iter
+    (fun f ->
+      let s = Ac.s_of_freq f in
+      check_cx ~tol:1e-9
+        (Printf.sprintf "H at %.0e Hz" f)
+        (h_lumped s) (transfer asm far s))
+    [ 1e6; 1e8; 1e9; 5e9; 2e10 ];
+  (* a real (damping-axis) point too: the system is not just a
+     jw-axis story *)
+  let s = Cx.of_float 1e9 in
+  check_cx ~tol:1e-9 "H at real s" (h_lumped s) (transfer asm far s)
+
+let source_free () =
+  let nl = Netlist.create () in
+  let a = Netlist.fresh_node nl in
+  Netlist.add_resistor nl a Netlist.ground 1e3;
+  Netlist.add_capacitor nl a Netlist.ground 1e-12;
+  (Assembly.of_netlist nl, a)
+
+let test_bad_probes () =
+  let nl, far = lumped_stage () in
+  let asm = Assembly.of_netlist nl in
+  let free_asm, free_node = source_free () in
+  let freqs = [| 1e9 |] in
+  let cases =
+    [
+      ("ground", asm, Netlist.ground, "ground has no voltage");
+      ("past the last node", asm, far + 1, "node out of range");
+      ("negative node", asm, -1, "node out of range");
+      ("source-free deck", free_asm, free_node, "deck has no independent source");
+    ]
+  in
+  List.iter
+    (fun (what, asm, node, msg) ->
+      Alcotest.check_raises ("bode: " ^ what)
+        (Invalid_argument ("Ac.bode: " ^ msg))
+        (fun () -> ignore (Ac.bode asm ~node ~freqs));
+      Alcotest.check_raises ("reduce: " ^ what)
+        (Invalid_argument ("Prima.reduce: " ^ msg))
+        (fun () -> ignore (Prima.reduce ~order:2 asm ~node)))
+    cases;
+  Alcotest.check_raises "reduce: order 0"
+    (Invalid_argument "Prima.reduce: order < 1") (fun () ->
+      ignore (Prima.reduce ~order:0 asm ~node:far))
 
 let test_decade_grid () =
   let g = Ac.decade_grid ~points_per_decade:10 ~fstart:1e6 ~fstop:1e9 in
@@ -211,10 +206,11 @@ let test_ac_rc_lowpass () =
   Netlist.add_vsource ~name:"vin" nl src Netlist.ground (Stimulus.Dc 1.0);
   Netlist.add_resistor nl src out r;
   Netlist.add_capacitor nl out Netlist.ground c;
-  let m = mna_of nl in
-  let output = far_output m out in
+  let asm = Assembly.of_netlist nl in
   let f3 = 1.0 /. (2.0 *. Float.pi *. r *. c) in
-  let pts = Ac.bode m ~input:0 ~output ~freqs:[| f3 /. 100.0; f3; f3 *. 100.0 |] in
+  let pts =
+    Ac.bode asm ~node:out ~freqs:[| f3 /. 100.0; f3; f3 *. 100.0 |]
+  in
   (* at f3/100 the magnitude is 1/sqrt(1 + 1e-4): flat to ~4e-4 dB *)
   check_close ~tol:1e-6 "dc flat"
     (-10.0 *. Float.log10 (1.0 +. 1e-4))
@@ -234,12 +230,13 @@ let test_ac_matches_exact_line () =
   let driver = Rlc_tech.Driver.make ~rs:drv_rs ~c0:load_cl ~cp:drv_cp in
   let stage = Rlc_core.Stage.make ~line ~driver ~h:line_len ~k:1.0 in
   let nl, far = ladder_stage 64 in
-  let m = mna_of nl in
-  let output = far_output m far in
+  let asm = Assembly.of_netlist nl in
   List.iter
     (fun f ->
       let exact = Rlc_core.Frequency.response stage f in
-      let ladder = Ac.point_of ~freq:f (Ac.transfer m ~input:0 ~output f) in
+      let ladder =
+        Ac.point_of ~freq:f (transfer asm far (Ac.s_of_freq f))
+      in
       check_close ~tol:2e-3
         (Printf.sprintf "mag at %.2e Hz" f)
         exact.Rlc_core.Frequency.mag_db ladder.Ac.mag_db;
@@ -268,10 +265,8 @@ let test_ac_unwrap () =
     (Ac.unwrap spiral);
   (* a long lossy ladder's phase decreases monotonically once unwrapped *)
   let nl, far = ladder_stage 48 in
-  let m = mna_of nl in
-  let output = far_output m far in
   let freqs = Ac.decade_grid ~points_per_decade:20 ~fstart:1e8 ~fstop:2e10 in
-  let pts = Ac.bode m ~input:0 ~output ~freqs in
+  let pts = Ac.bode (Assembly.of_netlist nl) ~node:far ~freqs in
   let unwrapped = Ac.unwrap (Array.map (fun p -> p.Ac.phase_deg) pts) in
   let wraps = ref false in
   Array.iteri
@@ -288,11 +283,12 @@ let test_ac_unwrap () =
 
 (* ---------------- Prima ---------------- *)
 
-let test_prima_lumped_poles () =
+let lumped_model () =
   let nl, far = lumped_stage () in
-  let m = mna_of nl in
-  let output = far_output m far in
-  let model = Prima.reduce ~order:3 m ~input:0 ~output in
+  Prima.reduce ~order:3 (Assembly.of_netlist nl) ~node:far
+
+let test_prima_lumped_poles () =
+  let model = lumped_model () in
   check_close "dc" 1.0 model.Prima.dc;
   Alcotest.(check bool) "stable" true model.Prima.stable;
   let analytic = Rlc_core.Poles.of_coeffs { Rlc_core.Pade.b1; b2 } in
@@ -326,12 +322,8 @@ let test_prima_lumped_poles () =
     model.Prima.poles
 
 let test_prima_matches_awe () =
-  let nl, far = lumped_stage () in
-  let m = mna_of nl in
-  let output = far_output m far in
-  let model = Prima.reduce ~order:3 m ~input:0 ~output in
-  let moments = Mna.moments m ~input:0 ~output ~order:3 in
-  let awe = Rlc_tree.Awe.reduce ~moments ~order:2 in
+  let model = lumped_model () in
+  let awe = Rlc_tree.Awe.reduce ~moments:lumped_moments ~order:2 in
   List.iter
     (fun p ->
       let best =
@@ -360,14 +352,23 @@ let reduced_moments model order =
       done;
       !acc)
 
+let test_prima_dc_and_moments_analytic () =
+  (* order 3 spans the lumped stage's reachable space: the reduced
+     model is H itself, so every closed-form moment matches *)
+  let model = lumped_model () in
+  check_close "dc gain" 1.0 model.Prima.dc;
+  let red = reduced_moments model 3 in
+  Array.iteri
+    (fun k m -> check_close ~tol:1e-9 (Printf.sprintf "m%d" k) m red.(k))
+    lumped_moments
+
 let test_prima_moment_matching () =
-  let nl, far = ladder_stage 16 in
-  let m = mna_of nl in
-  let output = far_output m far in
+  let segments = 16 in
+  let nl, far = ladder_stage segments in
   let order = 4 in
-  let model = Prima.reduce ~order m ~input:0 ~output in
+  let model = Prima.reduce ~order (Assembly.of_netlist nl) ~node:far in
   Alcotest.(check int) "kept the full order" order model.Prima.order;
-  let full = Mna.moments m ~input:0 ~output ~order:(order - 1) in
+  let full = tree_moments segments ~order:(order - 1) in
   let red = reduced_moments model (order - 1) in
   (* the PRIMA guarantee: the first q moments agree *)
   for k = 0 to order - 1 do
@@ -382,24 +383,20 @@ let test_prima_full_order_exact () =
   (* with the basis spanning the whole reachable space the projection
      is no longer an approximation at all *)
   let nl, far = ladder_stage 8 in
-  let m = mna_of nl in
-  let output = far_output m far in
-  let model = Prima.reduce ~order:m.Mna.size m ~input:0 ~output in
+  let asm = Assembly.of_netlist nl in
+  let model = Prima.reduce ~order:asm.Assembly.size asm ~node:far in
   List.iter
     (fun f ->
-      let s = Cx.make 0.0 (2.0 *. Float.pi *. f) in
+      let s = Ac.s_of_freq f in
       check_cx ~tol:1e-7
         (Printf.sprintf "H at %.0e Hz" f)
-        (Mna.transfer m ~input:0 ~output s)
-        (Prima.eval model s))
+        (transfer asm far s) (Prima.eval model s))
     [ 1e8; 1e9; 5e9; 2e10 ]
 
 let test_prima_step_vs_transient () =
   let segments = 64 in
   let nl, far = rc_ladder_stage segments in
-  let m = mna_of nl in
-  let output = far_output m far in
-  let model = Prima.reduce ~order:10 m ~input:0 ~output in
+  let model = Prima.reduce ~order:10 (Assembly.of_netlist nl) ~node:far in
   Alcotest.(check bool) "stable" true model.Prima.stable;
   let t_end = 8e-9 and dt = 4e-12 in
   let r =
@@ -424,11 +421,10 @@ let test_prima_step_vs_transient () =
 
 let test_prima_bode_matches_ac () =
   let nl, far = ladder_stage 64 in
-  let m = mna_of nl in
-  let output = far_output m far in
-  let model = Prima.reduce ~order:10 m ~input:0 ~output in
+  let asm = Assembly.of_netlist nl in
+  let model = Prima.reduce ~order:10 asm ~node:far in
   let freqs = Ac.decade_grid ~points_per_decade:5 ~fstart:1e8 ~fstop:5e9 in
-  let full = Ac.bode m ~input:0 ~output ~freqs in
+  let full = Ac.bode asm ~node:far ~freqs in
   let red = Prima.bode model ~freqs in
   Array.iteri
     (fun i p ->
@@ -436,6 +432,19 @@ let test_prima_bode_matches_ac () =
         (Printf.sprintf "mag at %.2e Hz" p.Ac.freq)
         p.Ac.mag_db red.(i).Ac.mag_db)
     full
+
+let test_prima_sparse_allocation () =
+  (* the MOR bench's 800-segment ladder (1603 unknowns): the Krylov
+     products and both projections stay on the sparse IR, so order 10
+     allocates a few basis-sized vectors, not a dense n x n copy
+     (which alone is 2 x 20 MB here) *)
+  let nl, far = rc_ladder_stage 800 in
+  let asm = Assembly.of_netlist nl in
+  let before = Gc.allocated_bytes () in
+  let model = Prima.reduce ~order:10 asm ~node:far in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  Alcotest.(check bool) "stable" true model.Prima.stable;
+  if mb >= 100.0 then Alcotest.failf "reduce allocated %.1f MB (>= 100)" mb
 
 (* ---------------- Laplace inversion vs the AC engine ---------------- *)
 
@@ -449,9 +458,7 @@ let test_laplace_step_vs_transient () =
      accurate; an underdamped line would need a different contour *)
   let segments = 16 in
   let nl, far = rc_ladder_stage segments in
-  let m = mna_of nl in
-  let output = far_output m far in
-  let h = Mna.transfer m ~input:0 ~output in
+  let h = transfer (Assembly.of_netlist nl) far in
   let t_end = 8e-9 and dt = 4e-12 in
   let r = Transient.simulate nl ~t_end ~dt ~probes:[ Transient.Node_v far ] in
   let w = Transient.get r (Transient.Node_v far) in
@@ -465,19 +472,12 @@ let test_laplace_step_vs_transient () =
 let () =
   Alcotest.run "mor"
     [
-      ( "mna",
-        [
-          Alcotest.test_case "descriptor shape" `Quick test_mna_shapes;
-          Alcotest.test_case "transfer vs analytic" `Quick
-            test_mna_transfer_analytic;
-          Alcotest.test_case "dc + moments vs analytic" `Quick
-            test_mna_dc_and_moments_analytic;
-          Alcotest.test_case "moments vs tree engine" `Quick
-            test_mna_moments_match_tree;
-        ] );
       ( "ac",
         [
           Alcotest.test_case "decade grid" `Quick test_decade_grid;
+          Alcotest.test_case "transfer vs analytic" `Quick
+            test_transfer_analytic;
+          Alcotest.test_case "bad probes" `Quick test_bad_probes;
           Alcotest.test_case "rc lowpass" `Quick test_ac_rc_lowpass;
           Alcotest.test_case "ladder vs exact line" `Quick
             test_ac_matches_exact_line;
@@ -489,6 +489,8 @@ let () =
             test_prima_lumped_poles;
           Alcotest.test_case "matches awe order 2" `Quick
             test_prima_matches_awe;
+          Alcotest.test_case "dc + moments vs analytic" `Quick
+            test_prima_dc_and_moments_analytic;
           Alcotest.test_case "moment matching" `Quick
             test_prima_moment_matching;
           Alcotest.test_case "full order is exact" `Quick
@@ -497,6 +499,8 @@ let () =
             test_prima_step_vs_transient;
           Alcotest.test_case "bode vs full ac" `Quick
             test_prima_bode_matches_ac;
+          Alcotest.test_case "800-segment reduce stays sparse" `Quick
+            test_prima_sparse_allocation;
         ] );
       ( "laplace-x-check",
         [

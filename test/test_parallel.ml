@@ -173,11 +173,10 @@ let test_ac_determinism () =
     { Ladder.r = 4400.0; l = 1.5e-6; c = 123.33e-12; length = 0.011;
       segments = 8 }
     ~from_node:src ~to_node:far;
-  let m = Mna.of_netlist nl in
-  let output = Mna.output_of_node m far in
+  let asm = Assembly.of_netlist nl in
   let freqs = Ac.decade_grid ~points_per_decade:7 ~fstart:1e7 ~fstop:1e10 in
   let run pool =
-    Array.to_list (Ac.bode ~pool m ~input:0 ~output ~freqs)
+    Array.to_list (Ac.bode ~pool asm ~node:far ~freqs)
     |> List.concat_map (fun (p : Ac.point) ->
            [ p.Ac.freq; p.Ac.mag_db; p.Ac.phase_deg ])
   in
