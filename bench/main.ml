@@ -399,29 +399,81 @@ let run_adaptive_gate () =
     failwith
       (Printf.sprintf "adaptive gate: error %.3f%% of swing (gate: 2%%)" err)
 
-(* The paper's (h, k) optimization is Newton-first: over an 8-point
-   sweep of each preset every optimum must come from Newton, so no
-   fallback is counted and Nelder-Mead never iterates. *)
-let run_optimize_gate () =
+(* The paper's (h, k) optimization is Newton-first with an analytic
+   Jacobian: over an 8-point sweep of each preset every optimum must
+   come from Newton, so no fallback is counted and Nelder-Mead never
+   iterates, and one [optimize] may cost at most [max_solves_per_opt]
+   delay solves ([roots.calls]): about one seeded solve per Newton
+   point, where a finite-difference Jacobian cost about 35. *)
+let max_solves_per_opt = 14.0
+
+let write_opt_json path ~points ~opts ~us ~solves ~iterations ~fallbacks =
+  let oc = open_out path in
+  Printf.fprintf oc "{\n";
+  write_meta oc ~jobs;
+  Printf.fprintf oc
+    "  \"description\": \"Rlc_opt.optimize, the paper's Newton (h, k) \
+     optimization with an analytic Jacobian, over %d-point Rlc_opt.sweep \
+     runs of each preset.  Per optimization: wall time (best of 5 sweeps, \
+     metrics recording off), delay solves (roots.calls), Newton \
+     iterations and Nelder-Mead fallbacks.  Gates: 0 fallbacks, 0 \
+     Nelder-Mead iterations, at most %g delay solves.\",\n"
+    points max_solves_per_opt;
+  Printf.fprintf oc
+    "  \"workload\": {\"presets\": [%s], \"points_per_preset\": %d, \
+     \"optimizations\": %d},\n"
+    (String.concat ", "
+       (List.map
+          (fun n -> Printf.sprintf "\"%s\"" n.Rlc_tech.Node.name)
+          Rlc_tech.Presets.all))
+    points opts;
+  Printf.fprintf oc
+    "  \"per_optimize\": {\"us\": %.2f, \"delay_solves\": %.3f, \
+     \"newton_iterations\": %.3f, \"fallbacks\": %.3f}\n"
+    us solves iterations fallbacks;
+  Printf.fprintf oc "}\n";
+  close_out oc
+
+let run_optimize_gate ~json =
   section "Optimization gate: Newton-first (h, k) sweeps";
+  let points = 8 in
   let sweep () =
     List.iter
       (fun node ->
         let l_max = node.Rlc_tech.Node.l_max in
-        ignore (Rlc_core.Rlc_opt.sweep ~n:8 node ~l_max))
+        ignore (Rlc_core.Rlc_opt.sweep ~n:points node ~l_max))
       Rlc_tech.Presets.all
   in
-  let ((), nm_iterations), fallbacks =
+  let opts = points * List.length Rlc_tech.Presets.all in
+  let ((((), nm_iterations), iterations), solves), fallbacks =
     counting "rlc_opt.fallbacks" (fun () ->
-        counting "nelder_mead.iterations" sweep)
+        counting "roots.calls" (fun () ->
+            counting "newton.iterations" (fun () ->
+                counting "nelder_mead.iterations" sweep)))
   in
-  Printf.printf "%d fallbacks, %d Nelder-Mead iterations\n" fallbacks
-    nm_iterations;
+  let _, best_s = wall_best 5 sweep in
+  let per n = float_of_int n /. float_of_int opts in
+  let us = best_s /. float_of_int opts *. 1e6 in
+  Printf.printf
+    "%d optimizations: %.1f us, %.2f delay solves, %.2f Newton iterations \
+     each; %d fallbacks, %d Nelder-Mead iterations\n"
+    opts us (per solves) (per iterations) fallbacks nm_iterations;
+  (match json with
+  | Some path ->
+      write_opt_json path ~points ~opts ~us ~solves:(per solves)
+        ~iterations:(per iterations) ~fallbacks:(per fallbacks);
+      Printf.printf "recorded baseline in %s\n" path
+  | None -> ());
   if fallbacks > 0 || nm_iterations > 0 then
     failwith
       (Printf.sprintf
          "optimization gate: %d fallbacks, %d Nelder-Mead iterations"
-         fallbacks nm_iterations)
+         fallbacks nm_iterations);
+  if per solves > max_solves_per_opt then
+    failwith
+      (Printf.sprintf
+         "optimization gate: %.2f delay solves per optimization (gate: %g)"
+         (per solves) max_solves_per_opt)
 
 (* ------------------------------------------------------------------ *)
 (* AC: dense-complex vs complex-banded per-frequency solves            *)
@@ -1793,7 +1845,7 @@ let () =
     let rows = run_ladder_scaling ~sizes:[ 10; 24 ] ~steps:200 ~json:None in
     if List.exists (fun r -> r.max_diff > 1e-9) rows then exit 1;
     run_adaptive_gate ();
-    run_optimize_gate ();
+    run_optimize_gate ~json:(Some "BENCH_opt.json");
     (* small sizes, no JSON: the recorded BENCH_ac.json baseline comes
        from the full run's 100/400/800-segment cases *)
     ignore (run_ac_bench ~cases:[ (24, 8, 8); (64, 8, 8) ] ~json:None);

@@ -896,39 +896,10 @@ let stats t =
   { updates = t.n_updates; refactors = t.n_refactors;
     fallbacks = t.n_fallbacks }
 
-(* ---------------- the unified objective interface ---------------- *)
+(* ---------------- the objective closure ---------------- *)
 
-type 'w objective = {
-  workspace : 'w;
-  eval : 'w -> float array -> float;
-}
-
-type 'w residuals = {
-  rworkspace : 'w;
-  reval : 'w -> float array -> float array;
-}
-
-let objective t target ~wrt =
-  let eval ws x =
-    if Array.length x <> Array.length wrt then
-      invalid_arg "Whatif.objective: parameter vector length mismatch";
-    let set =
-      Array.to_list (Array.map2 (fun p v -> (p, v)) wrt x)
-    in
-    evaluate ~set ws target
-  in
-  { workspace = t; eval }
-
-let custom ~workspace ~eval = { workspace; eval }
-let custom_residuals ~workspace ~eval = { rworkspace = workspace; reval = eval }
-
-let eval o x = o.eval o.workspace x
-let eval_residuals r x = r.reval r.rworkspace x
-
-let minimize ?max_iter ?ftol ?xtol ?initial_step o ~x0 =
-  Nelder_mead.minimize_ctx ?max_iter ?ftol ?xtol ?initial_step ~ctx:o.workspace
-    ~f:o.eval ~x0 ()
-
-let solve_residuals ?max_iter ?tol ?lower ?upper r ~x0 =
-  Newton.solve_ctx ?max_iter ?tol ?lower ?upper ~ctx:r.rworkspace ~f:r.reval
-    ~x0 ()
+let objective t target ~wrt x =
+  if Array.length x <> Array.length wrt then
+    invalid_arg "Whatif.objective: parameter vector length mismatch";
+  let set = Array.to_list (Array.map2 (fun p v -> (p, v)) wrt x) in
+  evaluate ~set t target

@@ -34,8 +34,6 @@
     fixed across perturbations (the same small-signal assumption as
     {!Dc.sensitivity}). *)
 
-open Rlc_numerics
-
 type t
 (** A compiled what-if workspace.  Not domain-safe: workspaces cache
     lazily (z-columns, transpose factors, AC points); share one per
@@ -125,57 +123,8 @@ val stats : t -> stats
 (** Plain-int mirror of the [whatif.*] counters for this workspace,
     independent of {!Rlc_instr.Metrics} recording. *)
 
-(** {1 The unified objective interface}
-
-    One evaluation shape for every optimizer and sweep in the
-    repository: a {e workspace} built once, and an [eval] function
-    from that workspace and a parameter vector to a scalar (or to a
-    residual vector, for Newton).  {!objective} instantiates it over a
-    compiled circuit workspace; {!custom} wraps any precomputed
-    context — the migration path for the analytic stage-model loops
-    ({!Rlc_core.Variation}, {!Rlc_core.Corners}, {!Rlc_core.Rlc_opt})
-    that previously each invented their own closure shape. *)
-
-type 'w objective = {
-  workspace : 'w;  (** precompiled, shared across evaluations *)
-  eval : 'w -> float array -> float;
-      (** pure evaluation at a parameter vector; [nan] rejects *)
-}
-
-type 'w residuals = {
-  rworkspace : 'w;
-  reval : 'w -> float array -> float array;  (** Newton residual shape *)
-}
-
-val objective : t -> target -> wrt:param array -> t objective
-(** The circuit instantiation: [eval] maps a vector of absolute values
-    for [wrt] onto {!evaluate} with those settings. *)
-
-val custom : workspace:'w -> eval:('w -> float array -> float) -> 'w objective
-
-val custom_residuals :
-  workspace:'w -> eval:('w -> float array -> float array) -> 'w residuals
-
-val eval : 'w objective -> float array -> float
-val eval_residuals : 'w residuals -> float array -> float array
-
-val minimize :
-  ?max_iter:int ->
-  ?ftol:float ->
-  ?xtol:float ->
-  ?initial_step:float ->
-  'w objective ->
-  x0:float array ->
-  Nelder_mead.result
-(** {!Rlc_numerics.Nelder_mead.minimize_ctx} over the objective's
-    workspace. *)
-
-val solve_residuals :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?lower:float array ->
-  ?upper:float array ->
-  'w residuals ->
-  x0:float array ->
-  Newton.result
-(** {!Rlc_numerics.Newton.solve_ctx} over the residuals' workspace. *)
+val objective : t -> target -> wrt:param array -> float array -> float
+(** [objective t target ~wrt] is the function an optimizer minimizes:
+    a vector of absolute values for [wrt] maps onto {!evaluate} with
+    those settings.  Raises [Invalid_argument] when the vector's length
+    is not [wrt]'s. *)

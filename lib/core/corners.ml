@@ -48,48 +48,16 @@ let apply node corner ~h ~k =
   in
   Stage.make ~line ~driver ~h ~k
 
-(* The per-corner delay flows through the unified
-   {!Rlc_circuit.Whatif} objective shape — a (node, h, k, f) workspace
-   built once, one parameter vector [| r_scale; c_scale; l_frac;
-   rs_scale |] per corner — so the corner sweep re-evaluates against
-   the same interface the optimizers and Monte-Carlo use.  The
-   overshoot/damping classification stays alongside (it is not a
-   scalar objective). *)
-type corner_workspace = {
-  cw_node : Rlc_tech.Node.t;
-  cw_h : float;
-  cw_k : float;
-  cw_f : float option;
-}
-
-let corner_vector c = [| c.r_scale; c.c_scale; c.l_frac; c.rs_scale |]
-
-let corner_of_vector x =
-  { name = ""; r_scale = x.(0); c_scale = x.(1); l_frac = x.(2);
-    rs_scale = x.(3) }
-
-let corner_eval ws x =
-  let stage =
-    apply ws.cw_node (corner_of_vector x) ~h:ws.cw_h ~k:ws.cw_k
-  in
-  Delay.of_coeffs ?f:ws.cw_f (Pade.coeffs stage) /. ws.cw_h
-
 let evaluate ?pool ?f ?(corners = standard_set) node ~h ~k =
   let pool =
     match pool with Some p -> p | None -> Rlc_parallel.Pool.sequential
   in
-  let obj =
-    Rlc_circuit.Whatif.custom
-      ~workspace:{ cw_node = node; cw_h = h; cw_k = k; cw_f = f }
-      ~eval:corner_eval
-  in
   Rlc_parallel.Pool.map_list pool
     (fun corner ->
-      let stage = apply node corner ~h ~k in
-      let cs = Pade.coeffs stage in
+      let cs = Pade.coeffs (apply node corner ~h ~k) in
       {
         corner;
-        delay_per_length = Rlc_circuit.Whatif.eval obj (corner_vector corner);
+        delay_per_length = Delay.of_coeffs ?f cs /. h;
         overshoot = Step_response.overshoot cs;
         underdamped = Pade.classify cs = Pade.Underdamped;
       })

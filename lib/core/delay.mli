@@ -17,6 +17,13 @@ val of_coeffs : ?f:float -> Pade.coeffs -> float
     to 0.5 (the 50% delay used throughout the paper's results).
     Requires 0 < f < 1. *)
 
+val of_coeffs_near : ?f:float -> Pade.coeffs -> seed:float -> float
+(** The same first crossing as {!of_coeffs}, found from an estimate
+    [seed] of it (e.g. the delay of a nearby stage): bracketed Newton
+    on [0.75 seed, min(1.25 seed, first peak time)], where the response
+    rises monotonically.  When that interval does not bracket the
+    level, it falls back to {!of_coeffs}'s search from t = 0. *)
+
 val of_stage : ?f:float -> Stage.t -> float
 
 val per_unit_length : ?f:float -> Stage.t -> float

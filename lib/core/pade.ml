@@ -55,6 +55,36 @@ let partials stage =
   in
   { db1_dh; db1_dk; db2_dh; db2_dk }
 
+type second_partials = {
+  d2b1_dh2 : float;
+  d2b1_dhdk : float;
+  d2b1_dk2 : float;
+  d2b2_dh2 : float;
+  d2b2_dhdk : float;
+  d2b2_dk2 : float;
+}
+
+let second_partials stage =
+  let { Line.r; l; c } = stage.Stage.line in
+  let { Rlc_tech.Driver.rs; c0; cp } = stage.Stage.driver in
+  let h = stage.Stage.h and k = stage.Stage.k in
+  let cross_k = (-.rs *. c /. (k *. k)) +. (c0 *. r) in
+  {
+    d2b1_dh2 = r *. c;
+    d2b1_dhdk = cross_k;
+    d2b1_dk2 = 2.0 *. rs *. c *. h /. (k *. k *. k);
+    d2b2_dh2 =
+      (l *. c)
+      +. (r *. r *. c *. c *. h *. h /. 2.0)
+      +. (rs *. (cp +. c0) *. r *. c)
+      +. (r *. c *. ((rs *. c /. k) +. (c0 *. r *. k)) *. h);
+    d2b2_dhdk =
+      (r *. c /. 2.0 *. cross_k *. h *. h)
+      +. (c0 *. l)
+      +. (rs *. cp *. c0 *. r);
+    d2b2_dk2 = r *. c *. c *. rs *. (h ** 3.0) /. (3.0 *. k *. k *. k);
+  }
+
 let discriminant { b1; b2 } = (b1 *. b1) -. (4.0 *. b2)
 
 type damping = Underdamped | Critically_damped | Overdamped

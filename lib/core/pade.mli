@@ -10,7 +10,8 @@
        + (R_S c h + C_L r h) r c h^2 / 6 + C_L l h + R_S C_P C_L r h
 
     and their analytic partial derivatives with respect to the segment
-    length h and the repeater size k (used by equations (7)-(8)). *)
+    length h and the repeater size k, to second order (used by
+    equations (7)-(8) and their Jacobian). *)
 
 type coeffs = { b1 : float; b2 : float }
 
@@ -21,8 +22,21 @@ type partials = {
   db2_dk : float;
 }
 
+type second_partials = {
+  d2b1_dh2 : float;
+  d2b1_dhdk : float;
+  d2b1_dk2 : float;
+  d2b2_dh2 : float;
+  d2b2_dhdk : float;
+  d2b2_dk2 : float;
+}
+
 val coeffs : Stage.t -> coeffs
 val partials : Stage.t -> partials
+
+val second_partials : Stage.t -> second_partials
+(** The closed-form second derivatives of b1 and b2 in (h, k), which
+    the analytic Jacobian of equations (7)-(8) needs. *)
 
 val discriminant : coeffs -> float
 (** b1^2 - 4 b2: negative for underdamped, zero critical, positive

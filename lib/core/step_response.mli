@@ -6,14 +6,46 @@
     catastrophic cancellation, so a repeated-root formula
     v(t) = 1 - (1 + a t) exp(-a t), a = b1 / (2 b2), takes over. *)
 
-val eval : Pade.coeffs -> float -> float
-(** [eval cs t] for t >= 0; [eval cs 0.0 = 0.0].  Negative [t] raises
+type curve
+(** One coefficient pair's poles and partial-fraction weights, computed
+    once for a solve that evaluates the response at many times. *)
+
+val curve : Pade.coeffs -> curve
+
+val value : curve -> float -> float
+(** v(t) for t >= 0; [value c 0.0 = 0.0].  Negative [t] raises
     [Invalid_argument]. *)
+
+val slope : curve -> float -> float
+(** dv/dt in closed form (used by the Newton delay solver). *)
+
+val eval : Pade.coeffs -> float -> float
+(** [eval cs t] is [value (curve cs) t]. *)
 
 val eval_stage : Stage.t -> float -> float
 
 val derivative : Pade.coeffs -> float -> float
-(** dv/dt in closed form (used by the Newton delay solver). *)
+(** [derivative cs t] is [slope (curve cs) t]. *)
+
+type partials = {
+  v : float;
+  v_t : float;
+  v_tt : float;
+  v_b1 : float;
+  v_b2 : float;  (** dv/db2 at fixed t, which is also d2v/(dt db1) *)
+  v_tb2 : float;
+  v_b1b1 : float;
+  v_b1b2 : float;
+  v_b2b2 : float;
+}
+(** v and its partial derivatives in (t, b1, b2) up to second order. *)
+
+val partials : Pade.coeffs -> float -> partials
+(** [partials cs t] in closed form for t >= 0, written as
+    v = 1 - e^{-at} (cosh(wt) + a sinh(wt)/w), a = b1/(2 b2),
+    w^2 = (b1^2 - 4 b2)/(4 b2^2), through functions entire in w^2 t^2:
+    smooth across critical damping, with no separate repeated-root
+    branch.  Used for the analytic Jacobian of the (h, k) optimization. *)
 
 val waveform : ?v0:float -> ?n:int -> Pade.coeffs -> t_end:float -> Rlc_waveform.Waveform.t
 (** Sampled response scaled to final value [v0] (default 1.0). *)

@@ -77,24 +77,6 @@ let stats_of array =
     p95 = Rlc_numerics.Stats.percentile array 95.0;
   }
 
-(* The Monte-Carlo evaluation flows through the unified
-   {!Rlc_circuit.Whatif} objective shape: the (node, h, k, f) context
-   is a workspace built once per sweep, and each sample is the
-   parameter vector [| l; c; rs_scale |].  The record is immutable and
-   the evaluation pure, so sharing one objective across a
-   {!Rlc_parallel.Pool} fan-out is safe. *)
-type mc_workspace = {
-  mc_node : Rlc_tech.Node.t;
-  mc_h : float;
-  mc_k : float;
-  mc_f : float option;
-}
-
-let mc_eval ws x =
-  let sample = { l = x.(0); c = x.(1); rs_scale = x.(2) } in
-  stage_delay_of_sample ?f:ws.mc_f ws.mc_node ~h:ws.mc_h ~k:ws.mc_k sample
-  /. ws.mc_h
-
 (* Sampling stays sequential (one PRNG stream); only the per-sample
    delay evaluations fan out.  Results land in the array by sample
    index, so the statistics are bit-identical for any domain count. *)
@@ -102,13 +84,8 @@ let sample_delays ?pool ?f node ~h ~k samples =
   let pool =
     match pool with Some p -> p | None -> Rlc_parallel.Pool.sequential
   in
-  let obj =
-    Rlc_circuit.Whatif.custom
-      ~workspace:{ mc_node = node; mc_h = h; mc_k = k; mc_f = f }
-      ~eval:mc_eval
-  in
   Rlc_parallel.Pool.map pool
-    (fun s -> Rlc_circuit.Whatif.eval obj [| s.l; s.c; s.rs_scale |])
+    (fun s -> stage_delay_of_sample ?f node ~h ~k s /. h)
     (Array.of_list samples)
 
 let delay_statistics ?pool ?seed ?(n = 500) ?f node ~h ~k dist =

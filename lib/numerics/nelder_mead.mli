@@ -23,10 +23,9 @@ val minimize_ctx :
   result
 (** [minimize_ctx ~ctx ~f ~x0 ()] runs the standard reflect / expand /
     contract / shrink iteration from a simplex built around [x0] with
-    relative size [initial_step] (default 0.05), passing [ctx] — a
-    precompiled evaluation workspace, e.g. a
-    [Rlc_circuit.Whatif.t objective]'s workspace — to every objective
-    call.  Convergence requires both the spread of objective values
+    relative size [initial_step] (default 0.05), passing [ctx] — an
+    evaluation workspace built once — to every objective call.
+    Convergence requires both the spread of objective values
     ([ftol], default 1e-12, relative) and of vertices ([xtol], default
     1e-10, relative) to collapse.  Objective values of [nan] are
     treated as +infinity, so the objective may simply reject invalid

@@ -25,14 +25,12 @@ val solve_ctx :
   x0:float array ->
   unit ->
   result
-(** [solve_ctx ~ctx ~f ~x0 ()] iterates from [x0], passing [ctx] — a
-    precompiled evaluation workspace, e.g. a
-    [Rlc_circuit.Whatif.t] — to every residual (and Jacobian) call
-    instead of forcing callers to capture it in a closure.  This is
-    the residual half of the unified what-if evaluation interface:
-    the workspace is built once, the optimizer loop re-evaluates
-    cheaply.  Convergence is declared when the residual norm falls
-    below [tol] (default 1e-10) relative to the initial residual, or
-    absolutely below [tol].  When [jacobian] is omitted a central
+(** [solve_ctx ~ctx ~f ~x0 ()] iterates from [x0], passing [ctx] — an
+    evaluation workspace built once — to every residual and Jacobian
+    call.  The Jacobian is requested only at the iterate whose residual
+    was evaluated last, so a workspace may cache what the residual
+    computed and let the Jacobian reuse it.  Convergence is declared
+    when the residual norm falls below [tol] (default 1e-10) relative
+    to the initial residual, or absolutely below [tol].  When [jacobian] is omitted a central
     finite-difference Jacobian is used.  [lower] / [upper] clamp every
     iterate componentwise. *)

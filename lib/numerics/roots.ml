@@ -119,27 +119,27 @@ let brent ?(tol = default_tol) ?(max_iter = 200) f a b =
 
 let newton ?(tol = default_tol) ?(max_iter = 50) ~f ~df x0 =
   M.incr m_calls;
-  let rec go x iter =
+  let rec go x fx iter =
     if iter > max_iter then raise (No_convergence "newton");
     M.incr m_iterations;
-    let fx = f x in
     M.observe m_residual (Float.abs fx);
     let dfx = df x in
     if Float.abs dfx < 1e-300 then raise (No_convergence "newton: flat slope");
     let step = fx /. dfx in
-    (* halve the step until the residual shrinks (simple damping) *)
+    (* halve the step until the residual shrinks (simple damping); each
+       trial point is evaluated once, and the accepted one's residual is
+       carried into the next iteration *)
     let rec damp s tries =
       let x' = x -. s in
-      if tries = 0 then x'
-      else if Float.abs (f x') <= Float.abs fx || Float.is_nan (f x') then
-        if Float.is_nan (f x') then damp (s /. 2.0) (tries - 1) else x'
+      let fx' = f x' in
+      if tries = 0 || Float.abs fx' <= Float.abs fx then (x', fx')
       else damp (s /. 2.0) (tries - 1)
     in
-    let x' = damp step 8 in
+    let x', fx' = damp step 8 in
     if Float.abs (x' -. x) <= tol *. (1.0 +. Float.abs x') then x'
-    else go x' (iter + 1)
+    else go x' fx' (iter + 1)
   in
-  go x0 0
+  go x0 (f x0) 0
 
 let newton_bracketed ?(tol = default_tol) ?(max_iter = 100) ~f ~df lo hi =
   M.incr m_calls;

@@ -222,6 +222,32 @@ let prop_pade_partials_match_fd =
       && ok p.Pade.db2_dh (fd (fun h' -> b2_of h' k) h (h *. 1e-6))
       && ok p.Pade.db2_dk (fd (fun k' -> b2_of h k') k (k *. 1e-6)))
 
+let prop_pade_second_partials_match_fd =
+  QCheck2.Test.make
+    ~name:"analytic second derivatives of b1, b2 match finite differences"
+    ~count:150 stage_gen (fun stage ->
+      let q = Pade.second_partials stage in
+      let h = stage.Stage.h and k = stage.Stage.k in
+      let at h k = Pade.partials (Stage.with_k (Stage.with_h stage h) k) in
+      (* d/dx of the first partial [get], and the scale |get| / x that a
+         cancelling sum of its terms is judged against *)
+      let fd get x dx at' =
+        ( (get (at' (x +. dx)) -. get (at' (x -. dx))) /. (2.0 *. dx),
+          Float.abs (get (at' x)) /. x )
+      in
+      let along_h get = fd get h (h *. 1e-6) (fun h' -> at h' k)
+      and along_k get = fd get k (k *. 1e-6) (fun k' -> at h k') in
+      let ok got (expect, scale) =
+        Float.abs (got -. expect)
+        <= (1e-5 *. Float.abs expect) +. (1e-7 *. scale)
+      in
+      ok q.Pade.d2b1_dh2 (along_h (fun p -> p.Pade.db1_dh))
+      && ok q.Pade.d2b1_dhdk (along_k (fun p -> p.Pade.db1_dh))
+      && ok q.Pade.d2b1_dk2 (along_k (fun p -> p.Pade.db1_dk))
+      && ok q.Pade.d2b2_dh2 (along_h (fun p -> p.Pade.db2_dh))
+      && ok q.Pade.d2b2_dhdk (along_k (fun p -> p.Pade.db2_dh))
+      && ok q.Pade.d2b2_dk2 (along_k (fun p -> p.Pade.db2_dk)))
+
 (* ---------------- Poles ---------------- *)
 
 let test_poles_satisfy_characteristic () =
@@ -336,6 +362,41 @@ let test_step_response_derivative_vs_fd () =
   let fd = (Step_response.eval cs (t +. dt) -. Step_response.eval cs (t -. dt)) /. (2.0 *. dt) in
   check_close "derivative" fd (Step_response.derivative cs t) ~tol:1e-5
 
+(* b1 = 1 and b2 = 1/(4 zeta^2) keep every partial O(1); the zeta list
+   straddles critical damping, where the closed form has no branch *)
+let test_step_response_partials_vs_fd () =
+  List.iter
+    (fun zeta ->
+      let b2 = 1.0 /. (4.0 *. zeta *. zeta) in
+      List.iter
+        (fun t ->
+          let p b1 b2 t = Step_response.partials { Pade.b1; b2 } t in
+          let c = p 1.0 b2 t in
+          let fd get x dx at =
+            (get (at (x +. dx)) -. get (at (x -. dx))) /. (2.0 *. dx)
+          in
+          let d_t get = fd get t (1e-5 *. t) (fun t' -> p 1.0 b2 t')
+          and d_b1 get = fd get 1.0 1e-5 (fun b1' -> p b1' b2 t)
+          and d_b2 get = fd get b2 (1e-5 *. b2) (fun b2' -> p 1.0 b2' t) in
+          let check name expect got =
+            check_close
+              (Printf.sprintf "%s at zeta=%.12g t=%g" name zeta t)
+              expect got ~tol:1e-6
+          in
+          let open Step_response in
+          check "v_t" (d_t (fun q -> q.v)) c.v_t;
+          check "v_tt" (d_t (fun q -> q.v_t)) c.v_tt;
+          check "v_b1" (d_b1 (fun q -> q.v)) c.v_b1;
+          check "v_b2" (d_b2 (fun q -> q.v)) c.v_b2;
+          check "v_tb1 = v_b2" (d_t (fun q -> q.v_b1)) c.v_b2;
+          check "v_tb2" (d_t (fun q -> q.v_b2)) c.v_tb2;
+          check "v_b1b1" (d_b1 (fun q -> q.v_b1)) c.v_b1b1;
+          check "v_b1b2" (d_b2 (fun q -> q.v_b1)) c.v_b1b2;
+          check "v_b2b2" (d_b2 (fun q -> q.v_b2)) c.v_b2b2;
+          check "v = eval" (eval { Pade.b1 = 1.0; b2 } t) c.v)
+        [ 0.05; 0.5; 1.0; 2.0; 4.0; 8.0 ])
+    [ 0.2; 0.7; 1.0 -. 1e-9; 1.0; 1.0 +. 1e-9; 1.3; 3.0 ]
+
 let prop_step_response_bounded =
   QCheck2.Test.make ~name:"step response stays within [0, 2]" ~count:100
     stage_gen (fun stage ->
@@ -403,6 +464,51 @@ let test_delay_elmore_agreement_rises_with_l () =
   Alcotest.(check bool) "agreement degrades with l" true (high > low);
   Alcotest.(check bool) "l=0 agreement is exact" true
     (Float.abs (Delay.elmore_agreement (Stage.with_l stage 0.0) -. 1.0) < 1e-9)
+
+(* The seeded solve against the cold one, on stages that ring so hard
+   that v falls back below f after its first peak (later crossings
+   exist) and from seeds up to 3x off, on either side, or at the second
+   crossing itself. *)
+let test_delay_near_seed () =
+  List.iter
+    (fun (zeta, f, rings) ->
+      let cs = { Pade.b1 = 2.0 *. zeta *. 1e-10; b2 = 1e-20 } in
+      Alcotest.(check bool)
+        (Printf.sprintf "zeta=%g f=%g falls back below f" zeta f)
+        rings
+        (1.0 -. Step_response.undershoot_depth cs < f);
+      let tau = Delay.of_coeffs ~f cs in
+      let seeds =
+        List.map (fun m -> m *. tau) [ 1.0 /. 3.0; 0.8; 1.0; 1.2; 3.0 ]
+      in
+      let seeds =
+        match Step_response.peak_time cs with
+        | Some tp when rings ->
+            (* v dips below f again before its first trough at 2 tp *)
+            let second =
+              Rlc_numerics.Roots.brent
+                (fun t -> Step_response.eval cs t -. f)
+                tp (2.0 *. tp)
+            in
+            second :: (1.1 *. tp) :: seeds
+        | _ -> seeds
+      in
+      List.iter
+        (fun seed ->
+          check_close
+            (Printf.sprintf "zeta=%g f=%g seed=%.3g tau" zeta f (seed /. tau))
+            1.0
+            (Delay.of_coeffs_near ~f cs ~seed /. tau)
+            ~tol:1e-12)
+        seeds)
+    [
+      (0.05, 0.5, true);
+      (0.1, 0.5, true);
+      (0.3, 0.9, true);
+      (0.3, 0.5, false);
+      (1.0, 0.5, false);
+      (2.0, 0.1, false);
+    ]
 
 let prop_delay_solves_equation =
   QCheck2.Test.make ~name:"delay satisfies v(tau) = f for random stages"
@@ -689,6 +795,115 @@ let test_rlc_opt_sweep () =
   check_close "first l" 0.0 (fst (List.nth sweep 0));
   check_close "last l" 4e-6 (fst (List.nth sweep 4))
 
+(* Equations (7)-(8) as the paper writes them, in complex arithmetic
+   over the pole sensitivities, divided by (s2 - s1) and scaled by h
+   and k: the oracle for the real form [Rlc_opt.residuals] computes. *)
+let paper_residuals ~f stage =
+  let cs = Pade.coeffs stage in
+  let { Poles.s1; s2 } = Poles.of_coeffs cs in
+  let sens = Poles.sensitivities stage in
+  let tau = Delay.of_coeffs ~f cs in
+  let h = stage.Stage.h in
+  let open Rlc_numerics.Cx in
+  let e1 = exp (scale tau s1) and e2 = exp (scale tau s2) in
+  let g ds1 ds2 c1 c2 =
+    (of_float (1.0 -. f) *: (ds2 -: ds1))
+    -: (ds2 *: e1) +: (ds1 *: e2)
+    -: (scale tau s2 *: (ds1 +: c1) *: e1)
+    +: (scale tau s1 *: (ds2 +: c2) *: e2)
+  in
+  let g1 =
+    g sens.Poles.ds1_dh sens.Poles.ds2_dh (scale (1.0 /. h) s1)
+      (scale (1.0 /. h) s2)
+  and g2 = g sens.Poles.ds1_dk sens.Poles.ds2_dk zero zero in
+  let d = s2 -: s1 in
+  (re (g1 /: d) *. h, re (g2 /: d) *. stage.Stage.k)
+
+let prop_rlc_opt_residuals_are_paper_equations =
+  QCheck2.Test.make ~name:"real residuals equal the paper's (7)-(8)"
+    ~count:150
+    QCheck2.Gen.(pair stage_gen (oneofl [ 0.1; 0.5; 0.9 ]))
+    (fun (stage, f) ->
+      let cs = Pade.coeffs stage in
+      (* the complex form is singular at critical damping *)
+      Float.abs (Pade.discriminant cs) < 1e-3 *. cs.Pade.b1 *. cs.Pade.b1
+      ||
+      let g1, g2 = Rlc_opt.residuals ~f stage
+      and p1, p2 = paper_residuals ~f stage in
+      Float.abs (g1 -. p1) <= 1e-8 *. (1.0 +. Float.abs p1)
+      && Float.abs (g2 -. p2) <= 1e-8 *. (1.0 +. Float.abs p2))
+
+(* The analytic Jacobian against central differences of the residuals
+   on a grid around each preset's RC optimum, at several inductances
+   including the one that makes the stage critically damped. *)
+let test_rlc_opt_jacobian_vs_fd () =
+  List.iter
+    (fun node ->
+      let rc = Rc_opt.optimize node in
+      let l_max = node.Rlc_tech.Node.l_max in
+      List.iter
+        (fun (hm, km) ->
+          let h = hm *. rc.Rc_opt.h_opt and k = km *. rc.Rc_opt.k_opt in
+          let l_crit = Critical_inductance.of_node node ~h ~k in
+          Alcotest.(check bool) "l_crit in range" true
+            (l_crit > 0.0 && l_crit < 2.0 *. l_max);
+          let zeta =
+            Pade.zeta (Pade.coeffs (Stage.of_node node ~l:l_crit ~h ~k))
+          in
+          Alcotest.(check bool) "critically damped point" true
+            (Float.abs (zeta -. 1.0) < 1e-6);
+          List.iter
+            (fun l ->
+              let residuals x =
+                let g1, g2 =
+                  Rlc_opt.residuals (Stage.of_node node ~l ~h:x.(0) ~k:x.(1))
+                in
+                [| g1; g2 |]
+              in
+              let x = [| h; k |] in
+              let fd = Rlc_numerics.Fdiff.jacobian residuals x in
+              let j = Rlc_opt.jacobian (Stage.of_node node ~l ~h ~k) in
+              (* column j scaled by x_j: d r / d log x, dimensionless *)
+              let entry m r c = Rlc_numerics.Matrix.get m r c *. x.(c) in
+              let scale = ref 0.0 in
+              for r = 0 to 1 do
+                for c = 0 to 1 do
+                  scale := Float.max !scale (Float.abs (entry j r c))
+                done
+              done;
+              for r = 0 to 1 do
+                for c = 0 to 1 do
+                  let a = entry j r c and b = entry fd r c in
+                  if Float.abs (a -. b) > 1e-6 *. !scale then
+                    Alcotest.failf
+                      "%s l=%g h=%g k=%g J%d%d: analytic %.10g, fd %.10g"
+                      node.Rlc_tech.Node.name l h k (r + 1) (c + 1) a b
+                done
+              done)
+            [ 0.0; 0.5 *. l_max; l_max; l_crit ])
+        [ (0.6, 0.5); (1.0, 1.0); (1.5, 0.7); (2.0, 0.35); (0.8, 1.4) ])
+    [ node250; node100 ]
+
+(* The analytic second-order check [optimize] applies, against the
+   seven-point oracle, at every optimum of the 41-point sweeps and at
+   points 5% off them. *)
+let test_rlc_opt_analytic_check_vs_oracle () =
+  List.iter
+    (fun node ->
+      List.iter
+        (fun (l, r) ->
+          List.iter
+            (fun (dh, dk) ->
+              let h = r.Rlc_opt.h *. dh and k = r.Rlc_opt.k *. dk in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s l=%g (%g h, %g k)" node.Rlc_tech.Node.name
+                   l dh dk)
+                (Rlc_opt.is_minimum node ~l ~h ~k)
+                (Rlc_opt.is_minimum_analytic node ~l ~h ~k))
+            [ (1.0, 1.0); (1.05, 1.0); (0.95, 1.0); (1.0, 1.05); (1.0, 0.95) ])
+        (Rlc_opt.sweep ~n:41 node ~l_max:node.Rlc_tech.Node.l_max))
+    [ node250; node100 ]
+
 (* ---------------- Baselines ---------------- *)
 
 let test_km_dominant_pole_accuracy () =
@@ -807,7 +1022,8 @@ let () =
             test_pade_classification;
           Alcotest.test_case "zeta / omega_n" `Quick test_pade_zeta_omega;
         ] );
-      qsuite "pade-properties" [ prop_pade_partials_match_fd ];
+      qsuite "pade-properties"
+        [ prop_pade_partials_match_fd; prop_pade_second_partials_match_fd ];
       ( "poles",
         [
           Alcotest.test_case "characteristic equation" `Quick
@@ -830,6 +1046,8 @@ let () =
             test_step_response_near_critical_continuity;
           Alcotest.test_case "derivative" `Quick
             test_step_response_derivative_vs_fd;
+          Alcotest.test_case "second-order partials" `Quick
+            test_step_response_partials_vs_fd;
         ] );
       qsuite "step-response-properties" [ prop_step_response_bounded ];
       ( "delay",
@@ -844,6 +1062,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_delay_validation;
           Alcotest.test_case "elmore agreement degrades with l" `Quick
             test_delay_elmore_agreement_rises_with_l;
+          Alcotest.test_case "seeded solve = cold solve" `Quick
+            test_delay_near_seed;
         ] );
       qsuite "delay-properties" [ prop_delay_solves_equation ];
       ( "critical-inductance",
@@ -890,7 +1110,13 @@ let () =
           Alcotest.test_case "newton iteration budget" `Quick
             test_rlc_opt_newton_iteration_budget;
           Alcotest.test_case "sweep" `Quick test_rlc_opt_sweep;
+          Alcotest.test_case "analytic jacobian = finite differences" `Quick
+            test_rlc_opt_jacobian_vs_fd;
+          Alcotest.test_case "analytic check = seven-point check" `Quick
+            test_rlc_opt_analytic_check_vs_oracle;
         ] );
+      qsuite "rlc-opt-properties"
+        [ prop_rlc_opt_residuals_are_paper_equations ];
       ( "baselines",
         [
           Alcotest.test_case "KM dominant-pole accuracy" `Quick

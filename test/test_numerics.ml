@@ -454,6 +454,33 @@ let test_newton () =
   let df x = 3.0 *. x *. x in
   check_close "cbrt8" 2.0 (Roots.newton ~f ~df 3.0)
 
+(* Each trial point is evaluated once, and the accepted point's residual
+   is carried into the next iteration instead of being evaluated again:
+   f runs once per iteration (df's count), once at x0, and once per
+   rejected trial.  From 1.5, atan's first step overshoots and is halved
+   once. *)
+let test_newton_evaluates_each_point_once () =
+  List.iter
+    (fun (name, f, df, x0, root, rejected) ->
+      let f_calls = ref 0 and df_calls = ref 0 in
+      let counted g calls x =
+        incr calls;
+        g x
+      in
+      check_close name root
+        (Roots.newton ~f:(counted f f_calls) ~df:(counted df df_calls) x0)
+        ~tol:1e-9;
+      Alcotest.(check int)
+        (name ^ ": residual evaluations")
+        (!df_calls + 1 + rejected) !f_calls)
+    [
+      ( "cbrt8",
+        (fun x -> (x *. x *. x) -. 8.0),
+        (fun x -> 3.0 *. x *. x),
+        3.0, 2.0, 0 );
+      ("atan", Float.atan, (fun x -> 1.0 /. (1.0 +. (x *. x))), 1.5, 0.0, 1);
+    ]
+
 let test_newton_bracketed () =
   (* pathological: newton from midpoint diverges without the bracket *)
   let f x = Float.atan x in
@@ -935,6 +962,8 @@ let () =
           Alcotest.test_case "brent" `Quick test_brent;
           Alcotest.test_case "brent no bracket" `Quick test_brent_no_bracket;
           Alcotest.test_case "newton" `Quick test_newton;
+          Alcotest.test_case "newton evaluates each trial once" `Quick
+            test_newton_evaluates_each_point_once;
           Alcotest.test_case "newton bracketed" `Quick test_newton_bracketed;
           Alcotest.test_case "bracket_first" `Quick test_bracket_first;
         ] );

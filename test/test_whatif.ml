@@ -535,10 +535,10 @@ let test_objective_record () =
     (Whatif.evaluate
        ~set:[ (wrt.(0), x.(0)); (wrt.(1), x.(1)) ]
        ws (Whatif.Delay out))
-    (Whatif.eval obj x);
+    (obj x);
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Whatif.objective: parameter vector length mismatch")
-    (fun () -> ignore (Whatif.eval obj [| 1.0 |]))
+    (fun () -> ignore (obj [| 1.0 |]))
 
 (* ---------------- structural keys ---------------- *)
 
