@@ -1673,11 +1673,16 @@ let run_whatif_bench ~json =
     |]
   in
   let delay_t = Whatif.Delay far in
-  let adj =
-    Rlc_core.Sensitivity.gradient ~method_:`Adjoint lws delay_t ~wrt
-  in
+  let adj = Whatif.gradient lws delay_t ~wrt in
+  (* value_i = base_i (1 + x_i) at x = 0: Fdiff's step is 1e-6 of each
+     value *)
   let fdm =
-    Rlc_core.Sensitivity.gradient ~method_:`Fdiff lws delay_t ~wrt
+    let base = Array.map Whatif.base_value wrt in
+    let obj = Whatif.objective lws delay_t ~wrt in
+    Rlc_numerics.Fdiff.gradient
+      (fun x -> obj (Array.mapi (fun i xi -> base.(i) *. (1.0 +. xi)) x))
+      (Array.make (Array.length wrt) 0.0)
+    |> Array.mapi (fun i g -> g /. base.(i))
   in
   let adjoint_rel = ref 0.0 in
   Array.iteri

@@ -413,69 +413,13 @@ let dc_eval t set node =
   let x = dc_solution t set in
   if node = Netlist.ground then 0.0 else x.(node - 1)
 
-(* ---------------- two-pole delay from moments ----------------
+(* ---------------- two-pole delay from moments ---------------- *)
 
-   The circuit library sits below the analytic core, so the two-pole
-   step-response crossing is restated here (same formulas as
-   [Rlc_core.Step_response] / [Rlc_core.Delay], which the tests
-   cross-validate): poles of 1 / (1 + b1 s + b2 s^2) with the
-   repeated-root branch inside the same relative band. *)
-
-let critical_band = 1e-7
-
-let step_eval ~b1 ~b2 tt =
-  if tt = 0.0 then 0.0
-  else begin
-    let disc = (b1 *. b1) -. (4.0 *. b2) in
-    if Float.abs disc <= critical_band *. b1 *. b1 then begin
-      let a = b1 /. (2.0 *. b2) in
-      1.0 -. ((1.0 +. (a *. tt)) *. Float.exp (-.a *. tt))
-    end
-    else begin
-      let sq = Cx.sqrt (Cx.of_float disc) in
-      let denom = 2.0 *. b2 in
-      let open Cx in
-      let s1 = scale (1.0 /. denom) (of_float (-.b1) +: sq) in
-      let s2 = scale (1.0 /. denom) (of_float (-.b1) -: sq) in
-      let d = s2 -: s1 in
-      let v =
-        of_float 1.0
-        -: (s2 /: d *: exp (scale tt s1))
-        +: (s1 /: d *: exp (scale tt s2))
-      in
-      Cx.real_part_checked ~tol:1e-6 v
-    end
-  end
-
-let step_deriv ~b1 ~b2 tt =
-  let disc = (b1 *. b1) -. (4.0 *. b2) in
-  if Float.abs disc <= critical_band *. b1 *. b1 then begin
-    let a = b1 /. (2.0 *. b2) in
-    a *. a *. tt *. Float.exp (-.a *. tt)
-  end
-  else begin
-    let sq = Cx.sqrt (Cx.of_float disc) in
-    let denom = 2.0 *. b2 in
-    let open Cx in
-    let s1 = scale (1.0 /. denom) (of_float (-.b1) +: sq) in
-    let s2 = scale (1.0 /. denom) (of_float (-.b1) -: sq) in
-    let d = s2 -: s1 in
-    let v = s1 *: s2 /: d *: (exp (scale tt s2) -: exp (scale tt s1)) in
-    Cx.real_part_checked ~tol:1e-6 v
-  end
-
-let crossing_delay ~f ~b1 ~b2 =
+(* The f-delay of 1 / (1 + b1 s + b2 s^2): nan unless the pair is
+   physical (an unstable or non-second-order response). *)
+let crossing_tau ~f ~b1 ~b2 =
   if not (b1 > 0.0 && b2 > 0.0) then Float.nan
-  else begin
-    let residual tt = step_eval ~b1 ~b2 tt -. f in
-    let lo, hi =
-      Roots.bracket_first residual ~t0:0.0 ~dt:(b1 /. 32.0)
-    in
-    if lo = hi then lo
-    else
-      Roots.newton_bracketed ~tol:1e-13 ~f:residual
-        ~df:(step_deriv ~b1 ~b2) lo hi
-  end
+  else Rlc_core.Delay.of_coeffs ~f { Rlc_core.Pade.b1; b2 }
 
 let two_pole ~m0 ~m1 ~m2 =
   if Float.abs m0 < 1e-300 then (Float.nan, Float.nan)
@@ -518,7 +462,7 @@ let delay_eval t set node =
   let _, _, y0, y1, y2 = moments t set node in
   let p = node - 1 in
   let b1, b2 = two_pole ~m0:y0.(p) ~m1:y1.(p) ~m2:y2.(p) in
-  crossing_delay ~f:t.f_threshold ~b1 ~b2
+  crossing_tau ~f:t.f_threshold ~b1 ~b2
 
 (* ---------------- AC ---------------- *)
 
@@ -640,6 +584,7 @@ let evaluate ?(set = []) t target =
   | Reject
   | Solver.Singular
   | Roots.No_bracket
+  | Rlc_core.Delay.No_delay
   | Roots.No_convergence _ ->
       Float.nan
 
@@ -746,31 +691,18 @@ let delay_gradient t set node ~wrt =
   let p = node - 1 in
   let m0 = y0.(p) and m1 = y1.(p) and m2 = y2.(p) in
   let b1, b2 = two_pole ~m0 ~m1 ~m2 in
-  let tau = crossing_delay ~f:t.f_threshold ~b1 ~b2 in
+  let tau = crossing_tau ~f:t.f_threshold ~b1 ~b2 in
   if Float.is_nan tau then Array.make (Array.length wrt) Float.nan
   else begin
     let l0 = solve_a (unit_vec (size t) p) in
     let l1 = Array.map Float.neg (solve_a (ctmatvec t cterms l0)) in
     let l2 = Array.map Float.neg (solve_a (ctmatvec t cterms l1)) in
-    (* the crossing's scalar sensitivities to the two coefficients via
-       the implicit function theorem on V(tau; b1, b2) = f:
-       dtau/db = -(dV/db) / (dV/dt).  dV/dt is analytic; dV/db uses a
-       central difference of the smooth closed-form response with a
-       step relative to the coefficient (the coefficients are O(1e-12),
-       far below {!Fdiff}'s absolute step floor, and re-solving the
-       crossing under perturbed coefficients would drown the signal in
-       root-finder tolerance noise). *)
-    let vdot = step_deriv ~b1 ~b2 tau in
-    let dvdb g x =
-      let h = 1e-6 *. Float.abs x in
-      (g (x +. h) -. g (x -. h)) /. (2.0 *. h)
-    in
-    let dtau_db1 =
-      -.dvdb (fun b1' -> step_eval ~b1:b1' ~b2 tau) b1 /. vdot
-    in
-    let dtau_db2 =
-      -.dvdb (fun b2' -> step_eval ~b1 ~b2:b2' tau) b2 /. vdot
-    in
+    (* the crossing's sensitivities to the two coefficients by the
+       implicit function theorem on v(tau; b1, b2) = f:
+       dtau/db = -(dv/db) / (dv/dt), all in closed form *)
+    let sr = Rlc_core.Step_response.partials { Rlc_core.Pade.b1; b2 } tau in
+    let dtau_db1 = -.sr.v_b1 /. sr.v_t in
+    let dtau_db2 = -.sr.v_b2 /. sr.v_t in
     let ys = [| y0; y1; y2 |] and ls = [| l0; l1; l2 |] in
     Array.map
       (fun pr ->
@@ -885,6 +817,7 @@ let gradient ?(set = []) t target ~wrt =
   | Reject
   | Solver.Singular
   | Roots.No_bracket
+  | Rlc_core.Delay.No_delay
   | Roots.No_convergence _ ->
       Array.make (Array.length wrt) Float.nan
 

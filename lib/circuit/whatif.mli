@@ -87,9 +87,10 @@ type target =
   | Delay of Netlist.node
       (** two-pole (AWE Padé) threshold-crossing delay, seconds, of
           the step response at a node driven by the deck's first
-          source; the two poles come from the first three moments of
-          the transfer, matching {!Rlc_core.Delay.of_coeffs} on a
-          single stage *)
+          source: {!Rlc_core.Delay.of_coeffs} on the Padé pair
+          (b1, b2) of the transfer's first three moments, so it is
+          bit-equal to the analytic core on the same moments; [nan]
+          unless b1 > 0 and b2 > 0 *)
   | Ac_mag of Netlist.node * float
       (** |V(node)| at angular frequency omega (rad/s) for a unit
           drive at the deck's first source *)

@@ -1,12 +1,11 @@
 exception No_delay
 
-(* The residual v(t) - f and its slope, over poles computed once. *)
+(* The residual v(t) - f and its slope. *)
 let crossing ~f cs =
   if f <= 0.0 || f >= 1.0 then invalid_arg "Delay.of_coeffs: f outside (0,1)";
   if cs.Pade.b1 <= 0.0 || cs.Pade.b2 <= 0.0 then
     invalid_arg "Delay.of_coeffs: non-physical coefficients";
-  let c = Step_response.curve cs in
-  ((fun t -> Step_response.value c t -. f), Step_response.slope c)
+  ((fun t -> Step_response.eval cs t -. f), Step_response.derivative cs)
 
 let polish (residual, slope) lo hi =
   Rlc_numerics.Roots.newton_bracketed ~tol:1e-13 ~f:residual ~df:slope lo hi

@@ -56,36 +56,6 @@ let of_stage ?(f = 0.5) stage =
     elasticity_r = r /. tau *. wrt_r;
   }
 
-(* Circuit-level gradients over a compiled what-if workspace.  The
-   finite-difference method is the legacy semantics (central
-   differences of the full evaluation, 2 solves per parameter); the
-   adjoint method reuses the workspace's transpose factor and costs
-   one forward + one adjoint solve for the whole gradient. *)
-let gradient ?(set = []) ?(method_ = `Fdiff) ws target ~wrt =
-  match method_ with
-  | `Adjoint -> Rlc_circuit.Whatif.gradient ~set ws target ~wrt
-  | `Fdiff ->
-      Array.map
-        (fun p ->
-          let v0 =
-            match List.find_opt (fun (q, _) -> q == p) set with
-            | Some (_, v) -> v
-            | None -> Rlc_circuit.Whatif.base_value p
-          in
-          let others = List.filter (fun (q, _) -> q != p) set in
-          let at v =
-            Rlc_circuit.Whatif.evaluate ~set:((p, v) :: others) ws target
-          in
-          (* component values span 1e-14 F to 1e3 ohms, so the step
-             must be relative to the value — {!Rlc_numerics.Fdiff}'s
-             [1e-6 * (1 + |x|)] step is absolute below |x| ~ 1 and
-             would push a femtofarad capacitance negative *)
-          let h =
-            if v0 = 0.0 then 1e-6 else 1e-6 *. Float.abs v0
-          in
-          (at (v0 +. h) -. at (v0 -. h)) /. (2.0 *. h))
-        wrt
-
 let delay_spread_estimate ?f stage ~l_uncertainty =
   if l_uncertainty < 0.0 then
     invalid_arg "Sensitivity.delay_spread_estimate: negative uncertainty";

@@ -29,28 +29,9 @@ val of_stage : ?f:float -> Stage.t -> t
     crossing, which cannot happen for the first crossing of a stable
     stage).  This is the closed-form stage model: it answers for the
     four built-in parameters of a single analytic stage.  For any
-    element parameter of an arbitrary deck, compile it into a
-    {!Rlc_circuit.Whatif} workspace and use {!gradient}. *)
-
-val gradient :
-  ?set:(Rlc_circuit.Whatif.param * float) list ->
-  ?method_:[ `Fdiff | `Adjoint ] ->
-  Rlc_circuit.Whatif.t ->
-  Rlc_circuit.Whatif.target ->
-  wrt:Rlc_circuit.Whatif.param array ->
-  float array
-(** [gradient ws target ~wrt] differentiates a circuit-level objective
-    with respect to element parameters, evaluated at [set] (default:
-    the base point).
-
-    [`Fdiff] (the default — the legacy semantics) takes central
-    differences of {!Rlc_circuit.Whatif.evaluate}, costing two
-    evaluations per parameter; with the workspace's rank-1 fast path
-    each is cheap, but the cost still scales with [Array.length wrt].
-    [`Adjoint] delegates to {!Rlc_circuit.Whatif.gradient}: one
-    forward + one transpose solve for the {e whole} gradient (three of
-    each for the delay target).  The two methods agree to
-    finite-difference accuracy (the test suite checks 1e-6 relative). *)
+    element parameter of an arbitrary deck, compile it into a what-if
+    workspace ([Whatif] in the circuit library) and take its adjoint
+    [Whatif.gradient]. *)
 
 val delay_spread_estimate : ?f:float -> Stage.t -> l_uncertainty:float -> float
 (** First-order delay spread (seconds) for a +/- [l_uncertainty] (H/m)

@@ -1,31 +1,25 @@
-(** Closed-form unit-step response of the second-order Padé model:
+(** Closed-form unit-step response of the second-order Padé model
+    1/(1 + b1 s + b2 s^2), final value 1:
 
-    v(t) = 1 - s2/(s2 - s1) exp(s1 t) + s1/(s2 - s1) exp(s2 t)
+    v(t) = 1 - e^{-at} (cosh(wt) + a sinh(wt)/w),
+    a = b1/(2 b2), w^2 = (b1^2 - 4 b2)/(4 b2^2)
 
-    (final value 1).  Near critical damping the expression suffers
-    catastrophic cancellation, so a repeated-root formula
-    v(t) = 1 - (1 + a t) exp(-a t), a = b1 / (2 b2), takes over. *)
-
-type curve
-(** One coefficient pair's poles and partial-fraction weights, computed
-    once for a solve that evaluates the response at many times. *)
-
-val curve : Pade.coeffs -> curve
-
-val value : curve -> float -> float
-(** v(t) for t >= 0; [value c 0.0 = 0.0].  Negative [t] raises
-    [Invalid_argument]. *)
-
-val slope : curve -> float -> float
-(** dv/dt in closed form (used by the Newton delay solver). *)
+    (the poles are -a +- w).  cosh(wt) and sinh(wt)/w are entire in
+    w^2 t^2, so one real expression covers the overdamped, critically
+    damped and underdamped regimes with no repeated-root branch.  Once
+    w^2 t^2 > 4 the poles are real and apart, and e^{-at} is folded
+    into the exponentials of the two poles, so nothing overflows or
+    cancels for strongly overdamped pairs.  {!eval}, {!derivative} and
+    {!partials} go through that one kernel and raise [Invalid_argument]
+    for b2 <= 0 or t < 0. *)
 
 val eval : Pade.coeffs -> float -> float
-(** [eval cs t] is [value (curve cs) t]. *)
+(** v(t) for t >= 0; [eval cs 0.0 = 0.0]. *)
 
 val eval_stage : Stage.t -> float -> float
 
 val derivative : Pade.coeffs -> float -> float
-(** [derivative cs t] is [slope (curve cs) t]. *)
+(** dv/dt (used by the Newton delay solver). *)
 
 type partials = {
   v : float;
@@ -41,11 +35,9 @@ type partials = {
 (** v and its partial derivatives in (t, b1, b2) up to second order. *)
 
 val partials : Pade.coeffs -> float -> partials
-(** [partials cs t] in closed form for t >= 0, written as
-    v = 1 - e^{-at} (cosh(wt) + a sinh(wt)/w), a = b1/(2 b2),
-    w^2 = (b1^2 - 4 b2)/(4 b2^2), through functions entire in w^2 t^2:
-    smooth across critical damping, with no separate repeated-root
-    branch.  Used for the analytic Jacobian of the (h, k) optimization. *)
+(** [partials cs t] in closed form; [v] and [v_t] are bit-equal to
+    {!eval} and {!derivative}.  Used for the analytic Jacobian of the
+    (h, k) optimization and the what-if delay gradient. *)
 
 val waveform : ?v0:float -> ?n:int -> Pade.coeffs -> t_end:float -> Rlc_waveform.Waveform.t
 (** Sampled response scaled to final value [v0] (default 1.0). *)

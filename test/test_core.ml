@@ -363,7 +363,9 @@ let test_step_response_derivative_vs_fd () =
   check_close "derivative" fd (Step_response.derivative cs t) ~tol:1e-5
 
 (* b1 = 1 and b2 = 1/(4 zeta^2) keep every partial O(1); the zeta list
-   straddles critical damping, where the closed form has no branch *)
+   straddles critical damping, where the closed form has no branch, and
+   ends with strongly overdamped pairs (b2 = 1e-4, 1e-6, 1e-8), where
+   cosh(wt) alone would overflow *)
 let test_step_response_partials_vs_fd () =
   List.iter
     (fun zeta ->
@@ -377,11 +379,16 @@ let test_step_response_partials_vs_fd () =
           in
           let d_t get = fd get t (1e-5 *. t) (fun t' -> p 1.0 b2 t')
           and d_b1 get = fd get 1.0 1e-5 (fun b1' -> p b1' b2 t)
-          and d_b2 get = fd get b2 (1e-5 *. b2) (fun b2' -> p 1.0 b2' t) in
+          (* v varies on the scale of b2 near critical damping but on
+             that of b1^2 = 1 when strongly overdamped, where a step of
+             1e-5 b2 would drown in rounding: step by 1e-5 sqrt(b2) *)
+          and d_b2 get =
+            fd get b2 (1e-5 *. Float.sqrt b2) (fun b2' -> p 1.0 b2' t)
+          in
           let check name expect got =
-            check_close
-              (Printf.sprintf "%s at zeta=%.12g t=%g" name zeta t)
-              expect got ~tol:1e-6
+            let msg = Printf.sprintf "%s at zeta=%.12g t=%g" name zeta t in
+            if not (Float.is_finite got) then Alcotest.failf "%s: %g" msg got;
+            check_close msg expect got ~tol:1e-6
           in
           let open Step_response in
           check "v_t" (d_t (fun q -> q.v)) c.v_t;
@@ -395,7 +402,7 @@ let test_step_response_partials_vs_fd () =
           check "v_b2b2" (d_b2 (fun q -> q.v_b2)) c.v_b2b2;
           check "v = eval" (eval { Pade.b1 = 1.0; b2 } t) c.v)
         [ 0.05; 0.5; 1.0; 2.0; 4.0; 8.0 ])
-    [ 0.2; 0.7; 1.0 -. 1e-9; 1.0; 1.0 +. 1e-9; 1.3; 3.0 ]
+    [ 0.2; 0.7; 1.0 -. 1e-9; 1.0; 1.0 +. 1e-9; 1.3; 3.0; 50.0; 500.0; 5000.0 ]
 
 let prop_step_response_bounded =
   QCheck2.Test.make ~name:"step response stays within [0, 2]" ~count:100
@@ -428,6 +435,35 @@ let test_delay_monotone_in_f () =
   let d50 = Delay.of_coeffs ~f:0.5 cs in
   let d90 = Delay.of_coeffs ~f:0.9 cs in
   Alcotest.(check bool) "10 < 50 < 90" true (d10 < d50 && d50 < d90)
+
+(* b1 = 1 with disc/b1^2 just inside and outside 1e-7 on either side of
+   critical damping: tau follows its linear trend in disc with no jump,
+   and v(tau) = f to rounding *)
+let test_delay_continuous_at_critical () =
+  let f = 0.5 in
+  let pts =
+    List.map
+      (fun d ->
+        let cs = { Pade.b1 = 1.0; b2 = (1.0 -. d) /. 4.0 } in
+        let tau = Delay.of_coeffs ~f cs in
+        check_close ~tol:1e-14
+          (Printf.sprintf "v(tau) at disc = %g" d)
+          f (Step_response.partials cs tau).Step_response.v;
+        (d, tau))
+      [ -1.01e-7; -0.99e-7; 0.99e-7; 1.01e-7 ]
+  in
+  let d0, t0 = List.hd pts and d3, t3 = List.nth pts 3 in
+  let slope = (t3 -. t0) /. (d3 -. d0) in
+  let rec steps = function
+    | (da, ta) :: ((db, tb) :: _ as rest) ->
+        let jump = Float.abs (tb -. ta -. (slope *. (db -. da))) /. ta in
+        if jump >= 1e-12 then
+          Alcotest.failf "tau jumps by %.3g relative from disc = %g to %g"
+            jump da db;
+        steps rest
+    | _ -> ()
+  in
+  steps pts
 
 let test_delay_first_crossing_when_ringing () =
   (* strongly underdamped: many crossings of 0.5; solver must return
@@ -1055,6 +1091,8 @@ let () =
           Alcotest.test_case "satisfies equation (3)" `Quick
             test_delay_satisfies_equation;
           Alcotest.test_case "monotone in f" `Quick test_delay_monotone_in_f;
+          Alcotest.test_case "continuous at critical damping" `Quick
+            test_delay_continuous_at_critical;
           Alcotest.test_case "first crossing when ringing" `Quick
             test_delay_first_crossing_when_ringing;
           Alcotest.test_case "dominant-pole limit" `Quick

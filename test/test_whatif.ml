@@ -355,33 +355,128 @@ let test_rejection_convention () =
 
 (* ---------------- the two-pole delay vs the analytic core ------- *)
 
-(* Compute the first three moments densely and feed them to the core
-   Delay.of_coeffs: the workspace's self-contained crossing solver
-   must agree to near machine precision. *)
-let test_delay_matches_core () =
-  let netlist, out = ladder ~segments:6 () in
-  let ws = Whatif.compile netlist in
-  let asm = Whatif.assembly ws in
-  let g = Assembly.dense_g asm in
-  let c = Assembly.dense_c asm in
-  let b = Assembly.b_column asm 0 in
-  let lu = Lu.decompose g in
-  let y0 = Lu.solve lu b in
-  let y1 = Array.map Float.neg (Lu.solve lu (Matrix.mul_vec c y0)) in
-  let y2 = Array.map Float.neg (Lu.solve lu (Matrix.mul_vec c y1)) in
+let check_gradients label scale_tol (fd, adj) =
+  let norm = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 fd in
+  if norm = 0.0 then Alcotest.failf "%s: all-zero finite differences" label;
+  Array.iteri
+    (fun i f ->
+      let a = adj.(i) in
+      if Float.abs (f -. a) > scale_tol *. (norm +. Float.abs f) then
+        Alcotest.failf "%s[%d]: fdiff %.10g adjoint %.10g" label i f a)
+    fd
+
+(* The Pade pair of [out] from the first three moments of the deck's
+   first source, each moment solved by [solve] with C applied by
+   [cmul]. *)
+let moment_coeffs ~solve ~cmul b out =
+  let y0 = solve b in
+  let y1 = Array.map Float.neg (solve (cmul y0)) in
+  let y2 = Array.map Float.neg (solve (cmul y1)) in
   let p = out - 1 in
   let m0 = y0.(p) and m1 = y1.(p) and m2 = y2.(p) in
   let b1 = -.(m1 /. m0) in
   let b2 = ((m1 /. m0) *. (m1 /. m0)) -. (m2 /. m0) in
-  let expected = Rlc_core.Delay.of_coeffs ~f:0.5 { Rlc_core.Pade.b1; b2 } in
-  check_close ~tol:1e-12 "two-pole crossing"
-    expected
+  { Rlc_core.Pade.b1; b2 }
+
+(* ... through a dense LU: an independent reference *)
+let dense_coeffs ws out =
+  let asm = Whatif.assembly ws in
+  let lu = Lu.decompose (Assembly.dense_g asm) in
+  moment_coeffs ~solve:(Lu.solve lu)
+    ~cmul:(Matrix.mul_vec (Assembly.dense_c asm))
+    (Assembly.b_column asm 0) out
+
+(* ... through the sparse DC factor the workspace compiles: the same
+   moments, bit for bit *)
+let sparse_coeffs ws netlist out =
+  let asm = Whatif.assembly ws in
+  let factor = Dc.factor (Dc.make ~assembly:asm netlist) in
+  moment_coeffs
+    ~solve:(Solver.solve asm.Assembly.plan factor)
+    ~cmul:(Assembly.Coo.mul_vec asm.Assembly.c)
+    (Assembly.b_column asm 0) out
+
+(* A strongly overdamped deck: a 1 kOhm driver into 1 pF behind one
+   short segment, b2/b1^2 ~ 5e-5. *)
+let overdamped_deck ?(overrides = []) () =
+  let ov name kind default =
+    match
+      List.find_opt (fun (n, k, _) -> String.equal n name && k = kind) overrides
+    with
+    | Some (_, _, v) -> v
+    | None -> default
+  in
+  let n = Netlist.create () in
+  let src = Netlist.fresh_node n in
+  Netlist.add_vsource ~name:"vin" n src Netlist.ground (Stimulus.Dc 1.0);
+  let drv = Netlist.fresh_node n in
+  Netlist.add_resistor ~name:"rs" n src drv (ov "rs" `R 1000.0);
+  let out = Netlist.fresh_node n in
+  Netlist.add_rl_branch ~name:"seg" n drv out ~ohms:(ov "seg" `R 2.0)
+    ~henries:(ov "seg" `L 5e-11);
+  Netlist.add_capacitor ~name:"cl" n out Netlist.ground (ov "cl" `C 1e-12);
+  (n, out)
+
+(* Feed the deck's moments to the core Delay.of_coeffs: the workspace
+   solves its crossing with that same function, so on the same moments
+   the delays are bit-equal, and on densely computed moments they agree
+   to near machine precision. *)
+let test_delay_matches_core () =
+  let netlist, out = ladder ~segments:6 () in
+  let ws = Whatif.compile netlist in
+  let ws9 = Whatif.compile ~f:0.9 netlist in
+  let cs = sparse_coeffs ws netlist out in
+  check_bits "two-pole crossing"
+    (Rlc_core.Delay.of_coeffs ~f:0.5 cs)
+    (Whatif.evaluate ws (Whatif.Delay out));
+  check_bits "f = 0.9"
+    (Rlc_core.Delay.of_coeffs ~f:0.9 cs)
+    (Whatif.evaluate ws9 (Whatif.Delay out));
+  let dense = dense_coeffs ws out in
+  check_close ~tol:1e-12 "dense moments"
+    (Rlc_core.Delay.of_coeffs ~f:0.5 dense)
     (Whatif.evaluate ws (Whatif.Delay out));
   (* and a non-default threshold *)
-  let ws9 = Whatif.compile ~f:0.9 netlist in
-  check_close ~tol:1e-12 "f = 0.9"
-    (Rlc_core.Delay.of_coeffs ~f:0.9 { Rlc_core.Pade.b1; b2 })
-    (Whatif.evaluate ws9 (Whatif.Delay out))
+  check_close ~tol:1e-12 "dense moments, f = 0.9"
+    (Rlc_core.Delay.of_coeffs ~f:0.9 dense)
+    (Whatif.evaluate ws9 (Whatif.Delay out));
+  (* the overdamped deck: evaluate and gradient finite, the gradient
+     equal to central differences of fresh compiles, compared as
+     elasticities (v / tau) dtau/dv *)
+  let netlist, out = overdamped_deck () in
+  let ws = Whatif.compile netlist in
+  let cs = sparse_coeffs ws netlist out in
+  if cs.b2 /. (cs.b1 *. cs.b1) > 1e-4 then
+    Alcotest.failf "deck not strongly overdamped: b2/b1^2 = %g"
+      (cs.b2 /. (cs.b1 *. cs.b1));
+  let tau = Whatif.evaluate ws (Whatif.Delay out) in
+  check_bits "overdamped crossing" (Rlc_core.Delay.of_coeffs cs) tau;
+  let specs = [ ("rs", `R); ("seg", `R); ("seg", `L); ("cl", `C) ] in
+  let wrt =
+    Array.of_list (List.map (fun (n, k) -> Whatif.param ws n k) specs)
+  in
+  let adj = Whatif.gradient ws (Whatif.Delay out) ~wrt in
+  let fresh =
+    Array.of_list
+      (List.map
+         (fun (name, kind) ->
+           let v = Whatif.base_value (Whatif.param ws name kind) in
+           let at x =
+             let nl, o = overdamped_deck ~overrides:[ (name, kind, x) ] () in
+             Whatif.evaluate (Whatif.compile nl) (Whatif.Delay o)
+           in
+           let h = 1e-6 *. v in
+           v /. tau *. (at (v +. h) -. at (v -. h)) /. (2.0 *. h))
+         specs)
+  in
+  let elastic =
+    Array.mapi (fun i g -> Whatif.base_value wrt.(i) /. tau *. g) adj
+  in
+  Array.iter
+    (fun e ->
+      if not (Float.is_finite e) then Alcotest.fail "non-finite gradient")
+    (Array.append fresh elastic);
+  check_gradients "overdamped delay" 1e-6 (fresh, elastic)
 
 (* ---------------- AC magnitude ---------------- *)
 
@@ -467,22 +562,26 @@ let test_coupled_mutual_perturbation () =
 
 (* ---------------- adjoint vs finite differences ---------------- *)
 
+(* The reference: central differences of the evaluation in coordinates
+   relative to the evaluation point, value_i = v_i (1 + x_i) at x = 0,
+   so Fdiff's step of 1e-6 (1 + |x|) is 1e-6 of each value (an absolute
+   step would push a femtofarad capacitance negative). *)
 let gradient_pair ws target wrt set =
-  let fd = Rlc_core.Sensitivity.gradient ~set ws target ~wrt in
-  let adj =
-    Rlc_core.Sensitivity.gradient ~set ~method_:`Adjoint ws target ~wrt
+  let v0 =
+    Array.map
+      (fun p ->
+        match List.assq_opt p set with
+        | Some v -> v
+        | None -> Whatif.base_value p)
+      wrt
   in
-  (fd, adj)
-
-let check_gradients label scale_tol (fd, adj) =
-  let norm = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 fd in
-  if norm = 0.0 then Alcotest.failf "%s: all-zero finite differences" label;
-  Array.iteri
-    (fun i f ->
-      let a = adj.(i) in
-      if Float.abs (f -. a) > scale_tol *. (norm +. Float.abs f) then
-        Alcotest.failf "%s[%d]: fdiff %.10g adjoint %.10g" label i f a)
-    fd
+  let obj = Whatif.objective ws target ~wrt in
+  let fd =
+    Fdiff.gradient
+      (fun x -> obj (Array.mapi (fun i xi -> v0.(i) *. (1.0 +. xi)) x))
+      (Array.make (Array.length wrt) 0.0)
+  in
+  (Array.mapi (fun i g -> g /. v0.(i)) fd, Whatif.gradient ~set ws target ~wrt)
 
 let test_adjoint_matches_fdiff () =
   let segments = 8 in
