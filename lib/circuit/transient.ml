@@ -44,6 +44,13 @@ module Config = struct
 end
 
 (* Desugared element with per-element state indices. *)
+type inv = {
+  input : int;
+  output : int;
+  dev : Devices.inverter;
+  state : int; (* index into the inverter state arrays and [invs] *)
+}
+
 type compiled =
   | Cr of { a : int; b : int; g : float }
   | Cc of { a : int; b : int; c : float; state : int }
@@ -57,15 +64,11 @@ type compiled =
       l : float;
       m : float;
       state : int; (* index of branch-1 current; branch 2 is state+1 *)
+      pair : int; (* index into the coupled-pair coefficients *)
     }
   | Cv of { a : int; b : int; stim : Stimulus.t; row : int }
   | Ci of { a : int; b : int; stim : Stimulus.t }
-  | Cinv of {
-      input : int;
-      output : int;
-      dev : Devices.inverter;
-      state : int; (* index into inverter state array *)
-    }
+  | Cinv of inv
 
 module Stats = struct
   type t = {
@@ -105,66 +108,122 @@ let get r probe =
   | Some values -> Rlc_waveform.Waveform.create ~times:r.time ~values
   | None -> raise Not_found
 
+(* The compiled circuit: its elements in netlist order, the inverters
+   listed once, the state counts and the companion system's size
+   (unknowns = nodes - 1 + vsources). *)
+type circuit = {
+  elems : compiled array;
+  of_id : (int, compiled) Hashtbl.t;
+  invs : inv array;
+  n_caps : int;
+  n_rls : int;
+  n_pairs : int;
+  n_nodes : int;
+  m : int;
+}
+
 (* Compile the netlist: inverters contribute their gate/drain
    capacitors as separate compiled caps plus an output-stage record. *)
 let compile netlist =
-  let elems = Netlist.elements netlist in
-  let compiled = ref [] in
-  let caps = ref 0 and rls = ref 0 and vsrcs = ref 0 and invs = ref 0 in
-  let id_to_compiled = Hashtbl.create 16 in
+  let elems = ref [] and invs = ref [] in
+  let caps = ref 0 and rls = ref 0 and pairs = ref 0 and vsrcs = ref 0 in
+  let n_invs = ref 0 in
+  let of_id = Hashtbl.create 16 in
+  let cap a b c =
+    elems := Cc { a; b; c; state = !caps } :: !elems;
+    incr caps
+  in
   Array.iteri
     (fun id e ->
       let push c =
-        compiled := c :: !compiled;
-        Hashtbl.replace id_to_compiled id c
+        elems := c :: !elems;
+        Hashtbl.replace of_id id c
       in
       match e with
       | Netlist.Resistor { a; b; ohms } -> push (Cr { a; b; g = 1.0 /. ohms })
       | Netlist.Capacitor { a; b; farads } ->
-          let state = !caps in
-          incr caps;
-          push (Cc { a; b; c = farads; state })
+          push (Cc { a; b; c = farads; state = !caps });
+          incr caps
       | Netlist.Rl_branch { a; b; ohms; henries } ->
           if henries = 0.0 then push (Cr { a; b; g = 1.0 /. ohms })
           else begin
-            let state = !rls in
-            incr rls;
-            push (Crl { a; b; r = ohms; l = henries; state })
+            push (Crl { a; b; r = ohms; l = henries; state = !rls });
+            incr rls
           end
       | Netlist.Coupled_rl { a1; b1; a2; b2; ohms; henries; mutual } ->
-          let state = !rls in
+          let r = ohms and l = henries and m = mutual in
+          push (Ccrl { a1; b1; a2; b2; r; l; m; state = !rls; pair = !pairs });
           rls := !rls + 2;
-          push
-            (Ccrl { a1; b1; a2; b2; r = ohms; l = henries; m = mutual; state })
+          incr pairs
       | Netlist.Vsource { a; b; stim } ->
-          let row = !vsrcs in
-          incr vsrcs;
-          push (Cv { a; b; stim; row })
+          push (Cv { a; b; stim; row = !vsrcs });
+          incr vsrcs
       | Netlist.Isource { a; b; stim } -> push (Ci { a; b; stim })
       | Netlist.Inverter { input; output; dev } ->
-          (* gate capacitance *)
-          let gate_state = !caps in
-          incr caps;
-          compiled :=
-            Cc { a = input; b = Netlist.ground; c = dev.Devices.c_in;
-                 state = gate_state }
-            :: !compiled;
-          (* drain capacitance *)
-          let drain_state = !caps in
-          incr caps;
-          compiled :=
-            Cc { a = output; b = Netlist.ground; c = dev.Devices.c_out;
-                 state = drain_state }
-            :: !compiled;
-          let state = !invs in
-          incr invs;
-          push (Cinv { input; output; dev; state }))
-    elems;
-  ( Array.of_list (List.rev !compiled),
-    id_to_compiled,
-    (!caps, !rls, !vsrcs, !invs) )
+          cap input Netlist.ground dev.Devices.c_in;
+          cap output Netlist.ground dev.Devices.c_out;
+          let inv = { input; output; dev; state = !n_invs } in
+          invs := inv :: !invs;
+          incr n_invs;
+          push (Cinv inv))
+    (Netlist.elements netlist);
+  let n_nodes = Netlist.node_count netlist in
+  let m = n_nodes - 1 + !vsrcs in
+  if m = 0 then invalid_arg "Transient: empty circuit";
+  {
+    elems = Array.of_list (List.rev !elems);
+    of_id;
+    invs = Array.of_list (List.rev !invs);
+    n_caps = !caps;
+    n_rls = !rls;
+    n_pairs = !pairs;
+    n_nodes;
+    m;
+  }
 
 let alpha_of = function Trapezoidal -> 2.0 | Backward_euler -> 1.0
+
+(* The companion model of one (method, dt): every coefficient that the
+   stamp, the RHS and the commit read, filled by [coefficients] — the
+   one site of each formula — and cached with the factor of the matrix
+   it stamps. *)
+type coeffs = {
+  cap_g : float array; (* by capacitor state: alpha c / dt *)
+  rl_g : float array; (* by RL state: 1 / (r + alpha l / dt) *)
+  rl_hist : float array; (* by RL state: 2 l / dt - r, or l / dt (BE) *)
+  pair_d : float array; (* by pair: r + alpha l / dt *)
+  pair_o : float array; (* alpha m / dt *)
+  pair_det : float array; (* d^2 - o^2 *)
+  pair_mut : float array; (* 2 m / dt, or m / dt (BE) *)
+}
+
+type companion = { co : coeffs; factor : Solver.factor }
+
+let coefficients circ meth dt =
+  let alpha = alpha_of meth and trap = meth = Trapezoidal in
+  let series r l = r +. (alpha *. l /. dt) in
+  let hist r l = if trap then (2.0 *. l /. dt) -. r else l /. dt in
+  let per n = Array.make (Int.max n 1) 0.0 in
+  let cap_g = per circ.n_caps in
+  let rl_g = per circ.n_rls and rl_hist = per circ.n_rls in
+  let pair_d = per circ.n_pairs and pair_o = per circ.n_pairs in
+  let pair_det = per circ.n_pairs and pair_mut = per circ.n_pairs in
+  Array.iter
+    (function
+      | Cc { c; state; _ } -> cap_g.(state) <- alpha *. c /. dt
+      | Crl { r; l; state; _ } ->
+          rl_g.(state) <- 1.0 /. series r l;
+          rl_hist.(state) <- hist r l
+      | Ccrl { r; l; m; state; pair; _ } ->
+          let d = series r l and o = alpha *. m /. dt in
+          pair_d.(pair) <- d;
+          pair_o.(pair) <- o;
+          pair_det.(pair) <- (d *. d) -. (o *. o);
+          pair_mut.(pair) <- (if trap then 2.0 *. m /. dt else m /. dt);
+          rl_hist.(state) <- hist r l
+      | Cr _ | Cv _ | Ci _ | Cinv _ -> ())
+    circ.elems;
+  { cap_g; rl_g; rl_hist; pair_d; pair_o; pair_det; pair_mut }
 
 (* mutable engine state *)
 type state = {
@@ -192,19 +251,17 @@ let blit_state ~src ~dst =
   Array.blit src.inv_drive 0 dst.inv_drive 0 (Array.length src.inv_drive)
 
 type engine = {
-  compiled : compiled array;
-  compiled_of_id : (int, compiled) Hashtbl.t;
+  circ : circuit;
   netlist : Netlist.t;
-  n_nodes : int;
-  m : int; (* unknown count: nodes-1 + vsources *)
   plan : Solver.plan; (* shared structure analysis: RCM + bandwidth *)
   perm : int array; (* = plan.perm, kept flat for the hot loops *)
   state : state;
-  lu_cache : (integration * int64, Solver.factor) Hashtbl.t;
+  lu_cache : (integration * int64, companion) Hashtbl.t;
       (* keyed by the integration method and the exact dt bits *)
   rhs : float array; (* preallocated per-step buffers: *)
   x : float array; (* last MNA solution, in permuted order *)
   v_new : float array;
+  rl_w : float array; (* by RL state: coupled history of the last RHS *)
   trial : bool array;
   trial_next : bool array;
   histogram : int array;
@@ -219,31 +276,29 @@ type engine = {
 
 let vi node = node - 1
 
-(* Stamp the (method, dt) companion-model MNA matrix into a fresh COO
-   accumulator.  The conductance/cross patterns come from
-   {!Assembly.Coo} — the one stamping implementation — only the
-   companion values (alpha C / dt, the closed-form 2x2 coupled-RL
-   inverse) are computed here.  The voltage-source rows stay in the
-   engine's historical symmetric form (+1/+1), which differs from the
-   frequency-domain skew convention but yields the same solutions. *)
-let stamp_coo ~compiled ~n_nodes ~m meth dt =
-  let alpha = alpha_of meth in
-  let coo = Assembly.Coo.create ~size:m in
+(* Stamp a companion model's MNA matrix into a fresh COO accumulator.
+   The conductance/cross patterns come from {!Assembly.Coo} — the one
+   stamping implementation — and the values from [co]; only the
+   closed-form 2x2 coupled-RL inverse is formed here.  The
+   voltage-source rows stay in the engine's historical symmetric form
+   (+1/+1), which differs from the frequency-domain skew convention but
+   yields the same solutions. *)
+let stamp_coo (circ : circuit) co =
+  let coo = Assembly.Coo.create ~size:circ.m in
   Array.iter
     (fun c ->
       match c with
       | Cr { a = na; b = nb; g } -> Assembly.Coo.stamp_g coo na nb g
-      | Cc { a = na; b = nb; c; _ } ->
-          Assembly.Coo.stamp_g coo na nb (alpha *. c /. dt)
-      | Crl { a = na; b = nb; r; l; _ } ->
-          Assembly.Coo.stamp_g coo na nb (1.0 /. (r +. (alpha *. l /. dt)))
-      | Ccrl { a1; b1; a2; b2; r; l; m; _ } ->
+      | Cc { a = na; b = nb; state; _ } ->
+          Assembly.Coo.stamp_g coo na nb co.cap_g.(state)
+      | Crl { a = na; b = nb; state; _ } ->
+          Assembly.Coo.stamp_g coo na nb co.rl_g.(state)
+      | Ccrl { a1; b1; a2; b2; pair; _ } ->
           (* i = G v with G = inv(R I + alpha L_mat / dt),
-             L_mat = [l m; m l]; closed-form 2x2 inverse *)
-          let d = r +. (alpha *. l /. dt) in
-          let o = alpha *. m /. dt in
-          let det = (d *. d) -. (o *. o) in
-          let g_self = d /. det and g_cross = -.o /. det in
+             L_mat = [l m; m l] *)
+          let det = co.pair_det.(pair) in
+          let g_self = co.pair_d.(pair) /. det
+          and g_cross = -.co.pair_o.(pair) /. det in
           Assembly.Coo.stamp_g coo a1 b1 g_self;
           Assembly.Coo.stamp_g coo a2 b2 g_self;
           Assembly.Coo.stamp_cross coo ~a:a1 ~b:b1 ~ma:a2 ~mb:b2 g_cross;
@@ -252,7 +307,7 @@ let stamp_coo ~compiled ~n_nodes ~m meth dt =
           Assembly.Coo.stamp_g coo output Netlist.ground
             (1.0 /. dev.Devices.r_on)
       | Cv { a = na; b = nb; row; _ } ->
-          let r = n_nodes - 1 + row in
+          let r = circ.n_nodes - 1 + row in
           if na <> 0 then begin
             Assembly.Coo.stamp_at coo (vi na) r 1.0;
             Assembly.Coo.stamp_at coo r (vi na) 1.0
@@ -262,26 +317,41 @@ let stamp_coo ~compiled ~n_nodes ~m meth dt =
             Assembly.Coo.stamp_at coo r (vi nb) (-1.0)
           end
       | Ci _ -> ())
-    compiled;
+    circ.elems;
   coo
+
+(* Compile and plan: the one path of every engine and of
+   [structure_plan], which the serving layer computes once per
+   structural family and feeds back as [Config.plan_hint] (the
+   *companion* system's plan, distinct from the MNA plan of
+   {!Assembly.of_netlist}).  The companion structure is dt-independent,
+   so one probe stamp (any positive dt) gives the adjacency the shared
+   plan (RCM ordering + bandwidth + backend choice) is built from; a
+   [hint] sized for this system skips the probe and the ordering. *)
+let structure ?hint ~backend netlist =
+  let circ = compile netlist in
+  match hint with
+  | Some p when p.Solver.n = circ.m -> (circ, p)
+  | Some _ | None ->
+      let probe = stamp_coo circ (coefficients circ Trapezoidal 1.0) in
+      (circ, Solver.plan ~backend (Assembly.Coo.adjacency probe))
+
+let structure_plan ?(backend = Auto) netlist = snd (structure ~backend netlist)
 
 let make_engine (config : Config.t) netlist =
   let max_state_iterations = config.Config.max_state_iterations in
-  let initial_voltages = config.Config.initial_voltages in
-  let backend = config.Config.backend in
   if max_state_iterations < 1 then
     invalid_arg "Transient: max_state_iterations < 1";
-  let n_nodes = Netlist.node_count netlist in
-  let compiled, compiled_of_id, (n_caps, n_rls, n_vsrcs, n_invs) =
-    compile netlist
+  let circ, plan =
+    structure ?hint:config.Config.plan_hint ~backend:config.Config.backend
+      netlist
   in
-  let m = n_nodes - 1 + n_vsrcs in
-  if m = 0 then invalid_arg "Transient: empty circuit";
+  let n_nodes = circ.n_nodes and n_invs = Array.length circ.invs in
   let state =
     {
       v = Array.make n_nodes 0.0;
-      cap_i = Array.make (Int.max n_caps 1) 0.0;
-      rl_i = Array.make (Int.max n_rls 1) 0.0;
+      cap_i = Array.make (Int.max circ.n_caps 1) 0.0;
+      rl_i = Array.make (Int.max circ.n_rls 1) 0.0;
       inv_high = Array.make (Int.max n_invs 1) false;
       inv_drive = Array.make (Int.max n_invs 1) 0.0;
     }
@@ -291,41 +361,24 @@ let make_engine (config : Config.t) netlist =
       if node <= 0 || node >= n_nodes then
         invalid_arg "Transient: initial voltage on bad node";
       state.v.(node) <- volt)
-    initial_voltages;
+    config.Config.initial_voltages;
   Array.iter
-    (function
-      | Cinv { input; dev; state = si; _ } ->
-          let high = Devices.drives_high dev ~v_in:state.v.(input) in
-          state.inv_high.(si) <- high;
-          state.inv_drive.(si) <- (if high then dev.Devices.vdd else 0.0)
-      | Cr _ | Cc _ | Crl _ | Ccrl _ | Cv _ | Ci _ -> ())
-    compiled;
-  (* structural probe (any positive dt): the companion structure is
-     dt-independent, so one stamp gives the adjacency the shared plan
-     (RCM ordering + bandwidth + backend choice) is built from.  A
-     [plan_hint] sized for this system (from {!structure_plan} on a
-     structurally identical deck — the serving layer's cache) skips
-     the probe stamp and the ordering entirely. *)
-  let plan =
-    match config.Config.plan_hint with
-    | Some p when p.Solver.n = m -> p
-    | Some _ | None ->
-        let probe = stamp_coo ~compiled ~n_nodes ~m Trapezoidal 1.0 in
-        Solver.plan ~backend (Assembly.Coo.adjacency probe)
-  in
+    (fun { input; dev; state = si; _ } ->
+      let high = Devices.drives_high dev ~v_in:state.v.(input) in
+      state.inv_high.(si) <- high;
+      state.inv_drive.(si) <- (if high then dev.Devices.vdd else 0.0))
+    circ.invs;
   {
-    compiled;
-    compiled_of_id;
+    circ;
     netlist;
-    n_nodes;
-    m;
     plan;
     perm = plan.Solver.perm;
     state;
     lu_cache = Hashtbl.create 8;
-    rhs = Array.make m 0.0;
-    x = Array.make m 0.0;
+    rhs = Array.make circ.m 0.0;
+    x = Array.make circ.m 0.0;
     v_new = Array.make n_nodes 0.0;
+    rl_w = Array.make (Int.max circ.n_rls 1) 0.0;
     trial = Array.make (Int.max n_invs 1) false;
     trial_next = Array.make (Int.max n_invs 1) false;
     histogram = Array.make max_state_iterations 0;
@@ -335,52 +388,37 @@ let make_engine (config : Config.t) netlist =
     sparse_sym = None;
   }
 
-(* The engine's structure analysis without an engine: what the serving
-   layer computes once per structural family and feeds back through
-   [Config.plan_hint].  Note this is the *companion* system's plan
-   (unknowns = nodes - 1 + vsources), distinct from the MNA plan of
-   {!Assembly.of_netlist}. *)
-let structure_plan ?(backend = Auto) netlist =
-  let n_nodes = Netlist.node_count netlist in
-  let compiled, _, (_, _, n_vsrcs, _) = compile netlist in
-  let m = n_nodes - 1 + n_vsrcs in
-  if m = 0 then invalid_arg "Transient: empty circuit";
-  let probe = stamp_coo ~compiled ~n_nodes ~m Trapezoidal 1.0 in
-  Solver.plan ~backend (Assembly.Coo.adjacency probe)
-
-(* The factorisation cache is keyed by the (method, dt-bits) pair
-   itself — never by its hash, where a collision between two distinct
-   dt values would silently reuse the wrong factorisation.  The
-   adaptive driver keeps dt on the dt_max/2^k grid, so the cache stays
-   tiny; the eviction below is a backstop for pathological callers. *)
+(* The companion cache is keyed by the (method, dt-bits) pair itself —
+   never by its hash, where a collision between two distinct dt values
+   would silently reuse the wrong factorisation.  The adaptive driver
+   keeps dt on the dt_max/2^k grid, so the cache stays tiny; the
+   eviction below is a backstop for pathological callers. *)
 let lu_cache_limit = 64
 
 let factorization eng meth dt =
   let key = (meth, Int64.bits_of_float dt) in
   match Hashtbl.find_opt eng.lu_cache key with
-  | Some f ->
+  | Some c ->
       M.incr m_cache_hit;
-      f
+      c
   | None ->
       M.incr m_cache_miss;
-      let coo =
-        stamp_coo ~compiled:eng.compiled ~n_nodes:eng.n_nodes ~m:eng.m meth dt
-      in
-      let f =
+      let co = coefficients eng.circ meth dt in
+      let coo = stamp_coo eng.circ co in
+      let factor =
         try
           Solver.factor ?symbolic:eng.sparse_sym eng.plan
             ~fill:(Assembly.Coo.iter coo)
         with Solver.Singular ->
           failwith "Transient: singular MNA matrix"
       in
-      if eng.sparse_sym = None then eng.sparse_sym <- Solver.symbolic_of f;
+      if eng.sparse_sym = None then eng.sparse_sym <- Solver.symbolic_of factor;
       if Hashtbl.length eng.lu_cache >= lu_cache_limit then
         Hashtbl.reset eng.lu_cache;
-      Hashtbl.replace eng.lu_cache key f;
+      let c = { co; factor } in
+      Hashtbl.replace eng.lu_cache key c;
       eng.factorizations <- eng.factorizations + 1;
-      f
-
-let solve_factor f ~b ~x = Solver.solve_permuted_into f ~b ~x
+      c
 
 let slewed_drive dev ~dt current target_high =
   let target = if target_high then dev.Devices.vdd else 0.0 in
@@ -392,63 +430,53 @@ let slewed_drive dev ~dt current target_high =
     else current +. Float.copy_sign max_step delta
   end
 
-(* Fill eng.rhs in place (permuted positions).  Every branch voltage is
-   read inline and every companion term is its own float binding: a
-   float-returning helper or a tuple would box on each element and
-   pass. *)
-let build_rhs eng meth dt t_next trial =
+(* Fill eng.rhs in place (permuted positions), accumulating in element
+   order.  Every branch voltage is read inline and every companion term
+   is its own float binding: a float-returning helper or a tuple would
+   box on each element and pass.  The coupled-pair history voltages go
+   to [eng.rl_w] for the commit. *)
+let build_rhs eng co meth dt t_next trial =
   let s = eng.state in
   let b = eng.rhs in
   let p = eng.perm in
-  Array.fill b 0 eng.m 0.0;
-  let alpha = alpha_of meth in
+  let w = eng.rl_w in
+  Array.fill b 0 eng.circ.m 0.0;
   Array.iter
     (fun c ->
       match c with
       | Cr _ -> ()
-      | Cc { a = na; b = nb; c; state } ->
-          let g = alpha *. c /. dt in
+      | Cc { a = na; b = nb; state; _ } ->
           let i_src =
-            (g *. (s.v.(na) -. s.v.(nb)))
+            (co.cap_g.(state) *. (s.v.(na) -. s.v.(nb)))
             +. (match meth with
                | Trapezoidal -> s.cap_i.(state)
                | Backward_euler -> 0.0)
           in
           if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) +. i_src;
           if nb <> 0 then b.(p.(vi nb)) <- b.(p.(vi nb)) -. i_src
-      | Crl { a = na; b = nb; r; l; state } ->
-          let g = 1.0 /. (r +. (alpha *. l /. dt)) in
+      | Crl { a = na; b = nb; state; _ } ->
+          let g = co.rl_g.(state) and h = co.rl_hist.(state) in
           let i_src =
             match meth with
             | Trapezoidal ->
-                g
-                *. (s.v.(na) -. s.v.(nb)
-                   +. (((2.0 *. l /. dt) -. r) *. s.rl_i.(state)))
-            | Backward_euler -> g *. (l /. dt) *. s.rl_i.(state)
+                g *. (s.v.(na) -. s.v.(nb) +. (h *. s.rl_i.(state)))
+            | Backward_euler -> g *. h *. s.rl_i.(state)
           in
           if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) -. i_src;
           if nb <> 0 then b.(p.(vi nb)) <- b.(p.(vi nb)) +. i_src
-      | Ccrl { a1; b1; a2; b2; r; l; m; state } ->
-          let d = r +. (alpha *. l /. dt) in
-          let o = alpha *. m /. dt in
-          let det = (d *. d) -. (o *. o) in
+      | Ccrl { a1; b1; a2; b2; state; pair; _ } ->
+          let d = co.pair_d.(pair) and o = co.pair_o.(pair) in
+          let det = co.pair_det.(pair) in
+          let h = co.rl_hist.(state) and hm = co.pair_mut.(pair) in
           let i1 = s.rl_i.(state) and i2 = s.rl_i.(state + 1) in
-          let w1 =
-            match meth with
-            | Trapezoidal ->
-                s.v.(a1) -. s.v.(b1)
-                +. (((2.0 *. l /. dt) -. r) *. i1)
-                +. (2.0 *. m /. dt *. i2)
-            | Backward_euler -> (l /. dt *. i1) +. (m /. dt *. i2)
-          in
-          let w2 =
-            match meth with
-            | Trapezoidal ->
-                s.v.(a2) -. s.v.(b2)
-                +. (((2.0 *. l /. dt) -. r) *. i2)
-                +. (2.0 *. m /. dt *. i1)
-            | Backward_euler -> (l /. dt *. i2) +. (m /. dt *. i1)
-          in
+          (match meth with
+          | Trapezoidal ->
+              w.(state) <- s.v.(a1) -. s.v.(b1) +. (h *. i1) +. (hm *. i2);
+              w.(state + 1) <- s.v.(a2) -. s.v.(b2) +. (h *. i2) +. (hm *. i1)
+          | Backward_euler ->
+              w.(state) <- (h *. i1) +. (hm *. i2);
+              w.(state + 1) <- (h *. i2) +. (hm *. i1));
+          let w1 = w.(state) and w2 = w.(state + 1) in
           let i1_src = ((d *. w1) -. (o *. w2)) /. det in
           let i2_src = ((d *. w2) -. (o *. w1)) /. det in
           if a1 <> 0 then b.(p.(vi a1)) <- b.(p.(vi a1)) -. i1_src;
@@ -463,19 +491,19 @@ let build_rhs eng meth dt t_next trial =
           if output <> 0 then
             b.(p.(vi output)) <- b.(p.(vi output)) +. (g *. v_drive)
       | Cv { row; stim; _ } ->
-          b.(p.(eng.n_nodes - 1 + row)) <- Stimulus.eval stim t_next
+          b.(p.(eng.circ.n_nodes - 1 + row)) <- Stimulus.eval stim t_next
       | Ci { a = na; b = nb; stim } ->
           let j = Stimulus.eval stim t_next in
           if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) -. j;
           if nb <> 0 then b.(p.(vi nb)) <- b.(p.(vi nb)) +. j)
-    eng.compiled
+    eng.circ.elems
 
 (* Advance the engine state by one step of [dt] ending at [t_next],
    resolving the inverter logic by fixed point.  Mutates eng.state and
    the engine's scratch buffers; allocates nothing per step. *)
 let advance_raw eng meth dt t_next =
   let s = eng.state in
-  let f = factorization eng meth dt in
+  let { co; factor } = factorization eng meth dt in
   let trial = eng.trial in
   Array.blit s.inv_high 0 trial 0 (Array.length s.inv_high);
   let x = eng.x in
@@ -484,18 +512,16 @@ let advance_raw eng meth dt t_next =
   let stable = ref false in
   while (not !stable) && !passes < eng.max_state_iterations do
     incr passes;
-    build_rhs eng meth dt t_next trial;
-    solve_factor f ~b:eng.rhs ~x;
+    build_rhs eng co meth dt t_next trial;
+    Solver.solve_permuted_into factor ~b:eng.rhs ~x;
     let changed = ref false in
     Array.iter
-      (function
-        | Cinv { input; dev; state; _ } ->
-            let v_in = if input = 0 then 0.0 else x.(p.(vi input)) in
-            let high = Devices.drives_high dev ~v_in in
-            eng.trial_next.(state) <- high;
-            if high <> trial.(state) then changed := true
-        | Cr _ | Cc _ | Crl _ | Ccrl _ | Cv _ | Ci _ -> ())
-      eng.compiled;
+      (fun { input; dev; state; _ } ->
+        let v_in = if input = 0 then 0.0 else x.(p.(vi input)) in
+        let high = Devices.drives_high dev ~v_in in
+        eng.trial_next.(state) <- high;
+        if high <> trial.(state) then changed := true)
+      eng.circ.invs;
     if not !changed then stable := true
     else if !passes < eng.max_state_iterations then
       (* re-solve with the updated logic states *)
@@ -507,71 +533,46 @@ let advance_raw eng meth dt t_next =
       eng.nonconverged <- eng.nonconverged + 1
   done;
   eng.histogram.(!passes - 1) <- eng.histogram.(!passes - 1) + 1;
-  let alpha = alpha_of meth in
   let v_new = eng.v_new in
   v_new.(0) <- 0.0;
-  for node = 1 to eng.n_nodes - 1 do
+  for node = 1 to eng.circ.n_nodes - 1 do
     v_new.(node) <- x.(p.(vi node))
   done;
   (* commit branch states (companion updates need the OLD voltages) *)
   Array.iter
     (fun c ->
       match c with
-      | Cc { a = na; b = nb; c; state } ->
-          let g = alpha *. c /. dt in
+      | Cc { a = na; b = nb; state; _ } ->
+          let g = co.cap_g.(state) in
           let old_vab = s.v.(na) -. s.v.(nb) in
           let new_vab = v_new.(na) -. v_new.(nb) in
           s.cap_i.(state) <-
             (match meth with
             | Trapezoidal -> (g *. (new_vab -. old_vab)) -. s.cap_i.(state)
             | Backward_euler -> g *. (new_vab -. old_vab))
-      | Crl { a = na; b = nb; r; l; state } ->
-          let g = 1.0 /. (r +. (alpha *. l /. dt)) in
+      | Crl { a = na; b = nb; state; _ } ->
+          let g = co.rl_g.(state) and h = co.rl_hist.(state) in
           let old_vab = s.v.(na) -. s.v.(nb) in
           let new_vab = v_new.(na) -. v_new.(nb) in
           s.rl_i.(state) <-
             (match meth with
-            | Trapezoidal ->
-                g
-                *. (new_vab +. old_vab
-                   +. (((2.0 *. l /. dt) -. r) *. s.rl_i.(state)))
-            | Backward_euler -> g *. (new_vab +. (l /. dt *. s.rl_i.(state))))
-      | Ccrl { a1; b1; a2; b2; r; l; m; state } ->
-          let d = r +. (alpha *. l /. dt) in
-          let o = alpha *. m /. dt in
-          let det = (d *. d) -. (o *. o) in
-          let i1 = s.rl_i.(state) and i2 = s.rl_i.(state + 1) in
-          let w1 =
-            match meth with
-            | Trapezoidal ->
-                s.v.(a1) -. s.v.(b1)
-                +. (((2.0 *. l /. dt) -. r) *. i1)
-                +. (2.0 *. m /. dt *. i2)
-            | Backward_euler -> (l /. dt *. i1) +. (m /. dt *. i2)
-          in
-          let w2 =
-            match meth with
-            | Trapezoidal ->
-                s.v.(a2) -. s.v.(b2)
-                +. (((2.0 *. l /. dt) -. r) *. i2)
-                +. (2.0 *. m /. dt *. i1)
-            | Backward_euler -> (l /. dt *. i2) +. (m /. dt *. i1)
-          in
-          let u1 = (v_new.(a1) -. v_new.(b1)) +. w1 in
-          let u2 = (v_new.(a2) -. v_new.(b2)) +. w2 in
+            | Trapezoidal -> g *. (new_vab +. old_vab +. (h *. s.rl_i.(state)))
+            | Backward_euler -> g *. (new_vab +. (h *. s.rl_i.(state))))
+      | Ccrl { a1; b1; a2; b2; state; pair; _ } ->
+          let d = co.pair_d.(pair) and o = co.pair_o.(pair) in
+          let det = co.pair_det.(pair) in
+          let u1 = (v_new.(a1) -. v_new.(b1)) +. eng.rl_w.(state) in
+          let u2 = (v_new.(a2) -. v_new.(b2)) +. eng.rl_w.(state + 1) in
           s.rl_i.(state) <- ((d *. u1) -. (o *. u2)) /. det;
           s.rl_i.(state + 1) <- ((d *. u2) -. (o *. u1)) /. det
-      | Cr _ | Cv _ | Ci _ -> ()
-      | Cinv _ -> ())
-    eng.compiled;
+      | Cr _ | Cv _ | Ci _ | Cinv _ -> ())
+    eng.circ.elems;
   Array.iter
-    (function
-      | Cinv { dev; state; _ } ->
-          s.inv_drive.(state) <-
-            slewed_drive dev ~dt s.inv_drive.(state) trial.(state)
-      | Cr _ | Cc _ | Crl _ | Ccrl _ | Cv _ | Ci _ -> ())
-    eng.compiled;
-  Array.blit v_new 0 s.v 0 eng.n_nodes;
+    (fun { dev; state; _ } ->
+      s.inv_drive.(state) <-
+        slewed_drive dev ~dt s.inv_drive.(state) trial.(state))
+    eng.circ.invs;
+  Array.blit v_new 0 s.v 0 eng.circ.n_nodes;
   Array.blit trial 0 s.inv_high 0 (Array.length trial)
 
 (* hot loop: one predicted branch when recording is off *)
@@ -606,7 +607,7 @@ let branch_current eng name =
   match resolve_probe_element eng name with
   | None -> 0.0
   | Some (id, sub) -> begin
-      match Hashtbl.find_opt eng.compiled_of_id id with
+      match Hashtbl.find_opt eng.circ.of_id id with
       | Some (Cr { a; b; g }) -> g *. (s.v.(a) -. s.v.(b))
       | Some (Cc { state; _ }) -> s.cap_i.(state)
       | Some (Crl { state; _ }) -> s.rl_i.(state)
@@ -617,7 +618,7 @@ let branch_current eng name =
           (* the MNA current unknown of this source in the last
              solution (zero before the first step); sign convention:
              positive flowing a -> b inside the source *)
-          eng.x.(eng.perm.(eng.n_nodes - 1 + row))
+          eng.x.(eng.perm.(eng.circ.n_nodes - 1 + row))
       | Some (Ci _) | None -> 0.0
     end
 
@@ -630,7 +631,7 @@ let validate_probes eng probes =
     (fun p ->
       match p with
       | Node_v node ->
-          if node < 0 || node >= eng.n_nodes then
+          if node < 0 || node >= eng.circ.n_nodes then
             invalid_arg "Transient: probe on unknown node"
       | Branch_i name ->
           if resolve_probe_element eng name = None then
@@ -675,26 +676,16 @@ let simulate_impl ?(config = Config.default) netlist ~t_end ~dt ~probes =
     List.iter (fun (p, arr) -> arr.(slot) <- probe_value eng p) probe_specs
   in
   record 0;
-  let slot = ref 0 in
   for step = 1 to n_steps do
-    let meth =
-      match (step, integration) with 1, _ -> Backward_euler | _, m -> m
-    in
+    let meth = if step = 1 then Backward_euler else integration in
     advance eng meth dt (float_of_int step *. dt);
     if step mod record_every = 0 then begin
-      incr slot;
-      if !slot < n_records then begin
-        times.(!slot) <- float_of_int step *. dt;
-        record !slot
-      end
+      times.(step / record_every) <- float_of_int step *. dt;
+      record (step / record_every)
     end
   done;
-  let used = !slot + 1 in
-  finish eng
-    ~time:(Array.sub times 0 used)
-    ~probe_data:
-      (List.map (fun (p, arr) -> (p, Array.sub arr 0 used)) probe_specs)
-    ~steps:n_steps ~rejected:0 ~forced:0
+  finish eng ~time:times ~probe_data:probe_specs ~steps:n_steps ~rejected:0
+    ~forced:0
 
 let simulate ?config netlist ~t_end ~dt ~probes =
   Rlc_instr.Span.with_ "transient.simulate" (fun () ->
@@ -766,7 +757,7 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
       (int_of_float
          (Float.ceil (Float.log (dt_max /. dt_min) /. Float.log 2.0)))
   in
-  let n = eng.n_nodes in
+  let n = eng.circ.n_nodes in
   (* the last accepted node voltages, oldest first, and their times *)
   let past = Array.init history (fun _ -> Array.make n 0.0) in
   let past_t = Array.make history 0.0 in

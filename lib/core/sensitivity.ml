@@ -12,10 +12,13 @@ type t = {
    so d tau/d theta = -(dv/d theta)|_tau / (dv/dt)|_tau.  dv/dt is the
    closed-form step-response derivative; dv/dtheta is a high-accuracy
    central difference of the closed-form response (no re-solving of the
-   delay equation, no transient simulation). *)
+   delay equation, no transient simulation), except for l: b1 does not
+   depend on it and b2 is linear in it, so dv/dl = dv/db2 db2/dl with a
+   one-sided db2/dl that is exact up to rounding and needs no l < 0. *)
 let of_stage ?(f = 0.5) stage =
   let tau = Delay.of_stage ~f stage in
-  let slope = Step_response.derivative (Pade.coeffs stage) tau in
+  let cs = Pade.coeffs stage in
+  let slope = Step_response.derivative cs tau in
   if Float.abs slope < 1e-300 then
     invalid_arg "Sensitivity.of_stage: flat response at the crossing";
   let v_of st = Step_response.eval (Pade.coeffs st) tau in
@@ -32,8 +35,10 @@ let of_stage ?(f = 0.5) stage =
   in
   let driver = stage.Stage.driver in
   let wrt_l =
-    let scale = Float.max l (0.01 *. 1e-6) in
-    -.dv_d (fun d -> rebuild (line ~dl:d ()) driver) scale /. slope
+    let dl = Float.max l (0.01 *. 1e-6) in
+    let b2' = (Pade.coeffs (rebuild (line ~dl ()) driver)).Pade.b2 in
+    let v_b2 = (Step_response.partials cs tau).Step_response.v_b2 in
+    -.(v_b2 *. ((b2' -. cs.Pade.b2) /. dl)) /. slope
   in
   let wrt_c = -.dv_d (fun d -> rebuild (line ~dc:d ()) driver) c /. slope in
   let wrt_r = -.dv_d (fun d -> rebuild (line ~dr:d ()) driver) r /. slope in

@@ -4,12 +4,7 @@
    delay solver against the step response, the closed-form RC optimum
    against Table 1, and the Newton optimizer against Nelder-Mead. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 open Rlc_core
 

@@ -3,12 +3,7 @@
    transient), variation analysis, wire sizing and the square-wave
    chain. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 open Rlc_core
 
@@ -666,6 +661,29 @@ let test_sensitivity_matches_fd () =
   in
   check_close "d tau/d r" (fd with_r r) s.Sensitivity.wrt_r ~tol:1e-4
 
+let test_sensitivity_at_zero_l () =
+  (* an RC line: no central step in l fits below l = 0, yet b2 is
+     linear in l, so d tau/d l is defined and must match a forward
+     difference of the solved delay *)
+  let stage = Stage.of_node node250 ~l:0.0 ~h:0.005 ~k:200.0 in
+  let s = Sensitivity.of_stage stage in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " finite") true (Float.is_finite v))
+    Sensitivity.
+      [
+        ("wrt_l", s.wrt_l); ("wrt_c", s.wrt_c); ("wrt_r", s.wrt_r);
+        ("wrt_rs", s.wrt_rs); ("elasticity_c", s.elasticity_c);
+        ("elasticity_r", s.elasticity_r);
+      ];
+  Alcotest.(check (float 0.0)) "elasticity_l" 0.0 s.Sensitivity.elasticity_l;
+  let dl = 1e-10 in
+  let fwd =
+    (Delay.of_stage (Stage.with_l stage dl) -. Delay.of_stage stage) /. dl
+  in
+  check_close ~tol:1e-3 "d tau/d l over a forward difference" 1.0
+    (s.Sensitivity.wrt_l /. fwd)
+
 let test_sensitivity_all_positive () =
   (* more parasitics or weaker driver = more delay, for this regime *)
   let s = Sensitivity.of_stage (Rc_opt.stage node100 ~l:1e-6) in
@@ -980,6 +998,7 @@ let () =
           Alcotest.test_case "matches finite differences" `Quick
             test_sensitivity_matches_fd;
           Alcotest.test_case "signs" `Quick test_sensitivity_all_positive;
+          Alcotest.test_case "at l = 0" `Quick test_sensitivity_at_zero_l;
           Alcotest.test_case "elasticity crossover" `Quick
             test_sensitivity_elasticity_crossover;
           Alcotest.test_case "spread vs monte-carlo" `Slow

@@ -2,12 +2,7 @@
    inductance models, validated against the paper's Table 1 values and
    basic physical monotonicity. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 open Rlc_extraction
 

@@ -4,12 +4,7 @@
    Laplace transform, plus end-to-end checks of the experiment
    drivers. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 let node100 = Rlc_tech.Presets.node_100nm
 let node250 = Rlc_tech.Presets.node_250nm

@@ -9,12 +9,7 @@ open Rlc_numerics
 open Rlc_circuit
 module Prima = Rlc_mor.Prima
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 let check_cx ?(tol = 1e-9) msg expected actual =
   check_close ~tol (msg ^ " (re)") (Cx.re expected) (Cx.re actual);

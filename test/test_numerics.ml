@@ -3,14 +3,9 @@
    statistics, finite differences and the Talbot inverse Laplace. *)
 
 open Rlc_numerics
+open Approx
 
 let check_float = Alcotest.(check (float 1e-9))
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
 
 (* ---------------- Cx ---------------- *)
 

@@ -2,12 +2,7 @@
    quick tests use small rings / coarse ladders and the full-size
    checks are marked `Slow. *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 let node100 = Rlc_tech.Presets.node_100nm
 

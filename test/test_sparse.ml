@@ -1,8 +1,5 @@
 open Rlc_numerics
-
-let check_close ~tol msg a b =
-  if Float.abs (a -. b) > tol *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
-  then Alcotest.failf "%s: %.17g vs %.17g" msg a b
+open Approx
 
 (* deterministic LCG so failures reproduce *)
 let rng = ref 42

@@ -1,11 +1,6 @@
 (* Tests for rlc_tech: units, driver model, node presets (Table 1). *)
 
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
+open Approx
 
 open Rlc_tech
 

@@ -1,12 +1,8 @@
 (* Tests for rlc_waveform: waveform container and measurements. *)
 
+open Approx
+
 let check_float = Alcotest.(check (float 1e-9))
-let check_close ?(tol = 1e-9) msg expected actual =
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.15g, got %.15g" msg expected actual
 
 open Rlc_waveform
 

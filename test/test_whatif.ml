@@ -6,17 +6,7 @@
 
 open Rlc_numerics
 open Rlc_circuit
-
-let check_close ?(tol = 1e-9) msg expected actual =
-  (* nan never satisfies [>], so an explicit finiteness check keeps a
-     nan-vs-nan comparison from passing vacuously *)
-  if Float.is_nan expected || Float.is_nan actual then
-    Alcotest.failf "%s: nan (expected %.17g, got %.17g)" msg expected actual;
-  if
-    Float.abs (expected -. actual)
-    > tol *. (1.0 +. Float.max (Float.abs expected) (Float.abs actual))
-  then
-    Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
+open Approx
 
 let check_bits msg expected actual =
   if
