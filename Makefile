@@ -87,7 +87,8 @@ netlist-demo:
 	  fi; \
 	done | diff examples/netlists/rlcsim.golden -
 	rm -f _netlist_demo.csv
-	for run in "no_source.sp --ac" "no_tran.sp" "no_probe.sp"; do \
+	for run in "no_source.sp --ac" "no_tran.sp" "no_probe.sp" \
+	  "vsource_loop.sp" "floating_island.sp"; do \
 	  dune exec bin/rlcsim.exe -- examples/netlists/bad/$$run \
 	    > /dev/null 2> _netlist_demo.err; st=$$?; cat _netlist_demo.err; \
 	  if [ $$st -ne 1 ] || grep -q "internal error" _netlist_demo.err; then \

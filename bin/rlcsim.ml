@@ -64,7 +64,17 @@ let run_transient deck csv =
     prerr_endline "rlcsim: the deck has no .probe card";
     exit 1
   end;
-  let result = Rlc_circuit.Parser.run deck in
+  let result =
+    (* a voltage-source loop or a node with no DC path to ground *)
+    match Rlc_circuit.Parser.run deck with
+    | r -> r
+    | exception Failure msg when msg = "Transient: singular MNA matrix" ->
+        Printf.eprintf
+          "rlcsim: %s: check for voltage sources in a loop and for nodes \
+           with no path to ground\n"
+          msg;
+        exit 1
+  in
   Printf.printf "transient: %d steps\n\n"
     (Rlc_circuit.Transient.steps_taken result);
   List.iter (summarize deck result) deck.Rlc_circuit.Parser.probes;

@@ -39,12 +39,24 @@ let validate = function
       in
       check corners
 
-let ramp ~from_v ~to_v ~t0 ~dt t =
+(* [ramp] and [value] are inlined into [eval] and [eval_into], so the
+   value of a DC, step or pulse source is never boxed on its way to an
+   array. *)
+let[@inline] ramp ~from_v ~to_v ~t0 ~dt t =
   if t <= t0 then from_v
   else if t >= t0 +. dt then to_v
   else from_v +. ((to_v -. from_v) *. (t -. t0) /. dt)
 
-let eval stim t =
+let rec pwl corners t =
+  match corners with
+  | [] -> 0.0
+  | [ (_, v) ] -> v
+  | (t0, v0) :: ((t1, v1) :: _ as rest) ->
+      if t <= t0 then v0
+      else if t <= t1 then ramp ~from_v:v0 ~to_v:v1 ~t0 ~dt:(t1 -. t0) t
+      else pwl rest t
+
+let[@inline] value stim t =
   match stim with
   | Dc v -> v
   | Step { v0; v1; t_delay; t_rise } ->
@@ -59,18 +71,13 @@ let eval stim t =
           ramp ~from_v:v1 ~to_v:v0 ~t0:(t_rise +. t_high) ~dt:t_fall phase
         else v0
       end
-  | Pwl corners ->
-      let rec go = function
-        | [] -> 0.0
-        | [ (_, v) ] -> v
-        | (t0, v0) :: ((t1, v1) :: _ as rest) ->
-            if t <= t0 then v0
-            else if t <= t1 then ramp ~from_v:v0 ~to_v:v1 ~t0 ~dt:(t1 -. t0) t
-            else go rest
-      in
-      (match corners with
+  | Pwl corners -> (
+      match corners with
       | (t0, v0) :: _ when t < t0 -> v0
-      | _ -> go corners)
+      | _ -> pwl corners t)
+
+let eval stim t = value stim t
+let eval_into stim a i = a.(i) <- value stim a.(i)
 
 let square_wave ~vdd ~period ?t_rise () =
   let t_rise = match t_rise with Some x -> x | None -> period /. 100.0 in

@@ -20,6 +20,11 @@ type t =
 val eval : t -> float -> float
 (** Source value at time [t]. *)
 
+val eval_into : t -> float array -> int -> unit
+(** [eval_into s a i] replaces the time [a.(i)] with [eval s a.(i)].
+    The time and the value stay unboxed, so a DC, step or pulse source
+    is evaluated without allocating (a PWL source still allocates). *)
+
 val square_wave : vdd:float -> period:float -> ?t_rise:float -> unit -> t
 (** 50%-duty pulse between 0 and [vdd]; [t_rise] defaults to
     [period / 100]. *)

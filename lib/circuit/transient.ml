@@ -43,32 +43,23 @@ module Config = struct
     }
 end
 
-(* Desugared element with per-element state indices. *)
-type inv = {
-  input : int;
-  output : int;
-  dev : Devices.inverter;
-  state : int; (* index into the inverter state arrays and [invs] *)
-}
-
-type compiled =
-  | Cr of { a : int; b : int; g : float }
-  | Cc of { a : int; b : int; c : float; state : int }
-  | Crl of { a : int; b : int; r : float; l : float; state : int }
-  | Ccrl of {
-      a1 : int;
-      b1 : int;
-      a2 : int;
-      b2 : int;
-      r : float;
-      l : float;
-      m : float;
-      state : int; (* index of branch-1 current; branch 2 is state+1 *)
-      pair : int; (* index into the coupled-pair coefficients *)
-    }
-  | Cv of { a : int; b : int; stim : Stimulus.t; row : int }
-  | Ci of { a : int; b : int; stim : Stimulus.t }
-  | Cinv of inv
+(* An element's tag in the flat element table.  Capacitors, RL branches
+   and coupled pairs carry their integration method in the tag, so one
+   dispatch per element picks both the kind and the companion formula.
+   A coupled pair takes two rows, its first branch tagged [Pair_*] and
+   its second [Pair_2nd], which the element passes skip. *)
+type tag =
+  | R
+  | C_trap
+  | C_be
+  | Rl_trap
+  | Rl_be
+  | Pair_trap
+  | Pair_be
+  | Pair_2nd
+  | V
+  | I
+  | Inv
 
 module Stats = struct
   type t = {
@@ -108,162 +99,167 @@ let get r probe =
   | Some values -> Rlc_waveform.Waveform.create ~times:r.time ~values
   | None -> raise Not_found
 
-(* The compiled circuit: its elements in netlist order, the inverters
-   listed once, the state counts and the companion system's size
-   (unknowns = nodes - 1 + vsources). *)
+(* The compiled circuit: one flat table of its elements in netlist
+   order, an inverter adding its gate and drain capacitors before its
+   output stage.  Row [e] is a [tag.(e)] branch from node [na.(e)] to
+   [nb.(e)], an inverter's output to ground.  [st.(e)] is a voltage
+   source's row, which is also its index in [stims] (current sources
+   follow), or an inverter's index.  [value] holds a resistor's
+   conductance, a capacitor's capacitance and an RL branch's
+   resistance, [henries] its inductance (a pair's mutual one on its
+   second row). *)
 type circuit = {
-  elems : compiled array;
-  of_id : (int, compiled) Hashtbl.t;
-  invs : inv array;
-  n_caps : int;
-  n_rls : int;
-  n_pairs : int;
+  tag : tag array;
+  na : int array;
+  nb : int array;
+  st : int array;
+  value : float array;
+  henries : float array;
+  of_id : int array; (* netlist element id -> row *)
+  stims : Stimulus.t array;
+  inv_in : int array; (* by inverter: its input node *)
+  devs : Devices.inverter array;
   n_nodes : int;
-  m : int;
+  m : int; (* unknowns: nodes - 1 + voltage sources *)
 }
 
-(* Compile the netlist: inverters contribute their gate/drain
-   capacitors as separate compiled caps plus an output-stage record. *)
 let compile netlist =
-  let elems = ref [] and invs = ref [] in
-  let caps = ref 0 and rls = ref 0 and pairs = ref 0 and vsrcs = ref 0 in
-  let n_invs = ref 0 in
-  let of_id = Hashtbl.create 16 in
-  let cap a b c =
-    elems := Cc { a; b; c; state = !caps } :: !elems;
-    incr caps
+  let elements = Netlist.elements netlist in
+  let rows = function Netlist.Inverter _ -> 3 | Coupled_rl _ -> 2 | _ -> 1 in
+  let n = Array.fold_left (fun n e -> n + rows e) 0 elements in
+  let tag = Array.make n R and na = Array.make n 0 and nb = Array.make n 0 in
+  let st = Array.make n 0 and value = Array.make n 0.0 in
+  let henries = Array.make n 0.0 in
+  let next = ref 0 and vs = Queue.create () and is = Queue.create () in
+  let invs = Queue.create () in
+  let push t a b ?(s = 0) ?(l = 0.0) x =
+    let e = !next in
+    incr next;
+    tag.(e) <- t; na.(e) <- a; nb.(e) <- b;
+    st.(e) <- s; value.(e) <- x; henries.(e) <- l;
+    e
   in
-  Array.iteri
-    (fun id e ->
-      let push c =
-        elems := c :: !elems;
-        Hashtbl.replace of_id id c
-      in
-      match e with
-      | Netlist.Resistor { a; b; ohms } -> push (Cr { a; b; g = 1.0 /. ohms })
-      | Netlist.Capacitor { a; b; farads } ->
-          push (Cc { a; b; c = farads; state = !caps });
-          incr caps
-      | Netlist.Rl_branch { a; b; ohms; henries } ->
-          if henries = 0.0 then push (Cr { a; b; g = 1.0 /. ohms })
-          else begin
-            push (Crl { a; b; r = ohms; l = henries; state = !rls });
-            incr rls
-          end
-      | Netlist.Coupled_rl { a1; b1; a2; b2; ohms; henries; mutual } ->
-          let r = ohms and l = henries and m = mutual in
-          push (Ccrl { a1; b1; a2; b2; r; l; m; state = !rls; pair = !pairs });
-          rls := !rls + 2;
-          incr pairs
-      | Netlist.Vsource { a; b; stim } ->
-          push (Cv { a; b; stim; row = !vsrcs });
-          incr vsrcs
-      | Netlist.Isource { a; b; stim } -> push (Ci { a; b; stim })
-      | Netlist.Inverter { input; output; dev } ->
-          cap input Netlist.ground dev.Devices.c_in;
-          cap output Netlist.ground dev.Devices.c_out;
-          let inv = { input; output; dev; state = !n_invs } in
-          invs := inv :: !invs;
-          incr n_invs;
-          push (Cinv inv))
-    (Netlist.elements netlist);
+  let add q x =
+    Queue.add x q;
+    Queue.length q - 1
+  in
+  let cap a c = ignore (push C_trap a Netlist.ground c) in
+  let of_id =
+    Array.map
+      (function
+        | Netlist.Resistor { a; b; ohms }
+        | Netlist.Rl_branch { a; b; ohms; henries = 0.0 } ->
+            push R a b (1.0 /. ohms)
+        | Netlist.Capacitor { a; b; farads } -> push C_trap a b farads
+        | Netlist.Rl_branch { a; b; ohms; henries = l } ->
+            push Rl_trap a b ~l ohms
+        | Netlist.Coupled_rl { a1; b1; a2; b2; ohms; henries; mutual } ->
+            let e = push Pair_trap a1 b1 ~l:henries ohms in
+            ignore (push Pair_2nd a2 b2 ~l:mutual ohms);
+            e
+        | Netlist.Vsource { a; b; stim } -> push V a b ~s:(add vs stim) 0.0
+        | Netlist.Isource { a; b; stim } -> push I a b ~s:(add is stim) 0.0
+        | Netlist.Inverter { input; output; dev } ->
+            cap input dev.Devices.c_in;
+            cap output dev.Devices.c_out;
+            let s = add invs (input, dev) in
+            push Inv output Netlist.ground ~s 0.0)
+      elements
+  in
+  let n_v = Queue.length vs and invs = Array.of_seq (Queue.to_seq invs) in
+  Array.iteri (fun e t -> if t = I then st.(e) <- st.(e) + n_v) tag;
   let n_nodes = Netlist.node_count netlist in
-  let m = n_nodes - 1 + !vsrcs in
+  let m = n_nodes - 1 + n_v in
   if m = 0 then invalid_arg "Transient: empty circuit";
   {
-    elems = Array.of_list (List.rev !elems);
-    of_id;
-    invs = Array.of_list (List.rev !invs);
-    n_caps = !caps;
-    n_rls = !rls;
-    n_pairs = !pairs;
-    n_nodes;
-    m;
+    tag; na; nb; st; value; henries; of_id;
+    stims = Array.of_seq (Seq.append (Queue.to_seq vs) (Queue.to_seq is));
+    inv_in = Array.map fst invs;
+    devs = Array.map snd invs;
+    n_nodes; m;
   }
 
-let alpha_of = function Trapezoidal -> 2.0 | Backward_euler -> 1.0
-
-(* The companion model of one (method, dt): every coefficient that the
-   stamp, the RHS and the commit read, filled by [coefficients] — the
-   one site of each formula — and cached with the factor of the matrix
-   it stamps. *)
-type coeffs = {
-  cap_g : float array; (* by capacitor state: alpha c / dt *)
-  rl_g : float array; (* by RL state: 1 / (r + alpha l / dt) *)
-  rl_hist : float array; (* by RL state: 2 l / dt - r, or l / dt (BE) *)
-  pair_d : float array; (* by pair: r + alpha l / dt *)
-  pair_o : float array; (* alpha m / dt *)
-  pair_det : float array; (* d^2 - o^2 *)
-  pair_mut : float array; (* 2 m / dt, or m / dt (BE) *)
-}
-
+(* The companion model of one (method, dt): the table's tags for that
+   method and, by row, every coefficient the stamp and the element pass
+   read — filled by [coefficients], the one site of each formula, and
+   cached with the factor of the matrix it stamps.  [g] is a
+   capacitor's alpha c / dt, an RL branch's 1 / (r + alpha l / dt) and
+   [h] its history factor 2 l / dt - r (BE: l / dt); a pair's first row
+   has d = r + alpha l / dt and the history factor, its second
+   o = alpha m / dt (also the mutual history factor) and d^2 - o^2. *)
+type coeffs = { tags : tag array; g : float array; h : float array }
 type companion = { co : coeffs; factor : Solver.factor }
 
 let coefficients circ meth dt =
-  let alpha = alpha_of meth and trap = meth = Trapezoidal in
-  let series r l = r +. (alpha *. l /. dt) in
-  let hist r l = if trap then (2.0 *. l /. dt) -. r else l /. dt in
-  let per n = Array.make (Int.max n 1) 0.0 in
-  let cap_g = per circ.n_caps in
-  let rl_g = per circ.n_rls and rl_hist = per circ.n_rls in
-  let pair_d = per circ.n_pairs and pair_o = per circ.n_pairs in
-  let pair_det = per circ.n_pairs and pair_mut = per circ.n_pairs in
-  Array.iter
-    (function
-      | Cc { c; state; _ } -> cap_g.(state) <- alpha *. c /. dt
-      | Crl { r; l; state; _ } ->
-          rl_g.(state) <- 1.0 /. series r l;
-          rl_hist.(state) <- hist r l
-      | Ccrl { r; l; m; state; pair; _ } ->
-          let d = series r l and o = alpha *. m /. dt in
-          pair_d.(pair) <- d;
-          pair_o.(pair) <- o;
-          pair_det.(pair) <- (d *. d) -. (o *. o);
-          pair_mut.(pair) <- (if trap then 2.0 *. m /. dt else m /. dt);
-          rl_hist.(state) <- hist r l
-      | Cr _ | Cv _ | Ci _ | Cinv _ -> ())
-    circ.elems;
-  { cap_g; rl_g; rl_hist; pair_d; pair_o; pair_det; pair_mut }
+  let trap = meth = Trapezoidal in
+  let alpha = if trap then 2.0 else 1.0 in
+  let n = Array.length circ.tag in
+  let g = Array.make n 0.0 and h = Array.make n 0.0 in
+  for e = 0 to n - 1 do
+    let r = circ.value.(e) and l = circ.henries.(e) in
+    let series = r +. (alpha *. l /. dt) in
+    let hist = if trap then (2.0 *. l /. dt) -. r else l /. dt in
+    match circ.tag.(e) with
+    | C_trap | C_be -> g.(e) <- alpha *. r /. dt
+    | Rl_trap | Rl_be ->
+        g.(e) <- 1.0 /. series;
+        h.(e) <- hist
+    | Pair_trap | Pair_be ->
+        let o = alpha *. circ.henries.(e + 1) /. dt in
+        g.(e) <- series;
+        h.(e) <- hist;
+        g.(e + 1) <- o;
+        h.(e + 1) <- (series *. series) -. (o *. o)
+    | Pair_2nd | R | V | I | Inv -> ()
+  done;
+  let be = function C_trap -> C_be | Rl_trap -> Rl_be | Pair_trap -> Pair_be | t -> t in
+  { tags = (if trap then circ.tag else Array.map be circ.tag); g; h }
 
-(* mutable engine state *)
+(* Engine state: the last MNA solution, in permuted order, with the
+   node voltages at their rows and a 0 for ground at index m; branch
+   currents by table row; the inverters' logic states and drives.  [v]
+   is mutable because the adaptive driver rotates solution arrays
+   through its history instead of copying them. *)
 type state = {
-  v : float array;
-  cap_i : float array;
-  rl_i : float array;
+  mutable v : float array;
+  i : float array;
   inv_high : bool array;
   inv_drive : float array;
 }
 
-let copy_state s =
-  {
-    v = Array.copy s.v;
-    cap_i = Array.copy s.cap_i;
-    rl_i = Array.copy s.rl_i;
-    inv_high = Array.copy s.inv_high;
-    inv_drive = Array.copy s.inv_drive;
-  }
-
-let blit_state ~src ~dst =
-  Array.blit src.v 0 dst.v 0 (Array.length src.v);
-  Array.blit src.cap_i 0 dst.cap_i 0 (Array.length src.cap_i);
-  Array.blit src.rl_i 0 dst.rl_i 0 (Array.length src.rl_i);
-  Array.blit src.inv_high 0 dst.inv_high 0 (Array.length src.inv_high);
-  Array.blit src.inv_drive 0 dst.inv_drive 0 (Array.length src.inv_drive)
+(* The adaptive driver's clock [t]; the dt and end time of the step
+   [advance] takes next; its LTE estimate; the time of the last accept
+   pass, which the step histogram adds to the next advance.  All
+   floats, so the record is flat and writing it allocates nothing. *)
+type step = {
+  mutable t : float;
+  mutable dt : float;
+  mutable t_next : float;
+  mutable err : float;
+  mutable accept_s : float;
+  rtol : float;
+  atol : float;
+}
 
 type engine = {
   circ : circuit;
-  netlist : Netlist.t;
   plan : Solver.plan; (* shared structure analysis: RCM + bandwidth *)
-  perm : int array; (* = plan.perm, kept flat for the hot loops *)
-  state : state;
-  lu_cache : (integration * int64, companion) Hashtbl.t;
-      (* keyed by the integration method and the exact dt bits *)
-  rhs : float array; (* preallocated per-step buffers: *)
-  x : float array; (* last MNA solution, in permuted order *)
-  v_new : float array;
-  rl_w : float array; (* by RL state: coupled history of the last RHS *)
-  trial : bool array;
+  ra : int array; (* by row: na and nb as rows of the permuted *)
+  rb : int array; (* system, m for ground *)
+  mutable cur : state; (* the accepted state *)
+  mutable nxt : state; (* written by [advance], swapped in by [accept] *)
+  mutable ready : bool; (* eng.rhs holds the RHS of the next step *)
+  top : float; (* level 0's dt; level k steps by top / 2^k *)
+  levels : companion option array; (* by 2 level + method index *)
+  off_dt : float array; (* by method: the off-grid slot's dt *)
+  step : step;
+  src : float array; (* by source: its value at step.t_next *)
+  rhs : float array; (* in permuted order, like the solution: *)
+  x : float array; (* the last solve's, copied to nxt.v when it ends *)
+  w : float array; (* by pair row: coupled history of the last RHS *)
   trial_next : bool array;
+  past : float array array; (* the two accepted solutions before cur.v *)
+  past_t : float array; (* the times of those and of cur.v *)
   histogram : int array;
   max_state_iterations : int;
   mutable nonconverged : int;
@@ -285,39 +281,37 @@ let vi node = node - 1
    yields the same solutions. *)
 let stamp_coo (circ : circuit) co =
   let coo = Assembly.Coo.create ~size:circ.m in
-  Array.iter
-    (fun c ->
-      match c with
-      | Cr { a = na; b = nb; g } -> Assembly.Coo.stamp_g coo na nb g
-      | Cc { a = na; b = nb; state; _ } ->
-          Assembly.Coo.stamp_g coo na nb co.cap_g.(state)
-      | Crl { a = na; b = nb; state; _ } ->
-          Assembly.Coo.stamp_g coo na nb co.rl_g.(state)
-      | Ccrl { a1; b1; a2; b2; pair; _ } ->
-          (* i = G v with G = inv(R I + alpha L_mat / dt),
-             L_mat = [l m; m l] *)
-          let det = co.pair_det.(pair) in
-          let g_self = co.pair_d.(pair) /. det
-          and g_cross = -.co.pair_o.(pair) /. det in
-          Assembly.Coo.stamp_g coo a1 b1 g_self;
-          Assembly.Coo.stamp_g coo a2 b2 g_self;
-          Assembly.Coo.stamp_cross coo ~a:a1 ~b:b1 ~ma:a2 ~mb:b2 g_cross;
-          Assembly.Coo.stamp_cross coo ~a:a2 ~b:b2 ~ma:a1 ~mb:b1 g_cross
-      | Cinv { output; dev; _ } ->
-          Assembly.Coo.stamp_g coo output Netlist.ground
-            (1.0 /. dev.Devices.r_on)
-      | Cv { a = na; b = nb; row; _ } ->
-          let r = circ.n_nodes - 1 + row in
-          if na <> 0 then begin
-            Assembly.Coo.stamp_at coo (vi na) r 1.0;
-            Assembly.Coo.stamp_at coo r (vi na) 1.0
-          end;
-          if nb <> 0 then begin
-            Assembly.Coo.stamp_at coo (vi nb) r (-1.0);
-            Assembly.Coo.stamp_at coo r (vi nb) (-1.0)
+  for e = 0 to Array.length circ.tag - 1 do
+    let na = circ.na.(e) and nb = circ.nb.(e) and k = circ.st.(e) in
+    match circ.tag.(e) with
+    | R -> Assembly.Coo.stamp_g coo na nb circ.value.(e)
+    | C_trap | C_be | Rl_trap | Rl_be ->
+        Assembly.Coo.stamp_g coo na nb co.g.(e)
+    | Pair_trap | Pair_be ->
+        (* i = G v with G = inv(R I + alpha L_mat / dt),
+           L_mat = [l m; m l] *)
+        let a2 = circ.na.(e + 1) and b2 = circ.nb.(e + 1) in
+        let det = co.h.(e + 1) in
+        let g_self = co.g.(e) /. det and g_cross = -.co.g.(e + 1) /. det in
+        Assembly.Coo.stamp_g coo na nb g_self;
+        Assembly.Coo.stamp_g coo a2 b2 g_self;
+        Assembly.Coo.stamp_cross coo ~a:na ~b:nb ~ma:a2 ~mb:b2 g_cross;
+        Assembly.Coo.stamp_cross coo ~a:a2 ~b:b2 ~ma:na ~mb:nb g_cross
+    | Inv ->
+        Assembly.Coo.stamp_g coo na Netlist.ground
+          (1.0 /. circ.devs.(k).Devices.r_on)
+    | V ->
+        let r = circ.n_nodes - 1 + k in
+        let incidence node x =
+          if node <> 0 then begin
+            Assembly.Coo.stamp_at coo (vi node) r x;
+            Assembly.Coo.stamp_at coo r (vi node) x
           end
-      | Ci _ -> ())
-    circ.elems;
+        in
+        incidence na 1.0;
+        incidence nb (-1.0)
+    | Pair_2nd | I -> ()
+  done;
   coo
 
 (* Compile and plan: the one path of every engine and of
@@ -338,7 +332,9 @@ let structure ?hint ~backend netlist =
 
 let structure_plan ?(backend = Auto) netlist = snd (structure ~backend netlist)
 
-let make_engine (config : Config.t) netlist =
+(* An engine whose steps are [top / 2^level] for level < [levels], or
+   off that grid. *)
+let make_engine (config : Config.t) netlist ~top ~levels =
   let max_state_iterations = config.Config.max_state_iterations in
   if max_state_iterations < 1 then
     invalid_arg "Transient: max_state_iterations < 1";
@@ -346,62 +342,64 @@ let make_engine (config : Config.t) netlist =
     structure ?hint:config.Config.plan_hint ~backend:config.Config.backend
       netlist
   in
-  let n_nodes = circ.n_nodes and n_invs = Array.length circ.invs in
-  let state =
-    {
-      v = Array.make n_nodes 0.0;
-      cap_i = Array.make (Int.max circ.n_caps 1) 0.0;
-      rl_i = Array.make (Int.max circ.n_rls 1) 0.0;
-      inv_high = Array.make (Int.max n_invs 1) false;
-      inv_drive = Array.make (Int.max n_invs 1) 0.0;
-    }
+  let n = circ.n_nodes and n_el = Array.length circ.tag in
+  let n_invs = Array.length circ.devs in
+  let state () =
+    let bools = Array.make n_invs false and drives = Array.make n_invs 0.0 in
+    { v = Array.make (circ.m + 1) 0.0; i = Array.make n_el 0.0; inv_high = bools;
+      inv_drive = drives }
   in
+  let cur = state () in
+  let row a = if a = 0 then circ.m else plan.Solver.perm.(vi a) in
   List.iter
     (fun (node, volt) ->
-      if node <= 0 || node >= n_nodes then
+      if node <= 0 || node >= n then
         invalid_arg "Transient: initial voltage on bad node";
-      state.v.(node) <- volt)
+      cur.v.(row node) <- volt)
     config.Config.initial_voltages;
-  Array.iter
-    (fun { input; dev; state = si; _ } ->
-      let high = Devices.drives_high dev ~v_in:state.v.(input) in
-      state.inv_high.(si) <- high;
-      state.inv_drive.(si) <- (if high then dev.Devices.vdd else 0.0))
-    circ.invs;
+  Array.iteri
+    (fun k dev ->
+      let high = Devices.drives_high dev ~v_in:cur.v.(row circ.inv_in.(k)) in
+      cur.inv_high.(k) <- high;
+      cur.inv_drive.(k) <- (if high then dev.Devices.vdd else 0.0))
+    circ.devs;
+  let { Config.rtol; atol; _ } = config in
   {
-    circ;
-    netlist;
-    plan;
-    perm = plan.Solver.perm;
-    state;
-    lu_cache = Hashtbl.create 8;
-    rhs = Array.make circ.m 0.0;
-    x = Array.make circ.m 0.0;
-    v_new = Array.make n_nodes 0.0;
-    rl_w = Array.make (Int.max circ.n_rls 1) 0.0;
-    trial = Array.make (Int.max n_invs 1) false;
-    trial_next = Array.make (Int.max n_invs 1) false;
+    circ; plan; ra = Array.map row circ.na; rb = Array.map row circ.nb;
+    cur; nxt = state (); ready = false; top;
+    levels = Array.make (2 * (levels + 1)) None;
+    off_dt = Array.make 2 0.0;
+    step =
+      { t = 0.0; dt = top; t_next = top; err = 0.0; accept_s = 0.0; rtol; atol };
+    src = Array.make (Array.length circ.stims) 0.0;
+    rhs = Array.make circ.m 0.0; x = Array.make circ.m 0.0; w = Array.make n_el 0.0;
+    trial_next = Array.make n_invs false;
+    past = Array.init 2 (fun _ -> Array.make (circ.m + 1) 0.0);
+    past_t = Array.make 3 0.0;
     histogram = Array.make max_state_iterations 0;
-    max_state_iterations;
-    nonconverged = 0;
-    factorizations = 0;
-    sparse_sym = None;
+    max_state_iterations; nonconverged = 0; factorizations = 0; sparse_sym = None;
   }
 
-(* The companion cache is keyed by the (method, dt-bits) pair itself —
-   never by its hash, where a collision between two distinct dt values
-   would silently reuse the wrong factorisation.  The adaptive driver
-   keeps dt on the dt_max/2^k grid, so the cache stays tiny; the
-   eviction below is a backstop for pathological callers. *)
-let lu_cache_limit = 64
-
-let factorization eng meth dt =
-  let key = (meth, Int64.bits_of_float dt) in
-  match Hashtbl.find_opt eng.lu_cache key with
-  | Some c ->
+(* The companion of [meth] at [eng.step.dt]: at [level] on the grid,
+   or (level < 0) off it, where the slot after the last level holds the
+   last off-grid dt's unless that dt lands on the grid after all.  A
+   companion is found by the exact dt it was built for, never reused
+   for another. *)
+let companion eng meth level =
+  let mi = match meth with Trapezoidal -> 0 | Backward_euler -> 1 in
+  let dt = eng.step.dt and off = (Array.length eng.levels / 2) - 1 in
+  let level =
+    if level >= 0 then level
+    else
+      let k = Float.to_int (Float.round (Float.log2 (eng.top /. dt))) in
+      if k >= 0 && k < off && Float.ldexp eng.top (-k) = dt then k else -1
+  in
+  let slot = (2 * if level >= 0 then level else off) + mi in
+  match eng.levels.(slot) with
+  | Some c when level >= 0 || eng.off_dt.(mi) = dt ->
       M.incr m_cache_hit;
       c
-  | None ->
+  | Some _ | None ->
       M.incr m_cache_miss;
       let co = coefficients eng.circ meth dt in
       let coo = stamp_coo eng.circ co in
@@ -409,18 +407,16 @@ let factorization eng meth dt =
         try
           Solver.factor ?symbolic:eng.sparse_sym eng.plan
             ~fill:(Assembly.Coo.iter coo)
-        with Solver.Singular ->
-          failwith "Transient: singular MNA matrix"
+        with Solver.Singular -> failwith "Transient: singular MNA matrix"
       in
       if eng.sparse_sym = None then eng.sparse_sym <- Solver.symbolic_of factor;
-      if Hashtbl.length eng.lu_cache >= lu_cache_limit then
-        Hashtbl.reset eng.lu_cache;
       let c = { co; factor } in
-      Hashtbl.replace eng.lu_cache key c;
+      eng.levels.(slot) <- Some c;
+      if level < 0 then eng.off_dt.(mi) <- dt;
       eng.factorizations <- eng.factorizations + 1;
       c
 
-let slewed_drive dev ~dt current target_high =
+let[@inline] slewed_drive dev ~dt current target_high =
   let target = if target_high then dev.Devices.vdd else 0.0 in
   if dev.Devices.t_transition <= 0.0 then target
   else begin
@@ -430,230 +426,260 @@ let slewed_drive dev ~dt current target_high =
     else current +. Float.copy_sign max_step delta
   end
 
-(* Fill eng.rhs in place (permuted positions), accumulating in element
-   order.  Every branch voltage is read inline and every companion term
-   is its own float binding: a float-returning helper or a tuple would
-   box on each element and pass.  The coupled-pair history voltages go
-   to [eng.rl_w] for the commit. *)
-let build_rhs eng co meth dt t_next trial =
-  let s = eng.state in
-  let b = eng.rhs in
-  let p = eng.perm in
-  let w = eng.rl_w in
-  Array.fill b 0 eng.circ.m 0.0;
-  Array.iter
-    (fun c ->
-      match c with
-      | Cr _ -> ()
-      | Cc { a = na; b = nb; state; _ } ->
-          let i_src =
-            (co.cap_g.(state) *. (s.v.(na) -. s.v.(nb)))
-            +. (match meth with
-               | Trapezoidal -> s.cap_i.(state)
-               | Backward_euler -> 0.0)
-          in
-          if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) +. i_src;
-          if nb <> 0 then b.(p.(vi nb)) <- b.(p.(vi nb)) -. i_src
-      | Crl { a = na; b = nb; state; _ } ->
-          let g = co.rl_g.(state) and h = co.rl_hist.(state) in
-          let i_src =
-            match meth with
-            | Trapezoidal ->
-                g *. (s.v.(na) -. s.v.(nb) +. (h *. s.rl_i.(state)))
-            | Backward_euler -> g *. h *. s.rl_i.(state)
-          in
-          if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) -. i_src;
-          if nb <> 0 then b.(p.(vi nb)) <- b.(p.(vi nb)) +. i_src
-      | Ccrl { a1; b1; a2; b2; state; pair; _ } ->
-          let d = co.pair_d.(pair) and o = co.pair_o.(pair) in
-          let det = co.pair_det.(pair) in
-          let h = co.rl_hist.(state) and hm = co.pair_mut.(pair) in
-          let i1 = s.rl_i.(state) and i2 = s.rl_i.(state + 1) in
-          (match meth with
-          | Trapezoidal ->
-              w.(state) <- s.v.(a1) -. s.v.(b1) +. (h *. i1) +. (hm *. i2);
-              w.(state + 1) <- s.v.(a2) -. s.v.(b2) +. (h *. i2) +. (hm *. i1)
-          | Backward_euler ->
-              w.(state) <- (h *. i1) +. (hm *. i2);
-              w.(state + 1) <- (h *. i2) +. (hm *. i1));
-          let w1 = w.(state) and w2 = w.(state + 1) in
-          let i1_src = ((d *. w1) -. (o *. w2)) /. det in
-          let i2_src = ((d *. w2) -. (o *. w1)) /. det in
-          if a1 <> 0 then b.(p.(vi a1)) <- b.(p.(vi a1)) -. i1_src;
-          if b1 <> 0 then b.(p.(vi b1)) <- b.(p.(vi b1)) +. i1_src;
-          if a2 <> 0 then b.(p.(vi a2)) <- b.(p.(vi a2)) -. i2_src;
-          if b2 <> 0 then b.(p.(vi b2)) <- b.(p.(vi b2)) +. i2_src
-      | Cinv { output; dev; state; _ } ->
-          let v_drive =
-            slewed_drive dev ~dt s.inv_drive.(state) trial.(state)
-          in
-          let g = 1.0 /. dev.Devices.r_on in
-          if output <> 0 then
-            b.(p.(vi output)) <- b.(p.(vi output)) +. (g *. v_drive)
-      | Cv { row; stim; _ } ->
-          b.(p.(eng.circ.n_nodes - 1 + row)) <- Stimulus.eval stim t_next
-      | Ci { a = na; b = nb; stim } ->
-          let j = Stimulus.eval stim t_next in
-          if na <> 0 then b.(p.(vi na)) <- b.(p.(vi na)) -. j;
-          if nb <> 0 then b.(p.(vi nb)) <- b.(p.(vi nb)) +. j)
-    eng.circ.elems
+(* Add [i] to the RHS at row [ra] and take it out at row [rb]; rows
+   past the end of [b] are ground. *)
+let[@inline] inject b ra rb i =
+  if ra < Array.length b then b.(ra) <- b.(ra) +. i;
+  if rb < Array.length b then b.(rb) <- b.(rb) -. i
 
-(* Advance the engine state by one step of [dt] ending at [t_next],
-   resolving the inverter logic by fixed point.  Mutates eng.state and
-   the engine's scratch buffers; allocates nothing per step. *)
-let advance_raw eng meth dt t_next =
-  let s = eng.state in
-  let { co; factor } = factorization eng meth dt in
-  let trial = eng.trial in
-  Array.blit s.inv_high 0 trial 0 (Array.length s.inv_high);
-  let x = eng.x in
-  let p = eng.perm in
-  let passes = ref 0 in
-  let stable = ref false in
-  while (not !stable) && !passes < eng.max_state_iterations do
-    incr passes;
-    build_rhs eng co meth dt t_next trial;
-    Solver.solve_permuted_into factor ~b:eng.rhs ~x;
+let[@inline] set (a : float array) k x =
+  a.(k) <- x;
+  x
+
+(* Every source's value at [eng.step.t_next]. *)
+let sources eng =
+  for j = 0 to Array.length eng.src - 1 do
+    eng.src.(j) <- eng.step.t_next;
+    Stimulus.eval_into eng.circ.stims.(j) eng.src j
+  done
+
+(* The coupled pair at rows [e], [e + 1] in [sweep]; its history
+   voltages go to [eng.w] for the commit. *)
+let pair eng cc co ~commit s e ~trap =
+  let w = eng.w and v = s.v and i = s.i in
+  let a1 = eng.ra.(e) and b1 = eng.rb.(e) in
+  let a2 = eng.ra.(e + 1) and b2 = eng.rb.(e + 1) in
+  if commit then begin
+    let d = cc.g.(e) and o = cc.g.(e + 1) and det = cc.h.(e + 1) in
+    let u1 = v.(a1) -. v.(b1) +. w.(e) in
+    let u2 = v.(a2) -. v.(b2) +. w.(e + 1) in
+    i.(e) <- ((d *. u1) -. (o *. u2)) /. det;
+    i.(e + 1) <- ((d *. u2) -. (o *. u1)) /. det
+  end;
+  let h = co.h.(e) and hm = co.g.(e + 1) and i1 = i.(e) and i2 = i.(e + 1) in
+  let x1 = if trap then v.(a1) -. v.(b1) +. (h *. i1) else h *. i1 in
+  let x2 = if trap then v.(a2) -. v.(b2) +. (h *. i2) else h *. i2 in
+  w.(e) <- x1 +. (hm *. i2);
+  w.(e + 1) <- x2 +. (hm *. i1);
+  let d = co.g.(e) and o = co.g.(e + 1) and det = co.h.(e + 1) in
+  let w1 = w.(e) and w2 = w.(e + 1) in
+  let i1_src = ((d *. w1) -. (o *. w2)) /. det in
+  let i2_src = ((d *. w2) -. (o *. w1)) /. det in
+  inject eng.rhs a1 b1 (-.i1_src);
+  inject eng.rhs a2 b2 (-.i2_src)
+
+(* One pass over the table, in row order, filling eng.rhs with the
+   terms of companion [co].  Without [commit] they are the step's from
+   [eng.cur].  With it, each element first commits into [eng.nxt] its
+   branch current of the step [advance] took with [cc] (the update
+   needs the old voltages), then adds its term of the next step's RHS
+   from that new state.  Each helper is inlined or takes no float, so
+   nothing is boxed. *)
+let sweep eng cc co ~commit =
+  let c = eng.circ and cur = eng.cur and nxt = eng.nxt in
+  let s = if commit then nxt else cur in
+  let v = s.v and v_old = cur.v and i_old = cur.i and i_new = nxt.i in
+  let tags = co.tags and g = co.g and h = co.h in
+  let b = eng.rhs and ra = eng.ra and rb = eng.rb in
+  Array.fill b 0 c.m 0.0;
+  for e = 0 to Array.length tags - 1 do
+    let a = ra.(e) and z = rb.(e) in
+    let vab = v.(a) -. v.(z) in
+    let old = if commit then v_old.(a) -. v_old.(z) else 0.0 in
+    match tags.(e) with
+    | R | Pair_2nd -> ()
+    | C_trap ->
+        let i = i_old.(e) in
+        let i = if commit then set i_new e ((cc.g.(e) *. (vab -. old)) -. i) else i in
+        inject b a z ((g.(e) *. vab) +. i)
+    | C_be ->
+        if commit then i_new.(e) <- cc.g.(e) *. (vab -. old);
+        inject b a z ((g.(e) *. vab) +. 0.0)
+    | Rl_trap ->
+        let i = i_old.(e) and hc = cc.h.(e) in
+        let i = if commit then set i_new e (cc.g.(e) *. (vab +. old +. (hc *. i))) else i in
+        inject b a z (-.(g.(e) *. (vab +. (h.(e) *. i))))
+    | Rl_be ->
+        let i = i_old.(e) and hc = cc.h.(e) in
+        let i = if commit then set i_new e (cc.g.(e) *. (vab +. (hc *. i))) else i in
+        inject b a z (-.(g.(e) *. h.(e) *. i))
+    | Pair_trap -> pair eng cc co ~commit s e ~trap:true
+    | Pair_be -> pair eng cc co ~commit s e ~trap:false
+    | Inv ->
+        let k = c.st.(e) and dt = eng.step.dt in
+        let dev = c.devs.(k) in
+        let drive = slewed_drive dev ~dt s.inv_drive.(k) nxt.inv_high.(k) in
+        inject b a z (1.0 /. dev.Devices.r_on *. drive)
+    | V -> b.(eng.plan.Solver.perm.(c.n_nodes - 1 + c.st.(e))) <- eng.src.(c.st.(e))
+    | I -> inject b a z (-.eng.src.(c.st.(e)))
+  done
+
+(* Advance [eng.cur] by the step of companion [c], [eng.step.dt] long
+   and ending at [eng.step.t_next], into [eng.nxt], resolving the
+   inverter logic by fixed point; the other elements' branch currents
+   are committed by [accept].  [eng.cur] is left as it was, so a
+   rejected step costs nothing to undo.  With [estimate], also set
+   [eng.step.err] to the step's LTE estimate in units of its
+   tolerance: the trapezoidal LTE is dt^3/12 |x'''|, with x''' =
+   6 x[t0,t1,t2,t3] the third divided difference of the accepted
+   points and the new one; 6/12 and the leading 1/(t3 - t0) fold into
+   [c3]. *)
+let advance eng c ~estimate =
+  (* one predicted branch when recording is off *)
+  let timer = if M.recording () then Some (Rlc_instr.Timer.start ()) else None in
+  let circ = eng.circ and cur = eng.cur and nxt = eng.nxt and s = eng.step in
+  let trial = nxt.inv_high and x = eng.x and p = eng.plan.Solver.perm in
+  Array.blit cur.inv_high 0 trial 0 (Array.length trial);
+  if not eng.ready then begin
+    sources eng;
+    sweep eng c.co c.co ~commit:false
+  end;
+  eng.ready <- false;
+  let passes = ref 1 and stable = ref false in
+  while not !stable do
+    Solver.solve_permuted_into c.factor ~b:eng.rhs ~x;
     let changed = ref false in
-    Array.iter
-      (fun { input; dev; state; _ } ->
-        let v_in = if input = 0 then 0.0 else x.(p.(vi input)) in
-        let high = Devices.drives_high dev ~v_in in
-        eng.trial_next.(state) <- high;
-        if high <> trial.(state) then changed := true)
-      eng.circ.invs;
+    for k = 0 to Array.length circ.devs - 1 do
+      let input = circ.inv_in.(k) in
+      let v_in = if input = 0 then 0.0 else x.(p.(vi input)) in
+      (* Devices.drives_high, written out: a call would box v_in *)
+      let high = v_in < circ.devs.(k).Devices.vth in
+      eng.trial_next.(k) <- high;
+      if high <> trial.(k) then changed := true
+    done;
     if not !changed then stable := true
-    else if !passes < eng.max_state_iterations then
+    else if !passes < eng.max_state_iterations then begin
       (* re-solve with the updated logic states *)
-      Array.blit eng.trial_next 0 trial 0 (Array.length trial)
-    else
+      Array.blit eng.trial_next 0 trial 0 (Array.length trial);
+      incr passes;
+      sweep eng c.co c.co ~commit:false
+    end
+    else begin
       (* out of iterations: commit the trial that actually produced
          [x] — mixing the post-update trial into inv_drive/inv_high
          would pair a stale solution with fresh logic states *)
-      eng.nonconverged <- eng.nonconverged + 1
+      eng.nonconverged <- eng.nonconverged + 1;
+      stable := true
+    end
   done;
   eng.histogram.(!passes - 1) <- eng.histogram.(!passes - 1) + 1;
-  let v_new = eng.v_new in
-  v_new.(0) <- 0.0;
-  for node = 1 to eng.circ.n_nodes - 1 do
-    v_new.(node) <- x.(p.(vi node))
+  for k = 0 to Array.length circ.devs - 1 do
+    nxt.inv_drive.(k) <-
+      slewed_drive circ.devs.(k) ~dt:s.dt cur.inv_drive.(k) trial.(k)
   done;
-  (* commit branch states (companion updates need the OLD voltages) *)
-  Array.iter
-    (fun c ->
-      match c with
-      | Cc { a = na; b = nb; state; _ } ->
-          let g = co.cap_g.(state) in
-          let old_vab = s.v.(na) -. s.v.(nb) in
-          let new_vab = v_new.(na) -. v_new.(nb) in
-          s.cap_i.(state) <-
-            (match meth with
-            | Trapezoidal -> (g *. (new_vab -. old_vab)) -. s.cap_i.(state)
-            | Backward_euler -> g *. (new_vab -. old_vab))
-      | Crl { a = na; b = nb; state; _ } ->
-          let g = co.rl_g.(state) and h = co.rl_hist.(state) in
-          let old_vab = s.v.(na) -. s.v.(nb) in
-          let new_vab = v_new.(na) -. v_new.(nb) in
-          s.rl_i.(state) <-
-            (match meth with
-            | Trapezoidal -> g *. (new_vab +. old_vab +. (h *. s.rl_i.(state)))
-            | Backward_euler -> g *. (new_vab +. (h *. s.rl_i.(state))))
-      | Ccrl { a1; b1; a2; b2; state; pair; _ } ->
-          let d = co.pair_d.(pair) and o = co.pair_o.(pair) in
-          let det = co.pair_det.(pair) in
-          let u1 = (v_new.(a1) -. v_new.(b1)) +. eng.rl_w.(state) in
-          let u2 = (v_new.(a2) -. v_new.(b2)) +. eng.rl_w.(state + 1) in
-          s.rl_i.(state) <- ((d *. u1) -. (o *. u2)) /. det;
-          s.rl_i.(state + 1) <- ((d *. u2) -. (o *. u1)) /. det
-      | Cr _ | Cv _ | Ci _ | Cinv _ -> ())
-    eng.circ.elems;
-  Array.iter
-    (fun { dev; state; _ } ->
-      s.inv_drive.(state) <-
-        slewed_drive dev ~dt s.inv_drive.(state) trial.(state))
-    eng.circ.invs;
-  Array.blit v_new 0 s.v 0 eng.circ.n_nodes;
-  Array.blit trial 0 s.inv_high 0 (Array.length trial)
+  let v_new = nxt.v in
+  Array.blit x 0 v_new 0 circ.m;
+  s.err <- 0.0;
+  if estimate then begin
+    (* the largest of the per-node estimates, in node order *)
+    let h0 = eng.past.(0) and h1 = eng.past.(1) and h2 = cur.v in
+    let t0 = eng.past_t.(0) and t1 = eng.past_t.(1) and t2 = eng.past_t.(2) in
+    let t3 = s.t_next and atol = s.atol and rtol = s.rtol in
+    let dt = t3 -. t2 in
+    let i10 = 1.0 /. (t1 -. t0) and i21 = 1.0 /. (t2 -. t1) in
+    let i32 = 1.0 /. dt in
+    let i20 = 1.0 /. (t2 -. t0) and i31 = 1.0 /. (t3 -. t1) in
+    let c3 = dt *. dt *. dt /. (2.0 *. (t3 -. t0)) in
+    for node = 1 to circ.n_nodes - 1 do
+      let r = p.(vi node) in
+      let v = x.(r) in
+      let d01 = (h1.(r) -. h0.(r)) *. i10 in
+      let d12 = (h2.(r) -. h1.(r)) *. i21 in
+      let d23 = (v -. h2.(r)) *. i32 in
+      let d3 = ((d23 -. d12) *. i31) -. ((d12 -. d01) *. i20) in
+      let e = c3 *. Float.abs d3 /. (atol +. (rtol *. Float.abs v)) in
+      (* Float.max, which keeps a nan, on values that are >= +0 or nan *)
+      if e > s.err || Float.is_nan e then s.err <- e
+    done
+  end;
+  (* a step's time is its advance and the accept pass before it, which
+     committed the step before and built this one's RHS *)
+  match timer with
+  | Some t ->
+      M.incr m_advances;
+      M.observe m_step_s (Rlc_instr.Timer.elapsed_s t +. s.accept_s);
+      s.accept_s <- 0.0
+  | None -> ()
 
-(* hot loop: one predicted branch when recording is off *)
-let advance eng meth dt t_next =
-  if M.recording () then begin
-    M.incr m_advances;
-    let t0 = Rlc_instr.Timer.start () in
-    advance_raw eng meth dt t_next;
-    M.observe m_step_s (Rlc_instr.Timer.elapsed_s t0)
-  end
-  else advance_raw eng meth dt t_next
+(* Commit the step [advance] took with [c] and make it the accepted
+   state.  When [next], the companion of the next step (set up in
+   [eng.step]), keeps the method, the same pass builds that step's RHS
+   for [advance]; otherwise the RHS it leaves is never read. *)
+let accept eng c next =
+  let timer = if M.recording () then Some (Rlc_instr.Timer.start ()) else None in
+  eng.ready <- next.co.tags == c.co.tags;
+  if eng.ready then sources eng;
+  sweep eng c.co (if eng.ready then next.co else c.co) ~commit:true;
+  let s = eng.cur in
+  eng.cur <- eng.nxt;
+  eng.nxt <- s;
+  match timer with
+  | Some t -> eng.step.accept_s <- Rlc_instr.Timer.elapsed_s t
+  | None -> ()
 
 (* ---------------- probing ---------------- *)
+(* A probe resolved once per run: the voltage at solution row [ix] when
+   [row] < 0, else table row [row]'s current ([ix] a pair's branch). *)
+type target = { row : int; ix : int }
 
-let resolve_probe_element eng name =
-  match Netlist.find_element eng.netlist name with
-  | Some id -> Some (id, 0)
-  | None ->
-      let n = String.length name in
-      if
-        n > 2
-        && name.[n - 2] = '#'
-        && (name.[n - 1] = '1' || name.[n - 1] = '2')
-      then
-        match Netlist.find_element eng.netlist (String.sub name 0 (n - 2)) with
-        | Some id -> Some (id, Char.code name.[n - 1] - Char.code '1')
-        | None -> None
-      else None
+let targets eng netlist probes =
+  let find = Netlist.find_element netlist and of_id = eng.circ.of_id in
+  let target = function
+    | Node_v node ->
+        if node < 0 || node >= eng.circ.n_nodes then
+          invalid_arg "Transient: probe on unknown node";
+        { row = -1; ix = (if node = 0 then eng.circ.m else eng.plan.Solver.perm.(vi node)) }
+    | Branch_i name -> (
+        (* "<pair>#1" and "<pair>#2" name a coupled pair's branches *)
+        let n = String.length name in
+        let hash = n > 2 && name.[n - 2] = '#' in
+        let sub = if hash then Char.code name.[n - 1] - Char.code '1' else -1 in
+        let pair = if sub = 0 || sub = 1 then find (String.sub name 0 (n - 2)) else None in
+        match (find name, pair) with
+        | Some id, _ -> { row = of_id.(id); ix = 0 }
+        | None, Some id -> { row = of_id.(id); ix = sub }
+        | None, None -> invalid_arg ("Transient.simulate: unknown element " ^ name))
+  in
+  Array.of_list (List.map target probes)
 
-let branch_current eng name =
-  let s = eng.state in
-  match resolve_probe_element eng name with
-  | None -> 0.0
-  | Some (id, sub) -> begin
-      match Hashtbl.find_opt eng.circ.of_id id with
-      | Some (Cr { a; b; g }) -> g *. (s.v.(a) -. s.v.(b))
-      | Some (Cc { state; _ }) -> s.cap_i.(state)
-      | Some (Crl { state; _ }) -> s.rl_i.(state)
-      | Some (Ccrl { state; _ }) -> s.rl_i.(state + sub)
-      | Some (Cinv { output; dev; state; _ }) ->
-          (s.inv_drive.(state) -. s.v.(output)) /. dev.Devices.r_on
-      | Some (Cv { row; _ }) ->
-          (* the MNA current unknown of this source in the last
-             solution (zero before the first step); sign convention:
-             positive flowing a -> b inside the source *)
-          eng.x.(eng.perm.(eng.circ.n_nodes - 1 + row))
-      | Some (Ci _) | None -> 0.0
-    end
+(* Write each probe's value in the accepted state to
+   [bufs.(j + 1).(slot)]; [bufs.(0)] is the time axis. *)
+let record eng targets bufs slot =
+  let c = eng.circ and s = eng.cur in
+  for j = 0 to Array.length targets - 1 do
+    let { row = e; ix } = targets.(j) in
+    bufs.(j + 1).(slot) <-
+      (if e < 0 then s.v.(ix)
+       else
+         match c.tag.(e) with
+         | R -> c.value.(e) *. (s.v.(eng.ra.(e)) -. s.v.(eng.rb.(e)))
+         | C_trap | C_be | Rl_trap | Rl_be | Pair_trap | Pair_be | Pair_2nd ->
+             s.i.(e + ix)
+         | Inv ->
+             let k = c.st.(e) in
+             (s.inv_drive.(k) -. s.v.(eng.ra.(e))) /. c.devs.(k).Devices.r_on
+         | V ->
+             (* the MNA current unknown of this source in the last
+                solution (zero before the first step); sign convention:
+                positive flowing a -> b inside the source *)
+             eng.x.(eng.plan.Solver.perm.(c.n_nodes - 1 + c.st.(e)))
+         | I -> 0.0)
+  done
 
-let probe_value eng = function
-  | Node_v node -> eng.state.v.(node)
-  | Branch_i name -> branch_current eng name
-
-let validate_probes eng probes =
-  List.iter
-    (fun p ->
-      match p with
-      | Node_v node ->
-          if node < 0 || node >= eng.circ.n_nodes then
-            invalid_arg "Transient: probe on unknown node"
-      | Branch_i name ->
-          if resolve_probe_element eng name = None then
-            invalid_arg ("Transient.simulate: unknown element " ^ name))
-    probes
-
-(* The run's result; its counters go to the registry on the way out. *)
-let finish eng ~time ~probe_data ~steps ~rejected ~forced =
+(* The run's result from its samples; its counters go to the registry
+   on the way out. *)
+let finish eng probes bufs ~steps ~rejected ~forced =
   let stats =
-    {
-      Stats.steps;
-      rejected_steps = rejected;
-      forced_accepts = forced;
-      nonconverged_steps = eng.nonconverged;
-      lu_factorizations = eng.factorizations;
-    }
+    { Stats.steps; rejected_steps = rejected; forced_accepts = forced;
+      nonconverged_steps = eng.nonconverged; lu_factorizations = eng.factorizations }
   in
   publish_stats stats;
   {
-    time;
-    probe_data;
-    final_v = Array.copy eng.state.v;
+    time = bufs.(0);
+    probe_data = List.mapi (fun j p -> (p, bufs.(j + 1))) probes;
+    final_v =
+      Array.init eng.circ.n_nodes (fun node ->
+          if node = 0 then 0.0 else eng.cur.v.(eng.plan.Solver.perm.(vi node)));
     histogram = Array.copy eng.histogram;
     stats;
   }
@@ -661,31 +687,32 @@ let finish eng ~time ~probe_data ~steps ~rejected ~forced =
 (* ---------------- fixed-step driver ---------------- *)
 
 let simulate_impl ?(config = Config.default) netlist ~t_end ~dt ~probes =
-  let integration = config.Config.integration in
-  let record_every = config.Config.record_every in
+  let { Config.integration; record_every; _ } = config in
   if t_end <= 0.0 then invalid_arg "Transient.simulate: t_end <= 0";
   if dt <= 0.0 || dt >= t_end then invalid_arg "Transient.simulate: bad dt";
   if record_every < 1 then invalid_arg "Transient.simulate: record_every < 1";
-  let eng = make_engine config netlist in
-  validate_probes eng probes;
+  let eng = make_engine config netlist ~top:dt ~levels:1 in
+  let tg = targets eng netlist probes in
   let n_steps = int_of_float (Float.ceil (t_end /. dt)) in
-  let n_records = (n_steps / record_every) + 1 in
-  let probe_specs = List.map (fun p -> (p, Array.make n_records 0.0)) probes in
-  let times = Array.make n_records 0.0 in
-  let record slot =
-    List.iter (fun (p, arr) -> arr.(slot) <- probe_value eng p) probe_specs
-  in
-  record 0;
+  let n = (n_steps / record_every) + 1 in
+  let bufs = Array.init (Array.length tg + 1) (fun _ -> Array.make n 0.0) in
+  record eng tg bufs 0;
+  (* the first step is backward Euler; each accept sets up the next *)
+  let c = ref (companion eng Backward_euler 0) in
   for step = 1 to n_steps do
-    let meth = if step = 1 then Backward_euler else integration in
-    advance eng meth dt (float_of_int step *. dt);
+    advance eng !c ~estimate:false;
+    let taken = !c in
+    if step < n_steps then begin
+      eng.step.t_next <- float_of_int (step + 1) *. dt;
+      c := companion eng integration 0
+    end;
+    accept eng taken !c;
     if step mod record_every = 0 then begin
-      times.(step / record_every) <- float_of_int step *. dt;
-      record (step / record_every)
+      bufs.(0).(step / record_every) <- float_of_int step *. dt;
+      record eng tg bufs (step / record_every)
     end
   done;
-  finish eng ~time:times ~probe_data:probe_specs ~steps:n_steps ~rejected:0
-    ~forced:0
+  finish eng probes bufs ~steps:n_steps ~rejected:0 ~forced:0
 
 let simulate ?config netlist ~t_end ~dt ~probes =
   Rlc_instr.Span.with_ "transient.simulate" (fun () ->
@@ -700,35 +727,8 @@ let simulate ?config netlist ~t_end ~dt ~probes =
    levels as bring [err] back under 1. *)
 let grow_below = 0.125
 
-let refine_levels err =
+let[@inline] refine_levels err =
   Int.max 1 (int_of_float (Float.ceil (Float.log2 err /. 3.0)))
-
-(* Accepted points the estimator needs besides the new solution. *)
-let history = 3
-
-(* Largest per-node trapezoidal LTE of the step ending at [t3] with
-   node voltages [v], in units of [atol + rtol |v|]: LTE = dt^3/12
-   |x'''| with x''' = 6 x[t0,t1,t2,t3], the third divided difference
-   of the accepted points [past] (oldest first) at times [past_t] and
-   the new point.  6/12 and the leading 1/(t3 - t0) fold into [c]. *)
-let lte_error ~rtol ~atol ~past ~past_t v t3 =
-  let h0 = past.(0) and h1 = past.(1) and h2 = past.(2) in
-  let t0 = past_t.(0) and t1 = past_t.(1) and t2 = past_t.(2) in
-  let dt = t3 -. t2 in
-  let i10 = 1.0 /. (t1 -. t0) and i21 = 1.0 /. (t2 -. t1) in
-  let i32 = 1.0 /. dt in
-  let i20 = 1.0 /. (t2 -. t0) and i31 = 1.0 /. (t3 -. t1) in
-  let c = dt *. dt *. dt /. (2.0 *. (t3 -. t0)) in
-  let err = ref 0.0 in
-  for node = 1 to Array.length v - 1 do
-    let d01 = (h1.(node) -. h0.(node)) *. i10 in
-    let d12 = (h2.(node) -. h1.(node)) *. i21 in
-    let d23 = (v.(node) -. h2.(node)) *. i32 in
-    let d3 = ((d23 -. d12) *. i31) -. ((d12 -. d01) *. i20) in
-    let scale = atol +. (rtol *. Float.abs v.(node)) in
-    err := Float.max !err (c *. Float.abs d3 /. scale)
-  done;
-  !err
 
 let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
     ~probes =
@@ -743,74 +743,74 @@ let simulate_adaptive_impl ?(config = Config.default) netlist ~t_end ~dt_max
   in
   if dt_min <= 0.0 || dt_min > dt_max then
     invalid_arg "Transient.simulate_adaptive: bad dt_min";
-  let eng = make_engine config netlist in
-  validate_probes eng probes;
   (* One advance per attempt: backward Euler for the first step,
      trapezoidal after, each checked by its own LTE estimate.  dt is
      tracked as a level k with dt = dt_max / 2^k, so every step (except
      a final partial one reaching exactly t_end) reuses a cached LU
-     factorisation.  The estimate needs [history] accepted points, so
+     factorisation.  The estimate needs three accepted points, so
      the run starts at the finest level and stays there until it has
      them. *)
-  let k_max =
-    Int.max 0
-      (int_of_float
-         (Float.ceil (Float.log (dt_max /. dt_min) /. Float.log 2.0)))
-  in
-  let n = eng.circ.n_nodes in
-  (* the last accepted node voltages, oldest first, and their times *)
-  let past = Array.init history (fun _ -> Array.make n 0.0) in
-  let past_t = Array.make history 0.0 in
-  let times = ref [ 0.0 ] in
-  let data = List.map (fun p -> (p, ref [ probe_value eng p ])) probes in
-  let record t =
-    times := t :: !times;
-    List.iter (fun (p, acc) -> acc := probe_value eng p :: !acc) data
-  in
-  let t = ref 0.0 in
+  let k_max = Float.log (dt_max /. dt_min) /. Float.log 2.0 in
+  let k_max = Int.max 0 (int_of_float (Float.ceil k_max)) in
+  let eng = make_engine config netlist ~top:dt_max ~levels:(k_max + 1) in
+  let tg = targets eng netlist probes in
+  (* sample buffers, grown by doubling *)
+  (* samples go to chunks small enough for the minor heap, where a short
+     run's die young, and are joined at the end *)
+  let chunk () = Array.make 256 0.0 in
+  let bufs = Array.init (Array.length tg + 1) (fun _ -> chunk ()) in
+  let full = Array.make (Array.length bufs) [] and n = ref 1 in
+  record eng tg bufs 0;
+  let s = eng.step and past_t = eng.past_t in
   let level = ref k_max in
   let steps = ref 0 and rejected = ref 0 and forced = ref 0 in
-  let saved = copy_state eng.state in
-  while !t < t_end -. (1e-12 *. t_end) do
+  (* set the next attempt's dt and end time in [s]; its companion *)
+  let next meth =
     let dt_level = Float.ldexp dt_max (- !level) in
-    let remaining = t_end -. !t in
     (* only the last partial step may leave the dt_max/2^k grid *)
-    let dt_now = if dt_level > remaining then remaining else dt_level in
-    let t_next = !t +. dt_now in
-    let meth = if !steps = 0 then Backward_euler else Trapezoidal in
-    blit_state ~src:eng.state ~dst:saved;
-    advance eng meth dt_now t_next;
-    let estimated = !steps >= history in
-    let err =
-      if not estimated then 0.0
-      else
-        lte_error ~rtol ~atol ~past ~past_t eng.state.v t_next
-    in
+    let off_grid = dt_level > t_end -. s.t in
+    s.dt <- (if off_grid then t_end -. s.t else dt_level);
+    s.t_next <- s.t +. s.dt;
+    companion eng meth (if off_grid then -1 else !level)
+  in
+  let c = ref (next Backward_euler) in
+  while s.t < t_end -. (1e-12 *. t_end) do
+    (* the estimate needs three accepted points besides the new one *)
+    let estimated = !steps >= 3 in
+    advance eng !c ~estimate:estimated;
+    let err = s.err in
     if err <= 1.0 || !level >= k_max then begin
       if err > 1.0 then incr forced;
       incr steps;
-      t := t_next;
-      record !t;
-      (* the oldest history buffer takes the new point *)
-      let oldest = past.(0) in
-      Array.blit past 1 past 0 (history - 1);
-      Array.blit past_t 1 past_t 0 (history - 1);
-      past.(history - 1) <- oldest;
-      past_t.(history - 1) <- t_next;
-      Array.blit eng.state.v 0 oldest 0 n;
-      if estimated && err < grow_below then level := Int.max 0 (!level - 1)
+      s.t <- s.t_next;
+      if estimated && err < grow_below then level := Int.max 0 (!level - 1);
+      let taken = !c in
+      if s.t < t_end -. (1e-12 *. t_end) then c := next Trapezoidal;
+      accept eng taken !c;
+      (* the oldest history voltages take the next step's solution *)
+      let oldest = eng.past.(0) in
+      eng.past.(0) <- eng.past.(1);
+      eng.past.(1) <- eng.nxt.v;
+      eng.nxt.v <- oldest;
+      Array.blit past_t 1 past_t 0 2;
+      past_t.(2) <- s.t;
+      if !n = 256 then begin
+        Array.iteri (fun j a -> full.(j) <- a :: full.(j); bufs.(j) <- chunk ()) bufs;
+        n := 0
+      end;
+      bufs.(0).(!n) <- s.t;
+      record eng tg bufs !n;
+      incr n
     end
     else begin
       incr rejected;
-      blit_state ~src:saved ~dst:eng.state;
-      level := Int.min k_max (!level + refine_levels err)
+      level := Int.min k_max (!level + refine_levels err);
+      c := next Trapezoidal
     end
   done;
-  finish eng
-    ~time:(Array.of_list (List.rev !times))
-    ~probe_data:
-      (List.map (fun (p, acc) -> (p, Array.of_list (List.rev !acc))) data)
-    ~steps:!steps ~rejected:!rejected ~forced:!forced
+  let join j a = Array.concat (List.rev (Array.sub a 0 !n :: full.(j))) in
+  finish eng probes (Array.mapi join bufs) ~steps:!steps ~rejected:!rejected
+    ~forced:!forced
 
 let simulate_adaptive ?config netlist ~t_end ~dt_max ~probes =
   Rlc_instr.Span.with_ "transient.simulate_adaptive" (fun () ->

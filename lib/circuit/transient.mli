@@ -14,9 +14,12 @@
     achieves under that ordering; ladder-shaped systems (kl = ku of
     2-3 independent of length) are then factorised and solved with the
     banded kernel ({!Rlc_numerics.Banded}) instead of dense LU,
-    dropping the per-step cost from O(m^2) to O(m·(kl+ku)).  The hot
-    path (RHS assembly + solve) works in preallocated buffers and
-    allocates nothing per step. *)
+    dropping the per-step cost from O(m^2) to O(m·(kl+ku)).  A step is
+    one solve plus one pass over a flat element table, which commits
+    the step taken and builds the next step's right-hand side
+    together.  It works in preallocated buffers: once the run's
+    factorisations are cached, a step allocates nothing (evaluating a
+    PWL source is the one exception). *)
 
 type integration = Trapezoidal | Backward_euler
 

@@ -9,6 +9,7 @@ type model = {
   l_r : float array;
   poles : Cx.t array;
   residues : Cx.t array;
+  step_weights : Cx.t array; (* residues.(i) / poles.(i) *)
   dc : float;
   stable : bool;
 }
@@ -204,7 +205,8 @@ let reduce ~order asm ~node =
             spectrum g_r c_r b_r l_r ~dc)
       in
       let stable = Array.for_all (fun p -> Cx.re p < 0.0) poles in
-      { order = q; g_r; c_r; b_r; l_r; poles; residues; dc; stable })
+      let step_weights = Array.map2 ( /: ) residues poles in
+      { order = q; g_r; c_r; b_r; l_r; poles; residues; step_weights; dc; stable })
 
 let eval m s =
   let q = m.order in
@@ -216,15 +218,19 @@ let eval m s =
   done;
   !acc
 
+(* dc + sum of Re (rho/p exp (p t)): the real part of [Cx.mul] of
+   rho/p and [Cx.exp] of t p, written out in floats so that nothing is
+   boxed *)
 let step_eval m t =
   if t < 0.0 then 0.0
   else begin
     let acc = ref m.dc in
-    Array.iteri
-      (fun i p ->
-        let term = m.residues.(i) /: p *: Cx.exp (Cx.scale t p) in
-        acc := !acc +. Cx.re term)
-      m.poles;
+    for i = 0 to Array.length m.poles - 1 do
+      let p = m.poles.(i) and w = m.step_weights.(i) in
+      let e = Float.exp (t *. p.Cx.re) in
+      let c = e *. Float.cos (t *. p.Cx.im) and s = e *. Float.sin (t *. p.Cx.im) in
+      acc := !acc +. ((w.Cx.re *. c) -. (w.Cx.im *. s))
+    done;
     !acc
   end
 

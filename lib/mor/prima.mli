@@ -39,6 +39,9 @@ type model = {
   l_r : float array;
   poles : Cx.t array;  (** finite poles of the reduced pencil *)
   residues : Cx.t array;  (** residue of [H_r] at each pole *)
+  step_weights : Cx.t array;
+      (** [residues.(i) / poles.(i)], each pole's weight in the step
+          response *)
   dc : float;  (** [H_r(0)] = exact DC gain of the full model *)
   stable : bool;  (** all poles strictly in the left half-plane *)
 }

@@ -197,7 +197,9 @@ let solve_into f ~b ~x =
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Banded.solve_into: size mismatch";
   if x != b then Array.blit b 0 x 0 n;
-  let at i j = (j * ldab) + kl + ku + i - j in
+  (* A(j + i, j) sits at [diag j + i]: index arithmetic written out,
+     since a local [at] closure would be allocated on every solve *)
+  let d = kl + ku in
   (* L y = P b, applying the interchanges in factorisation order *)
   for j = 0 to n - 1 do
     let p = ipiv.(j) in
@@ -208,20 +210,21 @@ let solve_into f ~b ~x =
     end;
     let xj = x.(j) in
     if xj <> 0.0 then begin
-      let km = Int.min kl (n - 1 - j) in
+      let km = Int.min kl (n - 1 - j) and diag = (j * ldab) + d in
       for i = 1 to km do
-        x.(j + i) <- x.(j + i) -. (ab.(at (j + i) j) *. xj)
+        x.(j + i) <- x.(j + i) -. (ab.(diag + i) *. xj)
       done
     end
   done;
   (* U x = y; U has kl + ku superdiagonals after pivoting *)
   for j = n - 1 downto 0 do
-    let xj = x.(j) /. ab.(at j j) in
+    let diag = (j * ldab) + d in
+    let xj = x.(j) /. ab.(diag) in
     x.(j) <- xj;
     if xj <> 0.0 then begin
-      let lm = Int.min (kl + ku) j in
+      let lm = Int.min d j in
       for i = 1 to lm do
-        x.(j - i) <- x.(j - i) -. (ab.(at (j - i) j) *. xj)
+        x.(j - i) <- x.(j - i) -. (ab.(diag - i) *. xj)
       done
     end
   done

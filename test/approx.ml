@@ -12,3 +12,18 @@ let check_close ?(tol = 1e-9) msg expected actual =
   in
   if not ok then
     Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
+
+(* |expected - actual| <= tol max(|expected|, |actual|): the comparison
+   for quantities far from magnitude 1 (a derivative in SI units, a
+   delay in seconds), where [check_close]'s floor of 1 would pass
+   anything near them. *)
+let check_rel ?(tol = 1e-9) msg expected actual =
+  let ok =
+    if Float.is_finite expected && Float.is_finite actual then
+      Float.abs (expected -. actual)
+      <= tol *. Float.max (Float.abs expected) (Float.abs actual)
+    else expected = actual
+  in
+  if not ok then
+    Alcotest.failf "%s: expected %.17g, got %.17g (relative tol %g)" msg
+      expected actual tol

@@ -852,22 +852,24 @@ let test_adaptive_forced_accepts () =
   Alcotest.(check int) "none in a fixed-step run" 0
     (Transient.stats fixed).Transient.Stats.forced_accepts
 
+(* A step into an inverter with a 1-pass fixed-point budget: the
+   deck that exercises the nonconverged-commit path. *)
+let inverter_step_deck () =
+  let nl = Netlist.create () in
+  let input = Netlist.fresh_node nl in
+  let output = Netlist.fresh_node nl in
+  Netlist.add_vsource ~name:"vin" nl input Netlist.ground
+    (Stimulus.Step { v0 = 0.0; v1 = 1.2; t_delay = 2e-9; t_rise = 0.5e-9 });
+  Netlist.add_inverter ~name:"inv" nl ~input ~output
+    (Devices.inverter ~r_on:100.0 ~c_in:1e-15 ~c_out:50e-15 ~vdd:1.2
+       ~t_transition:50e-12 ());
+  (nl, output)
+
 let test_nonconvergence_counter () =
   (* regression for the nonconvergence commit: when the inverter fixed
      point runs out of iterations the engine must keep the
      (solution, trial) pair consistent and report it *)
-  let build () =
-    let nl = Netlist.create () in
-    let input = Netlist.fresh_node nl in
-    let output = Netlist.fresh_node nl in
-    Netlist.add_vsource nl input Netlist.ground
-      (Stimulus.Step { v0 = 0.0; v1 = 1.2; t_delay = 2e-9; t_rise = 0.5e-9 });
-    Netlist.add_inverter nl ~input ~output
-      (Devices.inverter ~r_on:100.0 ~c_in:1e-15 ~c_out:50e-15 ~vdd:1.2
-         ~t_transition:50e-12 ());
-    (nl, output)
-  in
-  let nl, output = build () in
+  let nl, output = inverter_step_deck () in
   let starved =
     Transient.simulate
       ~config:{ Transient.Config.default with max_state_iterations = 1 }
@@ -881,7 +883,7 @@ let test_nonconvergence_counter () =
     (fun v ->
       Alcotest.(check bool) "within rails" true (v >= -0.05 && v <= 1.25))
     (Transient.final_voltages starved);
-  let nl2, output2 = build () in
+  let nl2, output2 = inverter_step_deck () in
   let healthy =
     Transient.simulate nl2 ~t_end:6e-9 ~dt:5e-12
       ~probes:[ Transient.Node_v output2 ]
@@ -891,6 +893,97 @@ let test_nonconvergence_counter () =
   let w = Transient.get healthy (Transient.Node_v output2) in
   Alcotest.(check bool) "output switched low" true
     (Rlc_waveform.Waveform.value_at w 5.5e-9 < 0.1)
+
+(* The 11 mm line of the 100 nm node, ramp-driven. *)
+let ramp_ladder ~l segments =
+  Ladder.driven_line ~t_rise:200e-12
+    { Ladder.r = 4400.0; l; c = 123.33e-12; length = 0.011; segments }
+
+(* The MD5 of every bit a run reports: the time axis, each probe's
+   samples, the stats record and the fixed-point histogram, as %h
+   text. *)
+let result_digest r probes =
+  let buf = Buffer.create 4096 in
+  let floats a = Array.iter (fun x -> Printf.bprintf buf "%h " x) a in
+  floats (Transient.time r);
+  List.iter
+    (fun p -> floats (Rlc_waveform.Waveform.values (Transient.get r p)))
+    probes;
+  let s = Transient.stats r in
+  Printf.bprintf buf "|%d %d %d %d %d|" s.Transient.Stats.steps
+    s.rejected_steps s.forced_accepts s.nonconverged_steps
+    s.lu_factorizations;
+  Array.iter (Printf.bprintf buf "%d ") (Transient.state_iteration_histogram r);
+  Digest.string (Buffer.contents buf)
+
+(* The engine's waveforms are a pure function of the deck: this digest
+   was recorded from the engine before its element loops were
+   flattened, and any change to a float operation, or to the order the
+   right-hand side accumulates in, moves it. *)
+let transient_digest = "f03f2202b8af09bd15b797d100f0e974"
+
+let test_transient_bits_pinned () =
+  let digests = ref [] in
+  let add r probes = digests := result_digest r probes :: !digests in
+  let fixed nl ~t_end ~dt probes =
+    List.iter
+      (fun integration ->
+        let config = { Transient.Config.default with integration } in
+        add (Transient.simulate ~config nl ~t_end ~dt ~probes) probes)
+      Transient.[ Trapezoidal; Backward_euler ]
+  in
+  let nl, _, far = ramp_ladder ~l:1.8e-6 40 in
+  fixed nl ~t_end:2e-9 ~dt:1e-12
+    Transient.[ Node_v far; Branch_i "line_seg0"; Branch_i "line_drv" ];
+  List.iter
+    (fun (file, extra) ->
+      let deck = Parser.parse_file ("../examples/netlists/" ^ file) in
+      let dt, t_end = Option.get deck.Parser.tran in
+      let probes =
+        deck.Parser.probes @ List.map (fun n -> Transient.Branch_i n) extra
+      in
+      fixed deck.Parser.netlist ~t_end ~dt probes)
+    [
+      ("coupled_pair.sp", [ "Ra"; "P1#1"; "P1#2"; "Ca"; "V1" ]);
+      ("buffered_line.sp", [ "X1"; "X2"; "V1" ]);
+    ];
+  let nl, output = inverter_step_deck () in
+  let probes = Transient.[ Node_v output; Branch_i "inv"; Branch_i "vin" ] in
+  let config = { Transient.Config.default with max_state_iterations = 1 } in
+  add (Transient.simulate ~config nl ~t_end:6e-9 ~dt:5e-12 ~probes) probes;
+  List.iter
+    (fun (segments, rtol) ->
+      let nl, _, far = ramp_ladder ~l:1.5e-6 segments in
+      let probes = Transient.[ Node_v far; Branch_i "line_seg0" ] in
+      let config = { Transient.Config.default with rtol } in
+      add
+        (Transient.simulate_adaptive ~config nl ~t_end:3e-9
+           ~dt_max:(3e-9 /. 32.0) ~probes)
+        probes)
+    [ (50, 1e-3); (50, 1e-4); (200, 1e-3); (200, 1e-4) ];
+  Alcotest.(check string) "digest" transient_digest
+    (Digest.to_hex (Digest.string (String.concat "" (List.rev !digests))))
+
+(* A fixed step allocates nothing: the minor-heap words of a 5000-step
+   run exceed those of a 1000-step run by nothing. *)
+let test_fixed_step_allocates_nothing () =
+  let nl, _, far = ramp_ladder ~l:1.8e-6 200 in
+  let words steps =
+    let before = Gc.minor_words () in
+    ignore
+      (Transient.simulate nl ~t_end:(float_of_int steps *. 1e-12) ~dt:1e-12
+         ~probes:[ Transient.Node_v far ]);
+    Gc.minor_words () -. before
+  in
+  let was = Rlc_instr.Control.enabled () in
+  Rlc_instr.Control.set_enabled false;
+  let extra =
+    Fun.protect
+      ~finally:(fun () -> Rlc_instr.Control.set_enabled was)
+      (fun () -> words 5000 -. words 1000)
+  in
+  Alcotest.(check (float 0.0)) "minor words per extra step" 0.0
+    (extra /. 4000.0)
 
 (* ---------------- Parser ---------------- *)
 
@@ -1283,6 +1376,10 @@ let () =
             test_adaptive_two_dt_levels_reuse_cache;
           Alcotest.test_case "nonconvergence is counted & consistent" `Quick
             test_nonconvergence_counter;
+          Alcotest.test_case "waveform bits pinned" `Quick
+            test_transient_bits_pinned;
+          Alcotest.test_case "fixed step allocates nothing" `Quick
+            test_fixed_step_allocates_nothing;
         ] );
       ( "parser",
         [

@@ -945,14 +945,24 @@ let test_km_dominant_pole_accuracy () =
   let exact = Delay.of_coeffs cs in
   check_close "km vs exact" exact km ~tol:0.05
 
-let test_km_critical_fallback_is_l_blind () =
-  (* inside the fallback band, the KM delay does not change with l --
-     the paper's core criticism (b1 is l-independent) *)
+let test_km_critical_fallback_is_b2_over_b1 () =
+  (* inside the fallback band the KM delay is 1.9 b2 / b1.  b1 does
+     not depend on l but b2 grows with it, so the fallback is not
+     l-blind: across the band its delay moves exactly as b2 does *)
   let stage = Rc_opt.stage node100 ~l:0.0 in
   let l_crit = Critical_inductance.of_stage stage in
-  let d1 = Kahng_muddu.delay_stage (Stage.with_l stage (0.9 *. l_crit)) in
-  let d2 = Kahng_muddu.delay_stage (Stage.with_l stage (1.1 *. l_crit)) in
-  check_close "same delay despite different l" d1 d2 ~tol:1e-9
+  let at f =
+    let s = Stage.with_l stage (f *. l_crit) in
+    let cs = Pade.coeffs s in
+    Alcotest.(check bool) "in the fallback band" true
+      (Kahng_muddu.regime cs = Kahng_muddu.Critical_fallback);
+    check_rel "tau = 1.9 b2 / b1" (1.9 *. cs.Pade.b2 /. cs.Pade.b1)
+      (Kahng_muddu.delay_stage s) ~tol:1e-12;
+    (Kahng_muddu.delay_stage s, cs.Pade.b2)
+  in
+  let d1, b2_lo = at 0.9 and d2, b2_hi = at 1.1 in
+  check_rel "d2 / d1 = b2(1.1 l_crit) / b2(0.9 l_crit)" (b2_hi /. b2_lo)
+    (d2 /. d1) ~tol:1e-12
 
 let test_km_regimes () =
   let over = Pade.coeffs (mk_stage ~l:0.0 ~h:0.0005 ~k:50.0 ()) in
@@ -1154,8 +1164,8 @@ let () =
         [
           Alcotest.test_case "KM dominant-pole accuracy" `Quick
             test_km_dominant_pole_accuracy;
-          Alcotest.test_case "KM fallback is l-blind" `Quick
-            test_km_critical_fallback_is_l_blind;
+          Alcotest.test_case "KM fallback tracks b2" `Quick
+            test_km_critical_fallback_is_b2_over_b1;
           Alcotest.test_case "KM regimes" `Quick test_km_regimes;
           Alcotest.test_case "IF delay accuracy" `Quick test_if_delay_accuracy;
           Alcotest.test_case "IF repeater shapes" `Quick

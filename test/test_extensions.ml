@@ -646,20 +646,20 @@ let test_sensitivity_matches_fd () =
     /. (2.0 *. h)
   in
   let { Line.r; l; c } = stage.Stage.line in
-  check_close "d tau/d l" (fd (fun d -> Stage.with_l stage (l +. d)) l)
+  check_rel "d tau/d l" (fd (fun d -> Stage.with_l stage (l +. d)) l)
     s.Sensitivity.wrt_l ~tol:1e-4;
   let with_c d =
     Stage.make
       ~line:(Line.make ~r ~l ~c:(c +. d))
       ~driver:stage.Stage.driver ~h:stage.Stage.h ~k:stage.Stage.k
   in
-  check_close "d tau/d c" (fd with_c c) s.Sensitivity.wrt_c ~tol:1e-4;
+  check_rel "d tau/d c" (fd with_c c) s.Sensitivity.wrt_c ~tol:1e-4;
   let with_r d =
     Stage.make
       ~line:(Line.make ~r:(r +. d) ~l ~c)
       ~driver:stage.Stage.driver ~h:stage.Stage.h ~k:stage.Stage.k
   in
-  check_close "d tau/d r" (fd with_r r) s.Sensitivity.wrt_r ~tol:1e-4
+  check_rel "d tau/d r" (fd with_r r) s.Sensitivity.wrt_r ~tol:1e-4
 
 let test_sensitivity_at_zero_l () =
   (* an RC line: no central step in l fits below l = 0, yet b2 is
