@@ -74,8 +74,9 @@ serve-demo:
 # names end to end
 # rlcsim on every example deck -- and, for a deck with an .ac card,
 # its AC sweep summary and CSV too -- diffed against the golden; then
-# each deck under bad/ must be refused with an rlcsim: message and
-# exit status 1, never an uncaught exception
+# each deck under bad/ must be refused with exit status 1, never an
+# uncaught exception, and the refusals' stderr (rlcsim: messages and
+# the parser's file:line: errors) is diffed against a golden too
 netlist-demo:
 	dune build bin/rlcsim.exe
 	for f in examples/netlists/*.sp; do \
@@ -88,15 +89,19 @@ netlist-demo:
 	done | diff examples/netlists/rlcsim.golden -
 	rm -f _netlist_demo.csv
 	for run in "no_source.sp --ac" "no_tran.sp" "no_probe.sp" \
-	  "vsource_loop.sp" "floating_island.sp"; do \
+	  "vsource_loop.sp" "floating_island.sp" \
+	  $$(cd examples/netlists/bad && ls parse_*.sp); do \
+	  echo "## bad/$$run"; \
 	  dune exec bin/rlcsim.exe -- examples/netlists/bad/$$run \
 	    > /dev/null 2> _netlist_demo.err; st=$$?; cat _netlist_demo.err; \
 	  if [ $$st -ne 1 ] || grep -q "internal error" _netlist_demo.err; then \
-	    echo "rlcsim bad/$$run: exit $$st, want 1 and no internal error"; \
+	    echo "rlcsim bad/$$run: exit $$st, want 1 and no internal error" >&2; \
 	    rm -f _netlist_demo.err; exit 1; \
 	  fi; \
-	done
+	done > _netlist_demo.refused
 	rm -f _netlist_demo.err
+	diff examples/netlists/bad/refused.golden _netlist_demo.refused
+	rm -f _netlist_demo.refused
 
 examples:
 	dune exec examples/quickstart.exe

@@ -630,7 +630,7 @@ let sparse_case ~name ~reps ~with_dense (asm : Rlc_circuit.Assembly.t) =
   let fill = Assembly.Coo.iter asm.Assembly.g in
   let n = asm.Assembly.size in
   let auto_plan = asm.Assembly.plan in
-  let plan_of backend = Solver.plan ~backend asm.Assembly.adj in
+  let plan_of backend = Solver.plan ~backend (Assembly.adjacency asm) in
   let banded_plan = plan_of Solver.Banded in
   let sparse_plan = plan_of Solver.Sparse in
   let b = Array.init n (fun i -> Float.sin (float_of_int (i + 1))) in

@@ -7,10 +7,14 @@ module Coo = struct
      accumulate in place — the same float-addition order a dense
      Matrix.add_to sequence would produce, which is what makes the
      dense materialisation entry-identical to the historical dense
-     stamping. *)
+     stamping.  The index is an open-addressed int table with linear
+     probing: [table.(2h)] holds the key i * csize + j (or -1 when
+     empty) and [table.(2h + 1)] its slot; it is kept at most half
+     full. *)
   type t = {
     csize : int;
-    index : (int, int) Hashtbl.t; (* i * csize + j -> slot *)
+    mutable table : int array;
+    mutable mask : int; (* entries - 1; entries a power of two *)
     mutable rows : int array;
     mutable cols : int array;
     mutable vals : float array;
@@ -21,7 +25,8 @@ module Coo = struct
     if size <= 0 then invalid_arg "Assembly.Coo.create: size <= 0";
     {
       csize = size;
-      index = Hashtbl.create 64;
+      table = Array.make 128 (-1);
+      mask = 63;
       rows = Array.make 16 0;
       cols = Array.make 16 0;
       vals = Array.make 16 0.0;
@@ -42,21 +47,58 @@ module Coo = struct
     t.cols <- extend t.cols 0;
     t.vals <- extend t.vals 0.0
 
+  let[@inline] home key mask =
+    let h = key * 0x1f3d5b79a4c6e8f1 in
+    (h lxor (h lsr 32)) land mask
+
+  (* the table position holding [key], or the empty one ending its
+     probe sequence *)
+  let rec probe table mask key h =
+    let k = Array.unsafe_get table (2 * h) in
+    if k = key || k < 0 then h else probe table mask key ((h + 1) land mask)
+
+  let find table mask key = probe table mask key (home key mask)
+
+  let rehash t =
+    let mask = (2 * (t.mask + 1)) - 1 in
+    let table = Array.make (2 * (mask + 1)) (-1) in
+    for slot = 0 to t.n - 1 do
+      let key = (t.rows.(slot) * t.csize) + t.cols.(slot) in
+      let h = find table mask key in
+      table.(2 * h) <- key;
+      table.((2 * h) + 1) <- slot
+    done;
+    t.table <- table;
+    t.mask <- mask
+
   let stamp_at t i j v =
     if i < 0 || i >= t.csize || j < 0 || j >= t.csize then
       invalid_arg
         (Printf.sprintf "Assembly.Coo: index (%d,%d) out of %dx%d" i j t.csize
            t.csize);
     let key = (i * t.csize) + j in
-    match Hashtbl.find_opt t.index key with
-    | Some slot -> t.vals.(slot) <- t.vals.(slot) +. v
-    | None ->
-        if t.n = Array.length t.rows then grow t;
-        t.rows.(t.n) <- i;
-        t.cols.(t.n) <- j;
-        t.vals.(t.n) <- v;
-        Hashtbl.add t.index key t.n;
-        t.n <- t.n + 1
+    let h = find t.table t.mask key in
+    if t.table.(2 * h) = key then begin
+      let slot = t.table.((2 * h) + 1) in
+      t.vals.(slot) <- t.vals.(slot) +. v
+    end
+    else begin
+      if t.n = Array.length t.rows then grow t;
+      let slot = t.n in
+      t.rows.(slot) <- i;
+      t.cols.(slot) <- j;
+      t.vals.(slot) <- v;
+      t.n <- slot + 1;
+      t.table.(2 * h) <- key;
+      t.table.((2 * h) + 1) <- slot;
+      if 2 * t.n > t.mask then rehash t
+    end
+
+  (* -0.0 is the additive identity of IEEE addition (-0.0 + v = v for
+     every v, +0.0 included), so restamping the same sequence after a
+     reset leaves every slot with the bits a fresh accumulator would
+     hold, in the same slot order *)
+  let reset t = Array.fill t.vals 0 t.n (-0.0)
 
   (* THE conductance-pattern stamp: every two-terminal conductance-like
      element in the repository (resistors, capacitor companions,
@@ -92,19 +134,23 @@ module Coo = struct
     done;
     r
 
-  let adjacency_into t adj =
-    for k = 0 to t.n - 1 do
-      let i = t.rows.(k) and j = t.cols.(k) in
-      if i <> j then begin
-        adj.(i) <- j :: adj.(i);
-        adj.(j) <- i :: adj.(j)
-      end
-    done
-
-  let adjacency t =
-    let adj = Array.make t.csize [] in
-    adjacency_into t adj;
+  (* the deduplicated, sorted union of the accumulators' off-diagonal
+     patterns, both directions *)
+  let union size coos =
+    let adj = Array.make size [] in
+    List.iter
+      (fun t ->
+        for k = 0 to t.n - 1 do
+          let i = t.rows.(k) and j = t.cols.(k) in
+          if i <> j then begin
+            adj.(i) <- j :: adj.(i);
+            adj.(j) <- i :: adj.(j)
+          end
+        done)
+      coos;
     Array.map (List.sort_uniq Int.compare) adj
+
+  let adjacency t = union t.csize [ t ]
 
   let to_dense t =
     let m = Matrix.create t.csize t.csize in
@@ -131,7 +177,6 @@ type t = {
   b_vals : float array;
   inputs : input array;
   current_rows : int array array;
-  adj : int list array;
   plan : Solver.plan;
 }
 
@@ -247,10 +292,6 @@ let of_netlist ?plan:plan_hint ?(validate = true) netlist =
           Coo.stamp_g g output Netlist.ground (1.0 /. dev.Devices.r_on))
     elems;
   let b = Array.of_list (List.rev !b) in
-  let adj = Array.make size [] in
-  Coo.adjacency_into g adj;
-  Coo.adjacency_into c adj;
-  let adj = Array.map (List.sort_uniq Int.compare) adj in
   {
     size;
     n_nodes;
@@ -262,14 +303,15 @@ let of_netlist ?plan:plan_hint ?(validate = true) netlist =
     b_vals = Array.map (fun (_, _, v) -> v) b;
     inputs = Array.of_list (List.rev !inputs);
     current_rows;
-    adj;
     plan =
       (match plan_hint with
       | Some p when p.Solver.n = size -> p
       | Some _ ->
           invalid_arg "Assembly.of_netlist: plan hint sized for another deck"
-      | None -> Solver.plan adj);
+      | None -> Solver.plan (Coo.union size [ g; c ]));
   }
+
+let adjacency t = Coo.union t.size [ t.g; t.c ]
 
 let dense_g t = Coo.to_dense t.g
 let dense_c t = Coo.to_dense t.c
@@ -300,7 +342,8 @@ let solve_g t f b = Solver.solve t.plan f b
 let plan_for t backend =
   match backend with
   | Solver.Auto -> t.plan
-  | Solver.Dense | Solver.Banded | Solver.Sparse -> Solver.plan ~backend t.adj
+  | Solver.Dense | Solver.Banded | Solver.Sparse ->
+      Solver.plan ~backend (adjacency t)
 
 let cfill t s add =
   Coo.iter t.g (fun i j v -> add i j (Cx.of_float v));

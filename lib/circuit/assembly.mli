@@ -70,10 +70,13 @@ module Coo : sig
       sparse mat-vec the frequency-domain consumers ({!Whatif}'s
       moment recurrence, PRIMA's Krylov step and projections) share. *)
 
-  val adjacency_into : t -> int list array -> unit
-  (** Append each off-diagonal slot (both directions) to an adjacency
-      under construction; callers [List.sort_uniq] afterwards.  Used
-      to form pattern unions across several accumulators. *)
+  val reset : t -> unit
+  (** Clear every slot's value and keep the pattern and the slot
+      index, for a restamp through the same stamp sequence (the
+      transient engine's companion at a new dt).  A restamp after
+      [reset] accumulates every slot to the bits a fresh accumulator
+      would hold, in the same slot order; slots it does not touch read
+      [-0.0]. *)
 
   val adjacency : t -> int list array
   (** The deduplicated undirected adjacency of this accumulator alone
@@ -107,7 +110,6 @@ type t = private {
           a voltage source; [[||]] for elements with node unknowns
           only.  This is how a value perturbation finds its O(1) stamp
           positions without re-walking the netlist. *)
-  adj : int list array;  (** union pattern of G and C *)
   plan : Solver.plan;  (** the shared structure analysis (RCM +
       bandwidth + backend) every consumer reuses *)
 }
@@ -127,6 +129,11 @@ val of_netlist : ?plan:Solver.plan -> ?validate:bool -> Netlist.t -> t
     [?validate:false] skips {!Netlist.validate} for the same
     signature-match reason: topological validity is a structural
     property, so revalidating a value-only variant buys nothing. *)
+
+val adjacency : t -> int list array
+(** The sorted, deduplicated union pattern of G and C: the input of
+    {!Rlc_numerics.Solver.plan}.  Built on each call ({!of_netlist}
+    builds it only when it computes the plan itself). *)
 
 val dense_g : t -> Matrix.t
 val dense_c : t -> Matrix.t

@@ -12,6 +12,9 @@ let make ?(name_prefix = "line") netlist spec ~from_node ~to_node =
     invalid_arg "Ladder.make: non-physical line parameters";
   if spec.segments < 1 then invalid_arg "Ladder.make: segments < 1";
   let n = spec.segments in
+  (* a W card of a deck expands here: the names are built without
+     Printf, which would dominate a long line's parse *)
+  let name part k = String.concat "" [ name_prefix; part; string_of_int k ] in
   let dh = spec.length /. float_of_int n in
   let r_seg = spec.r *. dh in
   let l_seg = spec.l *. dh in
@@ -19,7 +22,7 @@ let make ?(name_prefix = "line") netlist spec ~from_node ~to_node =
   (* half capacitor at the input, half at the far end; full shunt at
      every internal joint: total capacitance = c * length exactly *)
   Netlist.add_capacitor
-    ~name:(Printf.sprintf "%s_cin" name_prefix)
+    ~name:(name_prefix ^ "_cin")
     netlist from_node Netlist.ground (c_seg /. 2.0);
   let rec build i node =
     if i = n then node
@@ -28,15 +31,15 @@ let make ?(name_prefix = "line") netlist spec ~from_node ~to_node =
         if i = n - 1 then to_node
         else
           Netlist.fresh_node
-            ~name:(Printf.sprintf "%s_n%d" name_prefix (i + 1))
+            ~name:(name "_n" (i + 1))
             netlist
       in
       Netlist.add_rl_branch
-        ~name:(Printf.sprintf "%s_seg%d" name_prefix i)
+        ~name:(name "_seg" i)
         netlist node next ~ohms:r_seg ~henries:l_seg;
       let shunt = if i = n - 1 then c_seg /. 2.0 else c_seg in
       Netlist.add_capacitor
-        ~name:(Printf.sprintf "%s_c%d" name_prefix (i + 1))
+        ~name:(name "_c" (i + 1))
         netlist next Netlist.ground shunt;
       build (i + 1) next
     end

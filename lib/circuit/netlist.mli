@@ -3,7 +3,9 @@
     Nodes are small integers; node 0 is ground.  Elements are added
     imperatively (the natural idiom for netlist construction) and the
     finished netlist is consumed read-only by the DC and transient
-    engines. *)
+    engines.  Elements and the id -> name tables are arrays in
+    insertion order; names are found through open-addressed hash
+    indexes. *)
 
 type node = int
 
@@ -48,8 +50,8 @@ val node_count : t -> int
 val find_node : t -> string -> node option
 
 val node_name : t -> node -> string option
-(** Reverse lookup of a node's registered name (linear in the name
-    table — not for hot loops). *)
+(** Reverse lookup of a node's registered name: [None] for an unnamed
+    node, ground and ids out of range.  Constant time. *)
 
 val add_resistor : ?name:string -> t -> node -> node -> float -> unit
 val add_capacitor : ?name:string -> t -> node -> node -> float -> unit
@@ -83,16 +85,20 @@ val element_name : t -> int -> string
 (** Name of element [id] (auto-generated when not provided). *)
 
 val structural_hash : t -> string
-(** Hex digest of the deck's *structure*: element kinds and
-    connectivity, with every element value (ohms, farads, stimulus
-    waveforms, device parameters) excluded — value-only edits hash
-    equal, topology edits hash different.  Elements are described by
-    node {e names} and digested as a sorted multiset, so two
-    equivalent decks that list the same cards in a different order
-    (and therefore number their nodes differently) hash equal, as
-    long as their nodes are named ({!fresh_node}'s [?name]; the SPICE
-    parser names every node after its card token).  Unnamed nodes
-    fall back to their ids, which are insertion-order dependent.
+(** 16 hex digits of a 63-bit hash of the deck's *structure*: element
+    kinds and connectivity, with every element value (ohms, farads,
+    stimulus waveforms, device parameters) excluded — value-only edits
+    hash equal, topology edits hash different (up to 63-bit
+    collisions, which {!structural_signature} catches).  Each element
+    is hashed from its kind and its nodes' {e names} in order, and the
+    per-element hashes are summed: the sum ignores card order but
+    keeps how often each element occurs, so two equivalent decks that
+    list the same cards in a different order (and therefore number
+    their nodes differently) hash equal, as long as their nodes are
+    named ({!fresh_node}'s [?name]; the SPICE parser names every node
+    after its card token).  Unnamed nodes fall back to their ids,
+    which are insertion-order dependent.  Linear in the deck, with no
+    sort and no string per element.
 
     The one structural value: an RL branch with [henries = 0] stamps
     as a plain resistor (no branch-current unknown) and is hashed as
@@ -132,4 +138,6 @@ val validate : t -> unit
 (** Checks node indices are in range, element values are physical and
     every non-ground node has a DC path to ground (otherwise the MNA
     matrix is singular).  Raises [Invalid_argument] with a description
-    of the first problem found. *)
+    of the first problem found; a node without a DC path is named by
+    its registered name (["node c"]), or by its id when it has none
+    (["node 3"]). *)

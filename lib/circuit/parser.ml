@@ -10,94 +10,249 @@ type deck = {
   title : string option;
 }
 
-(* ---------------- lexical helpers ---------------- *)
+(* ---------------- values ---------------- *)
 
-let lowercase = String.lowercase_ascii
+(* Everything below reads the deck text in place: a line, a token and a
+   value are offset ranges [lo, hi) into it, and a string is cut from
+   the text only where one is kept (a node, element or probe name, the
+   title, an error message). *)
 
-let is_digitish c = (c >= '0' && c <= '9') || c = '.' || c = '+' || c = '-'
+(* the bytes [String.trim] strips *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+let is_digit c = c >= '0' && c <= '9'
+let is_digitish c = is_digit c || c = '.' || c = '+' || c = '-'
 
-let parse_value s =
-  let s = String.trim s in
-  if s = "" then failwith "empty value";
-  (* split numeric prefix / alphabetic suffix *)
-  let n = String.length s in
-  let rec numeric_end i saw_e =
-    if i >= n then i
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* [s.[lo..hi)] as a float when it is [sign? digits [. digits] [e sign?
+   digits]] with at most 15 significant digits and a decimal exponent
+   within +-22: the digits then form an exact integer m < 2^53 and the
+   power of ten is exact, so [m *. 10^e] (or [m /. 10^-e]) is one
+   correctly rounded operation — the double [float_of_string] returns.
+   [nan] when the text is outside that form; the caller falls back. *)
+let decimal s lo hi =
+  let i = ref lo in
+  let neg = !i < hi && s.[!i] = '-' in
+  if !i < hi && (s.[!i] = '-' || s.[!i] = '+') then incr i;
+  (* m collects the first 15 significant digits; [digits] counts all *)
+  let m = ref 0 and sig_digits = ref 0 and frac = ref 0 and digits = ref 0 in
+  let dot = ref false in
+  while
+    !i < hi
+    && (is_digit s.[!i] || (s.[!i] = '.' && not !dot))
+  do
+    if s.[!i] = '.' then dot := true
     else begin
-      let c = s.[i] in
-      if is_digitish c then numeric_end (i + 1) saw_e
-      else if (c = 'e' || c = 'E') && not saw_e && i + 1 < n
-              && (is_digitish s.[i + 1])
-      then numeric_end (i + 1) true
-      else i
-    end
-  in
-  let split = numeric_end 0 false in
-  if split = 0 then failwith ("malformed number: " ^ s);
+      let d = Char.code s.[!i] - 48 in
+      if !m > 0 || d > 0 then incr sig_digits;
+      if !sig_digits <= 15 then m := (!m * 10) + d;
+      if !dot then incr frac;
+      incr digits
+    end;
+    incr i
+  done;
+  let exp = ref 0 and exp_ok = ref true in
+  if !i < hi && (s.[!i] = 'e' || s.[!i] = 'E') then begin
+    incr i;
+    let eneg = !i < hi && s.[!i] = '-' in
+    if !i < hi && (s.[!i] = '-' || s.[!i] = '+') then incr i;
+    exp_ok := !i < hi && is_digit s.[!i];
+    while !i < hi && is_digit s.[!i] do
+      if !exp < 100_000 then exp := (!exp * 10) + Char.code s.[!i] - 48;
+      incr i
+    done;
+    if eneg then exp := - !exp
+  end;
+  let e = !exp - !frac in
+  if !i < hi || !digits = 0 || (not !exp_ok) || !sig_digits > 15 then Float.nan
+  else if !m = 0 then if neg then -0.0 else 0.0
+  else
+    let v =
+      if e >= 0 && e <= 22 then float_of_int !m *. pow10.(e)
+      else if e < 0 && e >= -22 then float_of_int !m /. pow10.(-e)
+      else Float.nan
+    in
+    if neg then -.v else v
+
+let lower_is s i c = Char.lowercase_ascii (String.unsafe_get s i) = c
+
+(* the end of the numeric prefix of [s.[i..hi)]: digits, '.', signs and
+   one exponent letter followed by one of those *)
+let rec numeric_end s i hi saw_e =
+  if i >= hi then i
+  else begin
+    let c = s.[i] in
+    if is_digitish c then numeric_end s (i + 1) hi saw_e
+    else if
+      (c = 'e' || c = 'E') && (not saw_e) && i + 1 < hi
+      && is_digitish s.[i + 1]
+    then numeric_end s (i + 1) hi true
+    else i
+  end
+
+let malformed s lo hi =
+  failwith ("malformed number: " ^ String.sub s lo (hi - lo))
+
+let scale_of s split hi =
+  if split = hi then 1.0
+  else if
+    hi - split >= 3 && lower_is s split 'm' && lower_is s (split + 1) 'e'
+    && lower_is s (split + 2) 'g'
+  then 1e6
+  else
+    match Char.lowercase_ascii s.[split] with
+    | 'f' -> 1e-15
+    | 'p' -> 1e-12
+    | 'n' -> 1e-9
+    | 'u' -> 1e-6
+    | 'm' -> 1e-3
+    | 'k' -> 1e3
+    | 'g' -> 1e9
+    | 't' -> 1e12
+    (* bare unit letters: volts, amps, seconds, ohms, farads, henries *)
+    | 'v' | 'a' | 's' | 'o' | 'h' -> 1.0
+    | _ ->
+        failwith
+          ("unknown suffix: "
+          ^ String.lowercase_ascii (String.sub s split (hi - split)))
+
+(* The SPICE number in [s.[lo..hi)]: a numeric prefix and a magnitude
+   suffix.  Raises [Failure] like {!parse_value}. *)
+let value_in s lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi && is_blank s.[!lo] do incr lo done;
+  while !hi > !lo && is_blank s.[!hi - 1] do decr hi done;
+  let lo = !lo and hi = !hi in
+  if lo = hi then failwith "empty value";
+  let split = numeric_end s lo hi false in
+  if split = lo then malformed s lo hi;
+  let base = decimal s lo split in
   let base =
-    match float_of_string_opt (String.sub s 0 split) with
-    | Some v -> v
-    | None -> failwith ("malformed number: " ^ s)
+    if Float.is_nan base then
+      match float_of_string_opt (String.sub s lo (split - lo)) with
+      | Some v -> v
+      | None -> malformed s lo hi
+    else base
   in
-  let suffix = lowercase (String.sub s split (n - split)) in
-  let scale =
-    if suffix = "" then 1.0
-    else if String.length suffix >= 3 && String.sub suffix 0 3 = "meg" then 1e6
-    else
-      match suffix.[0] with
-      | 'f' -> 1e-15
-      | 'p' -> 1e-12
-      | 'n' -> 1e-9
-      | 'u' -> 1e-6
-      | 'm' -> 1e-3
-      | 'k' -> 1e3
-      | 'g' -> 1e9
-      | 't' -> 1e12
-      (* bare unit letters: volts, amps, seconds, ohms, farads, henries *)
-      | 'v' | 'a' | 's' | 'o' | 'h' -> 1.0
-      | _ -> failwith ("unknown suffix: " ^ suffix)
-  in
-  base *. scale
+  base *. scale_of s split hi
 
-let tokens_of_line line =
-  (* strip comment tail: "$" or ";" *)
-  let line =
-    match String.index_opt line '$' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let line =
-    match String.index_opt line ';' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  (* normalize parens/commas to spaces but keep "k=v" forms intact *)
-  let buf = Bytes.of_string line in
-  Bytes.iteri
-    (fun i c -> if c = '(' || c = ')' || c = ',' then Bytes.set buf i ' ')
-    buf;
-  String.split_on_char ' ' (Bytes.to_string buf)
-  |> List.filter (fun t -> t <> "")
+let parse_value s = value_in s 0 (String.length s)
 
-(* key=value parameters *)
-let keyed_params tokens =
-  List.filter_map
-    (fun t ->
-      match String.index_opt t '=' with
-      | Some i ->
-          Some
-            ( lowercase (String.sub t 0 i),
-              String.sub t (i + 1) (String.length t - i - 1) )
-      | None -> None)
-    tokens
+(* ---------------- the line scanner ---------------- *)
 
-let positional tokens =
-  List.filter (fun t -> not (String.contains t '=')) tokens
+(* The tokens of the current line: [n] offset ranges [lo.(k), hi.(k)),
+   with [eq.(k)] the offset of the token's first '=' (or -1).  Tokens
+   are separated by spaces, parentheses and commas; a '$' or ';' ends
+   the line. *)
+type scan = {
+  text : string;
+  mutable lo : int array;
+  mutable hi : int array;
+  mutable eq : int array;
+  mutable n : int;
+  mutable pos : int array;
+      (* the indices of the line's positional (no '=') tokens after
+         the first *)
+  mutable npos : int;
+}
+
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+(* byte classes for the tokenizer: 0 a token byte, 1 a separator
+   (space, parentheses, comma), 2 the end of the line's content ('$'
+   or ';'), 3 '=' *)
+let byte_class =
+  Bytes.init 256 (fun i ->
+      match Char.chr i with
+      | ' ' | '(' | ')' | ',' -> '\001'
+      | '$' | ';' -> '\002'
+      | '=' -> '\003'
+      | _ -> '\000')
+
+let[@inline] class_at s i =
+  Char.code (Bytes.unsafe_get byte_class (Char.code (String.unsafe_get s i)))
+
+let tokenize sc lo hi =
+  let s = sc.text in
+  sc.n <- 0;
+  sc.npos <- 0;
+  let i = ref lo and stop = ref hi in
+  (* [lo, hi) is within the text, so the reads below are in bounds *)
+  while !i < !stop do
+    match class_at s !i with
+    | 1 -> incr i
+    | 2 -> stop := !i
+    | _ ->
+        let start = !i and eq = ref (-1) in
+        while
+          !i < !stop
+          &&
+          match class_at s !i with
+          | 0 -> true
+          | 3 ->
+              if !eq < 0 then eq := !i;
+              true
+          | _ -> false
+        do
+          incr i
+        done;
+        if sc.n = Array.length sc.lo then begin
+          sc.lo <- grow sc.lo;
+          sc.hi <- grow sc.hi;
+          sc.eq <- grow sc.eq;
+          sc.pos <- grow sc.pos
+        end;
+        let k = sc.n in
+        sc.lo.(k) <- start;
+        sc.hi.(k) <- !i;
+        sc.eq.(k) <- !eq;
+        sc.n <- k + 1;
+        if k > 0 && !eq < 0 then begin
+          sc.pos.(sc.npos) <- k;
+          sc.npos <- sc.npos + 1
+        end
+  done
+
+let token sc k = String.sub sc.text sc.lo.(k) (sc.hi.(k) - sc.lo.(k))
+
+(* [s.[lo..lo + |lit|)] equals the lowercase literal [lit], in any
+   case, from byte [i] on *)
+let rec lower_eq s lo lit i =
+  i = String.length lit
+  || (lower_is s (lo + i) lit.[i] && lower_eq s lo lit (i + 1))
+
+(* token [k] equals the lowercase literal [lit], in any case *)
+let token_is sc k lit =
+  sc.hi.(k) - sc.lo.(k) = String.length lit && lower_eq sc.text sc.lo.(k) lit 0
+
+(* the first token after the card name whose key (before its first
+   '=') is [key] in any case, or -1 *)
+let param sc key =
+  let k = ref 1 in
+  while
+    !k < sc.n
+    && not
+         (sc.eq.(!k) - sc.lo.(!k) = String.length key
+         && lower_eq sc.text sc.lo.(!k) key 0)
+  do
+    incr k
+  done;
+  if !k < sc.n then !k else -1
+
+(* a name as the deck's one rule keeps it: lowercased, copied once *)
+let lower_name s lo hi =
+  let name = String.sub s lo (hi - lo) in
+  let i = ref lo in
+  while !i < hi && not (s.[!i] >= 'A' && s.[!i] <= 'Z') do incr i done;
+  if !i < hi then String.lowercase_ascii name else name
 
 (* ---------------- deck building ---------------- *)
 
 type builder = {
   nl : Netlist.t;
+  sc : scan;
   mutable b_tran : (float * float) option;
   mutable b_ac : ac_spec option;
   mutable probe_names : (int * string * [ `V | `I ]) list;
@@ -106,261 +261,258 @@ type builder = {
 
 (* The one rule for node names: case-insensitive, and "0"/"gnd" are
    ground.  The netlist's name table holds the lowercased keys. *)
-let find_node nl name =
-  match lowercase name with
+let node_of_key nl = function
   | "0" | "gnd" -> Some Netlist.ground
   | key -> Netlist.find_node nl key
+
+let find_node nl name = node_of_key nl (String.lowercase_ascii name)
 
 (* registering the name on the netlist makes parsed decks
    order-independently hashable (Netlist.structural_hash labels nodes
    by name) and the deck's nodes findable by name *)
-let node_id b name =
-  match find_node b.nl name with
+let node b k =
+  let key = lower_name b.sc.text b.sc.lo.(k) b.sc.hi.(k) in
+  match node_of_key b.nl key with
   | Some n -> n
-  | None -> Netlist.fresh_node ~name:(lowercase name) b.nl
+  | None -> Netlist.fresh_node ~name:key b.nl
 
 let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
 
-let value_or_fail lineno s =
-  try parse_value s with Failure m -> fail lineno "%s" m
+let value_range lineno s lo hi =
+  try value_in s lo hi with Failure m -> fail lineno "%s" m
 
-let require_params lineno params keys =
-  List.map
-    (fun k ->
-      match List.assoc_opt k params with
-      | Some v -> value_or_fail lineno v
-      | None -> fail lineno "missing parameter %s=" k)
-    keys
+(* the value of token [k] *)
+let value b lineno k = value_range lineno b.sc.text b.sc.lo.(k) b.sc.hi.(k)
 
-let parse_source b lineno name tokens =
-  match tokens with
-  | np :: nm :: kind :: rest ->
-      let a = node_id b np and bb = node_id b nm in
-      let stim =
-        match lowercase kind with
-        | "dc" -> begin
-            match rest with
-            | [ v ] -> Stimulus.Dc (value_or_fail lineno v)
-            | _ -> fail lineno "DC takes one value"
-          end
-        | "pulse" -> begin
-            match List.map (value_or_fail lineno) rest with
-            | [ v0; v1; td; tr; tf; pw; per ] ->
-                Stimulus.Pulse
-                  {
-                    v0;
-                    v1;
-                    t_delay = td;
-                    t_rise = tr;
-                    t_fall = tf;
-                    t_high = pw;
-                    period = per;
-                  }
-            | _ -> fail lineno "PULSE takes 7 values"
-          end
-        | "pwl" -> begin
-            let vals = List.map (value_or_fail lineno) rest in
-            let rec pair = function
-              | [] -> []
-              | t :: v :: rest -> (t, v) :: pair rest
-              | [ _ ] -> fail lineno "PWL needs an even number of values"
-            in
-            Stimulus.Pwl (pair vals)
-          end
-        | k -> fail lineno "unknown source kind %s" k
+(* the value of parameter [key], which the card must carry *)
+let required b lineno key =
+  match param b.sc key with
+  | -1 -> fail lineno "missing parameter %s=" key
+  | k -> value_range lineno b.sc.text (b.sc.eq.(k) + 1) b.sc.hi.(k)
+
+let optional b lineno key =
+  match param b.sc key with
+  | -1 -> None
+  | k -> Some (value_range lineno b.sc.text (b.sc.eq.(k) + 1) b.sc.hi.(k))
+
+(* positional token [i] after the card name *)
+let pos b i = b.sc.pos.(i)
+
+let source_stim b lineno =
+  let sc = b.sc in
+  let rest = sc.npos - 3 in
+  let values () =
+    let acc = ref [] in
+    for i = 3 to sc.npos - 1 do
+      acc := value b lineno (pos b i) :: !acc
+    done;
+    List.rev !acc
+  in
+  let kind = pos b 2 in
+  if token_is sc kind "dc" then
+    if rest = 1 then Stimulus.Dc (value b lineno (pos b 3))
+    else fail lineno "DC takes one value"
+  else if token_is sc kind "pulse" then
+    match values () with
+    | [ v0; v1; td; tr; tf; pw; per ] ->
+        Stimulus.Pulse
+          {
+            v0;
+            v1;
+            t_delay = td;
+            t_rise = tr;
+            t_fall = tf;
+            t_high = pw;
+            period = per;
+          }
+    | _ -> fail lineno "PULSE takes 7 values"
+  else if token_is sc kind "pwl" then begin
+    let vals = values () in
+    let rec pair = function
+      | [] -> []
+      | t :: v :: rest -> (t, v) :: pair rest
+      | [ _ ] -> fail lineno "PWL needs an even number of values"
+    in
+    Stimulus.Pwl (pair vals)
+  end
+  else
+    fail lineno "unknown source kind %s"
+      (String.lowercase_ascii (token sc kind))
+
+let directive b lineno =
+  let sc = b.sc in
+  if token_is sc 0 ".end" then ()
+  else if token_is sc 0 ".tran" then begin
+    if sc.n <> 3 then fail lineno ".tran takes dt and t_end";
+    (* t_end is read first: a card with two bad values reports t_end's *)
+    let t_end = value b lineno 2 in
+    b.b_tran <- Some (value b lineno 1, t_end)
+  end
+  else if token_is sc 0 ".ac" then begin
+    if not (sc.n = 5 && token_is sc 1 "dec") then
+      fail lineno ".ac takes: dec n fstart fstop";
+    let points_per_decade = int_of_float (value b lineno 2) in
+    let fstart = value b lineno 3 in
+    let fstop = value b lineno 4 in
+    if points_per_decade < 1 then
+      fail lineno ".ac dec needs at least 1 point per decade";
+    if fstart <= 0.0 || fstop < fstart then
+      fail lineno ".ac dec needs 0 < fstart <= fstop";
+    b.b_ac <- Some { points_per_decade; fstart; fstop }
+  end
+  else if token_is sc 0 ".probe" then begin
+    (* parens separate tokens: "v(out)" -> "v" "out" *)
+    let k = ref 1 in
+    while !k < sc.n do
+      let kind =
+        if !k + 1 >= sc.n then None
+        else if token_is sc !k "v" then Some `V
+        else if token_is sc !k "i" then Some `I
+        else None
       in
-      (a, bb, stim, name)
-  | _ -> fail lineno "source needs nodes and a waveform"
+      match kind with
+      | Some kind ->
+          b.probe_names <- (lineno, token sc (!k + 1), kind) :: b.probe_names;
+          k := !k + 2
+      | None ->
+          fail lineno "probe must be v(node) or i(elem), got %s" (token sc !k)
+    done
+  end
+  else fail lineno "unknown directive %s" (String.lowercase_ascii (token sc 0))
 
-let dispatch b lineno line =
-  let tokens = tokens_of_line line in
-  match tokens with
-  | [] -> ()
-  | first :: rest -> begin
-      let name = first in
-      match Char.lowercase_ascii first.[0] with
-      | '*' -> ()
-      | '.' -> begin
-          match lowercase first with
-          | ".end" -> ()
-          | ".tran" -> begin
-              match rest with
-              | [ dt; t_end ] ->
-                  b.b_tran <-
-                    Some (value_or_fail lineno dt, value_or_fail lineno t_end)
-              | _ -> fail lineno ".tran takes dt and t_end"
-            end
-          | ".ac" -> begin
-              match rest with
-              | [ kind; n; fstart; fstop ] when lowercase kind = "dec" ->
-                  let points_per_decade =
-                    int_of_float (value_or_fail lineno n)
-                  in
-                  let fstart = value_or_fail lineno fstart in
-                  let fstop = value_or_fail lineno fstop in
-                  if points_per_decade < 1 then
-                    fail lineno ".ac dec needs at least 1 point per decade";
-                  if fstart <= 0.0 || fstop < fstart then
-                    fail lineno ".ac dec needs 0 < fstart <= fstop";
-                  b.b_ac <- Some { points_per_decade; fstart; fstop }
-              | _ -> fail lineno ".ac takes: dec n fstart fstop"
-            end
-          | ".probe" ->
-              (* parens were split into spaces: "v(out)" -> "v" "out" *)
-              let rec walk = function
-                | [] -> ()
-                | kind :: target :: more when lowercase kind = "v" ->
-                    b.probe_names <- (lineno, target, `V) :: b.probe_names;
-                    walk more
-                | kind :: target :: more when lowercase kind = "i" ->
-                    b.probe_names <- (lineno, target, `I) :: b.probe_names;
-                    walk more
-                | t :: _ -> fail lineno "probe must be v(node) or i(elem), got %s" t
-              in
-              walk rest
-          | d -> fail lineno "unknown directive %s" d
-        end
-      | 'r' -> begin
-          match positional rest with
-          | [ n1; n2; v ] ->
-              Netlist.add_resistor ~name b.nl (node_id b n1) (node_id b n2)
-                (value_or_fail lineno v)
-          | _ -> fail lineno "R takes: n1 n2 value"
-        end
-      | 'c' -> begin
-          match positional rest with
-          | [ n1; n2; v ] ->
-              Netlist.add_capacitor ~name b.nl (node_id b n1) (node_id b n2)
-                (value_or_fail lineno v)
-          | _ -> fail lineno "C takes: n1 n2 value"
-        end
-      | 'l' -> begin
-          match positional rest with
-          | [ n1; n2; v ] ->
-              Netlist.add_inductor ~name b.nl (node_id b n1) (node_id b n2)
-                (value_or_fail lineno v)
-          | _ -> fail lineno "L takes: n1 n2 value"
-        end
-      | 'b' -> begin
-          (* series R-L branch (one lumped line segment) *)
-          match positional rest with
-          | [ n1; n2 ] -> begin
-              match require_params lineno (keyed_params rest) [ "r"; "l" ] with
-              | [ r; l ] ->
-                  Netlist.add_rl_branch ~name b.nl (node_id b n1)
-                    (node_id b n2) ~ohms:r ~henries:l
-              | _ -> assert false
-            end
-          | _ -> fail lineno "B takes: n1 n2 r= l="
-        end
-      | 'w' -> begin
-          match positional rest with
-          | [ n1; n2 ] ->
-              let params = keyed_params rest in
-              let seg =
-                match List.assoc_opt "seg" params with
-                | Some v -> int_of_float (value_or_fail lineno v)
-                | None -> 10
-              in
-              (match require_params lineno params [ "r"; "l"; "c"; "len" ] with
-              | [ r; l; c; len ] ->
-                  Ladder.make ~name_prefix:name b.nl
-                    { Ladder.r; l; c; length = len; segments = seg }
-                    ~from_node:(node_id b n1) ~to_node:(node_id b n2)
-              | _ -> assert false)
-          | _ -> fail lineno "W takes: n1 n2 r= l= c= len= [seg=]"
-        end
-      | 'p' -> begin
-          match positional rest with
-          | [ a1; b1; a2; b2 ] -> begin
-              match require_params lineno (keyed_params rest) [ "r"; "l"; "m" ]
-              with
-              | [ r; l; m ] ->
-                  Netlist.add_coupled_rl ~name b.nl ~a1:(node_id b a1)
-                    ~b1:(node_id b b1) ~a2:(node_id b a2) ~b2:(node_id b b2)
-                    ~ohms:r ~henries:l ~mutual:m
-              | _ -> assert false
-            end
-          | _ -> fail lineno "P takes: a1 b1 a2 b2 r= l= m="
-        end
-      | 'v' | 'i' -> begin
-          let a, bb, stim, nm = parse_source b lineno name (positional rest) in
-          if Char.lowercase_ascii first.[0] = 'v' then
-            Netlist.add_vsource ~name:nm b.nl a bb stim
-          else Netlist.add_isource ~name:nm b.nl a bb stim
-        end
-      | 'x' -> begin
-          match positional rest with
-          | [ input; output; kind ] when lowercase kind = "inv" -> begin
-              let params = keyed_params rest in
-              match
-                require_params lineno params [ "r_on"; "c_in"; "c_out"; "vdd" ]
-              with
-              | [ r_on; c_in; c_out; vdd ] ->
-                  let vth =
-                    Option.map (value_or_fail lineno)
-                      (List.assoc_opt "vth" params)
-                  in
-                  let t_transition =
-                    Option.map (value_or_fail lineno)
-                      (List.assoc_opt "ttr" params)
-                  in
-                  let dev =
-                    Devices.inverter ~r_on ~c_in ~c_out ~vdd ?vth ?t_transition
-                      ()
-                  in
-                  Netlist.add_inverter ~name b.nl ~input:(node_id b input)
-                    ~output:(node_id b output) dev
-              | _ -> assert false
-            end
-          | _ -> fail lineno "X takes: in out INV r_on= c_in= c_out= vdd="
-        end
-      | c -> fail lineno "unknown card type '%c'" c
-    end
+(* One card on the trimmed line [lo, hi).  Values are read before
+   nodes, and a card's new nodes are numbered last node first, except a
+   source's, first node first: the order decks have always been
+   numbered in, which the structural signature and every matrix
+   depend on. *)
+let dispatch b lineno lo hi =
+  let sc = b.sc in
+  tokenize sc lo hi;
+  if sc.n > 0 then begin
+    let np = sc.npos in
+    match Char.lowercase_ascii sc.text.[sc.lo.(0)] with
+    | '*' -> ()
+    | '.' -> directive b lineno
+    | ('r' | 'c' | 'l') as c ->
+        if np <> 3 then
+          fail lineno "%c takes: n1 n2 value" (Char.uppercase_ascii c);
+        let name = token sc 0 in
+        let v = value b lineno (pos b 2) in
+        let n2 = node b (pos b 1) in
+        let n1 = node b (pos b 0) in
+        (match c with
+        | 'r' -> Netlist.add_resistor ~name b.nl n1 n2 v
+        | 'c' -> Netlist.add_capacitor ~name b.nl n1 n2 v
+        | _ -> Netlist.add_inductor ~name b.nl n1 n2 v)
+    | 'b' ->
+        (* series R-L branch (one lumped line segment) *)
+        if np <> 2 then fail lineno "B takes: n1 n2 r= l=";
+        let name = token sc 0 in
+        let r = required b lineno "r" in
+        let l = required b lineno "l" in
+        let n2 = node b (pos b 1) in
+        let n1 = node b (pos b 0) in
+        Netlist.add_rl_branch ~name b.nl n1 n2 ~ohms:r ~henries:l
+    | 'w' ->
+        if np <> 2 then fail lineno "W takes: n1 n2 r= l= c= len= [seg=]";
+        let name = token sc 0 in
+        let seg =
+          match optional b lineno "seg" with
+          | Some v -> int_of_float v
+          | None -> 10
+        in
+        let r = required b lineno "r" in
+        let l = required b lineno "l" in
+        let c = required b lineno "c" in
+        let len = required b lineno "len" in
+        let to_node = node b (pos b 1) in
+        let from_node = node b (pos b 0) in
+        Ladder.make ~name_prefix:name b.nl
+          { Ladder.r; l; c; length = len; segments = seg }
+          ~from_node ~to_node
+    | 'p' ->
+        if np <> 4 then fail lineno "P takes: a1 b1 a2 b2 r= l= m=";
+        let name = token sc 0 in
+        let r = required b lineno "r" in
+        let l = required b lineno "l" in
+        let m = required b lineno "m" in
+        let b2 = node b (pos b 3) in
+        let a2 = node b (pos b 2) in
+        let b1 = node b (pos b 1) in
+        let a1 = node b (pos b 0) in
+        Netlist.add_coupled_rl ~name b.nl ~a1 ~b1 ~a2 ~b2 ~ohms:r ~henries:l
+          ~mutual:m
+    | ('v' | 'i') as c ->
+        if np < 3 then fail lineno "source needs nodes and a waveform";
+        let name = token sc 0 in
+        let na = node b (pos b 0) in
+        let nb = node b (pos b 1) in
+        let stim = source_stim b lineno in
+        if c = 'v' then Netlist.add_vsource ~name b.nl na nb stim
+        else Netlist.add_isource ~name b.nl na nb stim
+    | 'x' ->
+        if not (np = 3 && token_is sc (pos b 2) "inv") then
+          fail lineno "X takes: in out INV r_on= c_in= c_out= vdd=";
+        let name = token sc 0 in
+        let r_on = required b lineno "r_on" in
+        let c_in = required b lineno "c_in" in
+        let c_out = required b lineno "c_out" in
+        let vdd = required b lineno "vdd" in
+        let vth = optional b lineno "vth" in
+        let t_transition = optional b lineno "ttr" in
+        let dev =
+          Devices.inverter ~r_on ~c_in ~c_out ~vdd ?vth ?t_transition ()
+        in
+        let output = node b (pos b 1) in
+        let input = node b (pos b 0) in
+        Netlist.add_inverter ~name b.nl ~input ~output dev
+    | c -> fail lineno "unknown card type '%c'" c
+  end
+
+(* A first line is a card when it starts with '*' or '.', or with a
+   card letter and has three or more tokens, the last a value or
+   key=value; a title like "rc lowpass demo" is not. *)
+let cardlike sc lo hi =
+  match Char.lowercase_ascii sc.text.[lo] with
+  | '*' | '.' -> true
+  | c when String.contains "rclwpvixb" c ->
+      tokenize sc lo hi;
+      sc.n >= 3
+      &&
+      let k = sc.n - 1 in
+      sc.eq.(k) >= 0
+      || (match value_in sc.text sc.lo.(k) sc.hi.(k) with
+         | _ -> true
+         | exception Failure _ -> false)
+  | _ -> false
 
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
+  let sc =
+    { text; lo = Array.make 16 0; hi = Array.make 16 0; eq = Array.make 16 0;
+      n = 0; pos = Array.make 16 0; npos = 0 }
+  in
   let b =
-    {
-      nl = Netlist.create ();
-      b_tran = None;
-      b_ac = None;
-      probe_names = [];
-    }
+    { nl = Netlist.create (); sc; b_tran = None; b_ac = None; probe_names = [] }
   in
-  let title, body, offset =
-    match lines with
-    | first :: rest ->
-        let t = String.trim first in
-        if t = "" then (None, rest, 1)
-        else begin
-          let c = Char.lowercase_ascii t.[0] in
-          let toks = tokens_of_line t in
-          (* a card's trailing token is a value or key=value; a title
-             like "rc lowpass demo" is not *)
-          let last_is_valueish =
-            match List.rev toks with
-            | last :: _ -> (
-                String.contains last '='
-                || match parse_value last with _ -> true
-                   | exception Failure _ -> false)
-            | [] -> false
-          in
-          let cardlike =
-            c = '*' || c = '.'
-            || (String.contains "rclwpvixb" c
-               && List.length toks >= 3 && last_is_valueish)
-          in
-          if cardlike then (None, lines, 0) else (Some t, rest, 1)
-        end
-    | [] -> (None, [], 0)
-  in
-  ignore title;
-  List.iteri
-    (fun i line ->
-      let line = String.trim line in
-      if line <> "" then dispatch b (i + 1 + offset) line)
-    body;
+  let len = String.length text in
+  let title = ref None in
+  (* lines are the '\n'-separated pieces, numbered from 1 and trimmed;
+     blank lines are skipped *)
+  let start = ref 0 and lineno = ref 1 in
+  while !start <= len do
+    let stop = ref !start in
+    while !stop < len && String.unsafe_get text !stop <> '\n' do incr stop done;
+    let lo = ref !start and hi = ref !stop in
+    while !lo < !hi && is_blank text.[!lo] do incr lo done;
+    while !hi > !lo && is_blank text.[!hi - 1] do decr hi done;
+    if !lo < !hi then begin
+      if !lineno = 1 && not (cardlike sc !lo !hi) then
+        title := Some (String.sub text !lo (!hi - !lo))
+      else dispatch b !lineno !lo !hi
+    end;
+    start := !stop + 1;
+    incr lineno
+  done;
   let probes =
     List.rev_map
       (fun (lineno, target, kind) ->
@@ -373,7 +525,7 @@ let parse_string text =
         | `I -> Transient.Branch_i target)
       b.probe_names
   in
-  { netlist = b.nl; tran = b.b_tran; ac = b.b_ac; probes; title }
+  { netlist = b.nl; tran = b.b_tran; ac = b.b_ac; probes; title = !title }
 
 let node_of_name deck name = find_node deck.netlist name
 

@@ -26,7 +26,23 @@
     v}
 
     Node names are arbitrary case-insensitive tokens; "0" and "gnd" are
-    ground (see {!find_node}). *)
+    ground (see {!find_node}).
+
+    Lexical rules.  Lines are the ['\n']-separated pieces of the text,
+    numbered from 1 and trimmed of surrounding whitespace; blank lines
+    are skipped.  A ['$'] or [';'] ends a line's content.  Tokens are
+    separated by spaces, parentheses and commas (a tab inside a line
+    is part of a token).  A token holding ['='] is a [key=value]
+    parameter, matched by its key in any case; the other tokens are
+    positional.  The first line is the title unless it looks like a
+    card: it starts with ['*'] or ['.'], or with a card letter and
+    has three or more tokens, the last a value or [key=value].
+
+    The parser is one scanner over the text: lines, tokens and values
+    are offset ranges into it, and a string is copied out only for a
+    name the deck keeps (node, element, probe, title) or an error
+    message.  A node name is lowercased only when it holds an
+    upper-case letter. *)
 
 exception Parse_error of int * string
 (** Line number (1-based) and description. *)
@@ -62,8 +78,10 @@ val parse_string : string -> deck
 val parse_file : string -> deck
 
 val parse_value : string -> float
-(** Parse one SPICE number ("4.4k", "100p", "2.5pF", "1meg") — exposed
-    for tests.  Raises [Failure] on malformed input. *)
+(** Parse one SPICE number ("4.4k", "100p", "2.5pF", "1meg"): a numeric
+    prefix, read as [float_of_string] reads it, times the scale of the
+    suffix's first letter ("meg" before "m").  Surrounding whitespace
+    is ignored.  Raises [Failure] on malformed input. *)
 
 val run : ?config:Transient.Config.t -> deck -> Transient.result
 (** Run the deck's transient analysis with [config] (default

@@ -264,6 +264,10 @@ type engine = {
   max_state_iterations : int;
   mutable nonconverged : int;
   mutable factorizations : int;
+  coo : Assembly.Coo.t;
+      (* the companion matrix: its pattern and slot index are built by
+         the first factorisation; later ones reset its values and
+         restamp *)
   mutable sparse_sym : Solver.symbolic option;
       (* the sparse backend's symbolic analysis, discovered by the
          first factorisation and replayed by every later (method, dt)
@@ -272,15 +276,14 @@ type engine = {
 
 let vi node = node - 1
 
-(* Stamp a companion model's MNA matrix into a fresh COO accumulator.
+(* Stamp a companion model's MNA matrix into a COO accumulator.
    The conductance/cross patterns come from {!Assembly.Coo} — the one
    stamping implementation — and the values from [co]; only the
    closed-form 2x2 coupled-RL inverse is formed here.  The
    voltage-source rows stay in the engine's historical symmetric form
    (+1/+1), which differs from the frequency-domain skew convention but
    yields the same solutions. *)
-let stamp_coo (circ : circuit) co =
-  let coo = Assembly.Coo.create ~size:circ.m in
+let stamp_coo coo (circ : circuit) co =
   for e = 0 to Array.length circ.tag - 1 do
     let na = circ.na.(e) and nb = circ.nb.(e) and k = circ.st.(e) in
     match circ.tag.(e) with
@@ -311,8 +314,7 @@ let stamp_coo (circ : circuit) co =
         incidence na 1.0;
         incidence nb (-1.0)
     | Pair_2nd | I -> ()
-  done;
-  coo
+  done
 
 (* Compile and plan: the one path of every engine and of
    [structure_plan], which the serving layer computes once per
@@ -327,7 +329,8 @@ let structure ?hint ~backend netlist =
   match hint with
   | Some p when p.Solver.n = circ.m -> (circ, p)
   | Some _ | None ->
-      let probe = stamp_coo circ (coefficients circ Trapezoidal 1.0) in
+      let probe = Assembly.Coo.create ~size:circ.m in
+      stamp_coo probe circ (coefficients circ Trapezoidal 1.0);
       (circ, Solver.plan ~backend (Assembly.Coo.adjacency probe))
 
 let structure_plan ?(backend = Auto) netlist = snd (structure ~backend netlist)
@@ -377,7 +380,8 @@ let make_engine (config : Config.t) netlist ~top ~levels =
     past = Array.init 2 (fun _ -> Array.make (circ.m + 1) 0.0);
     past_t = Array.make 3 0.0;
     histogram = Array.make max_state_iterations 0;
-    max_state_iterations; nonconverged = 0; factorizations = 0; sparse_sym = None;
+    max_state_iterations; nonconverged = 0; factorizations = 0;
+    coo = Assembly.Coo.create ~size:circ.m; sparse_sym = None;
   }
 
 (* The companion of [meth] at [eng.step.dt]: at [level] on the grid,
@@ -402,11 +406,12 @@ let companion eng meth level =
   | Some _ | None ->
       M.incr m_cache_miss;
       let co = coefficients eng.circ meth dt in
-      let coo = stamp_coo eng.circ co in
+      Assembly.Coo.reset eng.coo;
+      stamp_coo eng.coo eng.circ co;
       let factor =
         try
           Solver.factor ?symbolic:eng.sparse_sym eng.plan
-            ~fill:(Assembly.Coo.iter coo)
+            ~fill:(Assembly.Coo.iter eng.coo)
         with Solver.Singular -> failwith "Transient: singular MNA matrix"
       in
       if eng.sparse_sym = None then eng.sparse_sym <- Solver.symbolic_of factor;

@@ -199,7 +199,7 @@ let factor ?symbolic p ~fill =
                ~fresh:(fun a -> Sparse.factor a)
                ~replay:(fun sym a -> Sparse.refactor sym a)
                ~lu_nnz:Sparse.lu_nnz
-               (Sparse.of_fill ~n:p.n (permuted p fill))))
+               (Sparse.of_fill ?like:symbolic ~n:p.n (permuted p fill))))
 
 let solve_permuted_into_raw f ~b ~x =
   match f with
@@ -277,7 +277,7 @@ let cfactor ?symbolic p ~fill =
                ~fresh:(fun a -> Sparse.cfactor a)
                ~replay:(fun sym a -> Sparse.crefactor sym a)
                ~lu_nnz:Sparse.clu_nnz
-               (Sparse.cof_fill ~n:p.n (permuted p fill))))
+               (Sparse.cof_fill ?like:symbolic ~n:p.n (permuted p fill))))
 
 type cscratch = { cb : Cx.t array; cx : Cx.t array }
 

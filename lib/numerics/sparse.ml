@@ -43,11 +43,27 @@ exception Repivot
 (* compressed-column inputs                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The compressed form of one stamp sequence: the sequence itself
+   ([srows], [scols]), the position each stamp accumulates into
+   ([dst]) and the column pattern.  Within a column the entries keep
+   first-occurrence order, so the pattern is a pure function of the
+   stamp sequence (refactor relies on that); a later fill with the
+   same sequence reuses the layout and only scatters its values. *)
+type layout = {
+  ln : int;
+  srows : int array;
+  scols : int array;
+  dst : int array;
+  lcolptr : int array;
+  lrowind : int array;
+}
+
 type csc = {
   n : int;
   colptr : int array;
   rowind : int array;
   values : float array;
+  layout : layout;
 }
 
 type ccsc = {
@@ -56,6 +72,7 @@ type ccsc = {
   crowind : int array;
   vre : float array;
   vim : float array;
+  clayout : layout;
 }
 
 (* growable triplet buffers *)
@@ -72,95 +89,113 @@ let bpush b x =
   b.a.(b.len) <- x;
   b.len <- b.len + 1
 
-(* triplets -> CSC with duplicates accumulated; within a column the
-   entries keep first-occurrence order, so the pattern is a pure
-   function of the stamp sequence (refactor relies on that). *)
-let compress ~n ~rows ~cols ~push_vals =
-  let nnz_raw = rows.len in
+(* the stamps of one fill, in order; a real fill leaves [sim] zero *)
+type stamps = {
+  mutable si : int array;
+  mutable sj : int array;
+  mutable sre : float array;
+  mutable sim : float array;
+  mutable sn : int;
+}
+
+let stamps () =
+  {
+    si = Array.make 64 0;
+    sj = Array.make 64 0;
+    sre = Array.make 64 0.0;
+    sim = Array.make 64 0.0;
+    sn = 0;
+  }
+
+let grow_stamps s =
+  let cap = 2 * Array.length s.si in
+  let int_ext a = Array.append a (Array.make (cap - Array.length a) 0) in
+  let float_ext a = Array.append a (Array.make (cap - Array.length a) 0.0) in
+  s.si <- int_ext s.si;
+  s.sj <- int_ext s.sj;
+  s.sre <- float_ext s.sre;
+  s.sim <- float_ext s.sim
+
+let[@inline] push ~who ~n s i j re im =
+  if i < 0 || i >= n || j < 0 || j >= n then
+    invalid_arg (who ^ ": index out of range");
+  if s.sn = Array.length s.si then grow_stamps s;
+  let k = s.sn in
+  s.si.(k) <- i;
+  s.sj.(k) <- j;
+  s.sre.(k) <- re;
+  s.sim.(k) <- im;
+  s.sn <- k + 1
+
+(* stamps -> the compressed layout: a counting sort by column, then a
+   dense slot map merges each column's duplicates into their first
+   occurrence *)
+let layout_of ~n s =
+  let m = s.sn in
   let cnt = Array.make (n + 1) 0 in
-  for k = 0 to nnz_raw - 1 do
-    let j = cols.a.(k) in
+  for k = 0 to m - 1 do
+    let j = s.sj.(k) in
     cnt.(j + 1) <- cnt.(j + 1) + 1
   done;
   for j = 0 to n - 1 do
     cnt.(j + 1) <- cnt.(j + 1) + cnt.(j)
   done;
-  let colptr_raw = Array.copy cnt in
-  let order = Array.make (Int.max nnz_raw 1) 0 in
+  let order = Array.make (Int.max m 1) 0 in
   let next = Array.copy cnt in
-  for k = 0 to nnz_raw - 1 do
-    let j = cols.a.(k) in
+  for k = 0 to m - 1 do
+    let j = s.sj.(k) in
     order.(next.(j)) <- k;
     next.(j) <- next.(j) + 1
   done;
-  (* dedup per column with a dense slot map *)
   let slot = Array.make n (-1) in
   let colptr = Array.make (n + 1) 0 in
-  let rowind = bmake 0 in
+  let rowind = Array.make (Int.max m 1) 0 and len = ref 0 in
+  let dst = Array.make m 0 in
   for j = 0 to n - 1 do
-    colptr.(j) <- rowind.len;
-    for p = colptr_raw.(j) to colptr_raw.(j + 1) - 1 do
+    colptr.(j) <- !len;
+    for p = cnt.(j) to cnt.(j + 1) - 1 do
       let k = order.(p) in
-      let i = rows.a.(k) in
-      if slot.(i) >= colptr.(j) && slot.(i) < rowind.len && rowind.a.(slot.(i)) = i
-      then push_vals ~dst:slot.(i) ~src:k
+      let i = s.si.(k) in
+      if slot.(i) >= colptr.(j) && slot.(i) < !len && rowind.(slot.(i)) = i
+      then dst.(k) <- slot.(i)
       else begin
-        slot.(i) <- rowind.len;
-        bpush rowind i;
-        push_vals ~dst:(-1) ~src:k
+        slot.(i) <- !len;
+        rowind.(!len) <- i;
+        dst.(k) <- !len;
+        incr len
       end
     done
   done;
-  colptr.(n) <- rowind.len;
-  (colptr, Array.sub rowind.a 0 rowind.len)
-
-let of_fill ~n fill =
-  if n <= 0 then invalid_arg "Sparse.of_fill: n <= 0";
-  let rows = bmake 0 and cols = bmake 0 and vals = bmake 0.0 in
-  fill (fun i j v ->
-      if i < 0 || i >= n || j < 0 || j >= n then
-        invalid_arg "Sparse.of_fill: index out of range";
-      bpush rows i;
-      bpush cols j;
-      bpush vals v);
-  let out = bmake 0.0 in
-  let colptr, rowind =
-    compress ~n ~rows ~cols ~push_vals:(fun ~dst ~src ->
-        if dst >= 0 then out.a.(dst) <- out.a.(dst) +. vals.a.(src)
-        else bpush out vals.a.(src))
-  in
-  { n; colptr; rowind; values = Array.sub out.a 0 out.len }
-
-let cof_fill ~n fill =
-  if n <= 0 then invalid_arg "Sparse.cof_fill: n <= 0";
-  let rows = bmake 0 and cols = bmake 0 in
-  let vre = bmake 0.0 and vim = bmake 0.0 in
-  fill (fun i j (v : Cx.t) ->
-      if i < 0 || i >= n || j < 0 || j >= n then
-        invalid_arg "Sparse.cof_fill: index out of range";
-      bpush rows i;
-      bpush cols j;
-      bpush vre v.Cx.re;
-      bpush vim v.Cx.im);
-  let ore = bmake 0.0 and oim = bmake 0.0 in
-  let colptr, rowind =
-    compress ~n ~rows ~cols ~push_vals:(fun ~dst ~src ->
-        if dst >= 0 then begin
-          ore.a.(dst) <- ore.a.(dst) +. vre.a.(src);
-          oim.a.(dst) <- oim.a.(dst) +. vim.a.(src)
-        end
-        else begin
-          bpush ore vre.a.(src);
-          bpush oim vim.a.(src)
-        end)
-  in
+  colptr.(n) <- !len;
   {
-    cn = n;
-    ccolptr = colptr;
-    crowind = rowind;
-    vre = Array.sub ore.a 0 ore.len;
-    vim = Array.sub oim.a 0 oim.len;
+    ln = n;
+    srows = Array.sub s.si 0 m;
+    scols = Array.sub s.sj 0 m;
+    dst;
+    lcolptr = colptr;
+    lrowind = Array.sub rowind 0 !len;
   }
+
+(* [like] when these stamps are its sequence, a fresh layout otherwise *)
+let layout_for like ~n s =
+  let rec same_from l k =
+    k = s.sn
+    || (l.srows.(k) = s.si.(k) && l.scols.(k) = s.sj.(k) && same_from l (k + 1))
+  in
+  let same l = l.ln = n && Array.length l.srows = s.sn && same_from l 0 in
+  match like with Some l when same l -> l | Some _ | None -> layout_of ~n s
+
+(* the accumulated values: each position's stamps summed in stamp
+   order, starting from -0.0, the additive identity (-0.0 + v = v for
+   every v), so a position holds the bits of its first stamp's value
+   plus the later ones *)
+let scatter l v m =
+  let out = Array.make (Array.length l.lrowind) (-0.0) in
+  for k = 0 to m - 1 do
+    let d = l.dst.(k) in
+    out.(d) <- out.(d) +. v.(k)
+  done;
+  out
 
 let nnz a = a.colptr.(a.n)
 let cnnz a = a.ccolptr.(a.cn)
@@ -179,6 +214,7 @@ type symbolic = {
                       order, pivot coords < j; diagonal separate *)
   ui : int array;
   annz : int;  (* nnz of the analysed input, a cheap pattern check *)
+  alayout : layout;  (* the analysed input's stamp layout *)
 }
 
 let sym_n s = s.n
@@ -233,13 +269,53 @@ let reach ~n ~acolptr ~arowind ~j ~pinv ~lp_live ~li_buf ~mark ~xi ~pstack =
 (* The symbolic record {!factor} and {!cfactor} leave behind: [li]
    and [ui] are the grown pattern buffers, [li] still in input row
    coordinates. *)
-let symbolic_of_pattern ~n ~pinv ~prow ~lp ~li ~up ~ui ~annz =
+let symbolic_of_pattern ~n ~pinv ~prow ~lp ~li ~up ~ui ~annz ~alayout =
   (* remap L row indices into pivot coordinates *)
   let lin = Array.sub li.a 0 li.len in
   for k = 0 to li.len - 1 do
     lin.(k) <- pinv.(lin.(k))
   done;
-  { n; pinv; prow; lp; li = lin; up; ui = Array.sub ui.a 0 ui.len; annz }
+  {
+    n;
+    pinv;
+    prow;
+    lp;
+    li = lin;
+    up;
+    ui = Array.sub ui.a 0 ui.len;
+    annz;
+    alayout;
+  }
+
+(* A fill given [~like] a symbolic analysis whose input was stamped in
+   the same sequence skips the compression and only scatters values. *)
+let of_fill ?like ~n fill =
+  if n <= 0 then invalid_arg "Sparse.of_fill: n <= 0";
+  let s = stamps () in
+  fill (fun i j v -> push ~who:"Sparse.of_fill" ~n s i j v 0.0);
+  let l = layout_for (Option.map (fun sym -> sym.alayout) like) ~n s in
+  {
+    n;
+    colptr = l.lcolptr;
+    rowind = l.lrowind;
+    values = scatter l s.sre s.sn;
+    layout = l;
+  }
+
+let cof_fill ?like ~n fill =
+  if n <= 0 then invalid_arg "Sparse.cof_fill: n <= 0";
+  let s = stamps () in
+  fill (fun i j (v : Cx.t) ->
+      push ~who:"Sparse.cof_fill" ~n s i j v.Cx.re v.Cx.im);
+  let l = layout_for (Option.map (fun sym -> sym.alayout) like) ~n s in
+  {
+    cn = n;
+    ccolptr = l.lcolptr;
+    crowind = l.lrowind;
+    vre = scatter l s.sre s.sn;
+    vim = scatter l s.sim s.sn;
+    clayout = l;
+  }
 
 let check_pattern ~who sym ~n ~nnz =
   if n <> sym.n || nnz <> sym.annz then
@@ -341,6 +417,7 @@ let factor ?(pivot_tol = 0.001) (a : csc) =
   done;
   let sym =
     symbolic_of_pattern ~n ~pinv ~prow ~lp:lp_live ~li ~up ~ui ~annz:(nnz a)
+      ~alayout:a.layout
   in
   if Rlc_instr.Metrics.recording () then begin
     let vmax arr len =
@@ -537,6 +614,7 @@ let cfactor ?(pivot_tol = 0.001) (a : ccsc) =
   done;
   let csym =
     symbolic_of_pattern ~n ~pinv ~prow ~lp:lp_live ~li ~up ~ui ~annz:(cnnz a)
+      ~alayout:a.clayout
   in
   if Rlc_instr.Metrics.recording () then begin
     let vmax2 re im len =

@@ -47,30 +47,6 @@ exception Repivot
     sequence is unstable for the new values (zero pivot or multiplier
     growth beyond [growth_limit]); re-analyse with {!factor}. *)
 
-(** {1 Compressed-column inputs} *)
-
-type csc
-(** A real matrix in compressed-column form with duplicates already
-    accumulated. *)
-
-type ccsc
-(** Complex twin of {!csc} (split re/im storage). *)
-
-val of_fill : n:int -> ((int -> int -> float -> unit) -> unit) -> csc
-(** [of_fill ~n fill] assembles an [n] x [n] matrix: [fill] is called
-    once with an [add i j v] accumulator (duplicate (i,j) stamps
-    accumulate).  The column patterns keep first-stamp order, so the
-    pattern is a pure function of the stamp sequence — stamping the
-    same structure again yields the byte-identical pattern
-    {!refactor} requires.  Raises [Invalid_argument] on [n <= 0] or an
-    out-of-range index. *)
-
-val cof_fill : n:int -> ((int -> int -> Cx.t -> unit) -> unit) -> ccsc
-(** Complex twin of {!of_fill}. *)
-
-val nnz : csc -> int
-val cnnz : ccsc -> int
-
 (** {1 Symbolic analysis} *)
 
 type symbolic
@@ -82,6 +58,34 @@ val sym_n : symbolic -> int
 val sym_lu_nnz : symbolic -> int
 (** Nonzeros of L + U (unit diagonal of L not counted, diagonal of U
     counted) — the fill the ordering achieved. *)
+
+(** {1 Compressed-column inputs} *)
+
+type csc
+(** A real matrix in compressed-column form with duplicates already
+    accumulated. *)
+
+type ccsc
+(** Complex twin of {!csc} (split re/im storage). *)
+
+val of_fill :
+  ?like:symbolic -> n:int -> ((int -> int -> float -> unit) -> unit) -> csc
+(** [of_fill ~n fill] assembles an [n] x [n] matrix: [fill] is called
+    once with an [add i j v] accumulator (duplicate (i,j) stamps
+    accumulate).  The column patterns keep first-stamp order, so the
+    pattern is a pure function of the stamp sequence — stamping the
+    same structure again yields the byte-identical pattern
+    {!refactor} requires.  When [like]'s analysed input was stamped in
+    the same (i, j) sequence, its compressed layout is reused and only
+    the values are accumulated (the same sums, in the same order).
+    Raises [Invalid_argument] on [n <= 0] or an out-of-range index. *)
+
+val cof_fill :
+  ?like:symbolic -> n:int -> ((int -> int -> Cx.t -> unit) -> unit) -> ccsc
+(** Complex twin of {!of_fill}. *)
+
+val nnz : csc -> int
+val cnnz : ccsc -> int
 
 (** {1 Real factorisation} *)
 

@@ -25,32 +25,34 @@ let tokens s =
   String.split_on_char ' ' (String.map (fun c -> if is_space c then ' ' else c) s)
   |> List.filter (fun t -> t <> "")
 
-let unescape_deck s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then begin
-      (if s.[i] = '\\' && i + 1 < n then begin
-         match s.[i + 1] with
-         | 'n' ->
-             Buffer.add_char b '\n';
-             go (i + 2)
-         | '\\' ->
-             Buffer.add_char b '\\';
-             go (i + 2)
-         | c ->
-             Buffer.add_char b '\\';
-             Buffer.add_char b c;
-             go (i + 2)
-       end
-       else begin
-         Buffer.add_char b s.[i];
-         go (i + 1)
-       end)
+(* The offset of the next [\n] or [\\] escape in [s.[i..hi)], or [hi].
+   Any other backslash pair is stepped over as written. *)
+let rec next_escape s i hi =
+  if i + 1 >= hi then hi
+  else if String.unsafe_get s i <> '\\' then next_escape s (i + 1) hi
+  else
+    match String.unsafe_get s (i + 1) with
+    | 'n' | '\\' -> i
+    | _ -> next_escape s (i + 2) hi
+
+(* [s.[lo..hi)] with [\n] and [\\] decoded, in one pass that blits the
+   runs between escapes into a buffer of the undecoded length; the
+   result is that buffer, or its decoded prefix when the text held
+   escapes. *)
+let unescape_range s lo hi =
+  let out = Bytes.create (hi - lo) in
+  let rec copy i o =
+    let e = next_escape s i hi in
+    Bytes.blit_string s i out o (e - i);
+    let o = o + e - i in
+    if e = hi then o
+    else begin
+      Bytes.set out o (if s.[e + 1] = 'n' then '\n' else '\\');
+      copy (e + 2) (o + 1)
     end
   in
-  go 0;
-  Buffer.contents b
+  let n = copy lo 0 in
+  if n = hi - lo then Bytes.unsafe_to_string out else Bytes.sub_string out 0 n
 
 let escape_deck s =
   let b = Buffer.create (String.length s + 16) in
@@ -109,35 +111,46 @@ let parse_query = function
   | kind :: _ -> failwith (Printf.sprintf "unknown query kind %S" kind)
   | [] -> failwith "missing query"
 
+(* The bytes [String.trim] strips. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+
+(* The job line is read in place: the id and query come from the head
+   before the first '|', and the deck is cut out of the line once, by
+   offsets, never tokenised. *)
 let parse_job_line line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' then Blank
+  let lo = ref 0 and hi = ref (String.length line) in
+  while !lo < !hi && is_blank line.[!lo] do incr lo done;
+  while !hi > !lo && is_blank line.[!hi - 1] do decr hi done;
+  let lo = !lo and hi = !hi in
+  if lo = hi || line.[lo] = '#' then Blank
   else begin
-    let id =
-      match tokens trimmed with first :: _ -> first | [] -> "-"
+    (* the line's first token, for lines with no usable head *)
+    let first () =
+      let e = ref lo in
+      while !e < hi && not (is_space line.[!e]) do incr e done;
+      String.sub line lo (!e - lo)
     in
-    match String.index_opt trimmed '|' with
-    | None -> Malformed { id; message = "missing '|' deck separator" }
-    | Some bar -> begin
-        let head = String.sub trimmed 0 bar in
-        let deck_spec =
-          String.trim
-            (String.sub trimmed (bar + 1) (String.length trimmed - bar - 1))
-        in
-        match tokens head with
-        | [] -> Malformed { id; message = "missing job id and query" }
+    let rec bar i =
+      if i >= hi then -1 else if line.[i] = '|' then i else bar (i + 1)
+    in
+    match bar lo with
+    | -1 -> Malformed { id = first (); message = "missing '|' deck separator" }
+    | bar -> begin
+        match tokens (String.sub line lo (bar - lo)) with
+        | [] -> Malformed { id = first (); message = "missing job id and query" }
         | id :: query_tokens -> begin
             match parse_query query_tokens with
             | exception Failure m -> Malformed { id; message = m }
             | query ->
-                if deck_spec = "" then
-                  Malformed { id; message = "empty deck" }
+                let d = ref (bar + 1) in
+                while !d < hi && is_blank line.[!d] do incr d done;
+                let d = !d in
+                if d = hi then Malformed { id; message = "empty deck" }
                 else begin
                   let deck =
-                    if deck_spec.[0] = '@' then
-                      Deck_file
-                        (String.sub deck_spec 1 (String.length deck_spec - 1))
-                    else Deck_inline (unescape_deck deck_spec)
+                    if line.[d] = '@' then
+                      Deck_file (String.sub line (d + 1) (hi - d - 1))
+                    else Deck_inline (unescape_range line d hi)
                   in
                   Job { id; query; deck }
                 end

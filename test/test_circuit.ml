@@ -139,6 +139,13 @@ let test_netlist_validation () =
     (Invalid_argument "Netlist.validate: node 2 has no DC path to ground")
     (fun () -> Netlist.validate nl)
 
+(* a node the deck named is reported by its name *)
+let test_netlist_validation_names_node () =
+  let deck = Parser.parse_file "../examples/netlists/bad/floating_island.sp" in
+  Alcotest.check_raises "named floating node"
+    (Invalid_argument "Netlist.validate: node y has no DC path to ground")
+    (fun () -> Netlist.validate deck.Parser.netlist)
+
 let test_netlist_duplicate_names () =
   let nl = Netlist.create () in
   let a = Netlist.fresh_node nl in
@@ -1131,15 +1138,19 @@ let test_parser_names_after_edit () =
     (Parser.node_of_name deck "Extra")
 
 (* live heap in MB once garbage is gone: OCaml 5.1 reports a block freed
-   only a couple of major cycles after it died, so compact until the
-   count stops falling *)
+   only a couple of major cycles after it died, and a compaction that
+   does not lower the count can still precede one that does, so compact
+   until two readings in a row agree (at most 10 compactions) *)
 let live_mb () =
-  let rec settle prev =
+  let live () =
     Gc.compact ();
-    let words = (Gc.quick_stat ()).Gc.live_words in
-    if words >= prev then words else settle words
+    (Gc.quick_stat ()).Gc.live_words
   in
-  float_of_int (settle max_int * (Sys.word_size / 8)) /. 1048576.0
+  let rec settle prev tries =
+    let words = live () in
+    if words = prev || tries = 0 then words else settle words (tries - 1)
+  in
+  float_of_int (settle (live ()) 10 * (Sys.word_size / 8)) /. 1048576.0
 
 (* a parsed deck is garbage once dropped: nothing global keeps it *)
 let test_parser_retains_nothing () =
@@ -1200,6 +1211,385 @@ let test_parser_ac_card () =
       ".ac dec 10 1e9 1e6\n";
       ".ac dec 10 1e6\n";
     ]
+
+(* ---------------- Parser against its reference ---------------- *)
+
+(* What a parse gives, in a form compared byte for byte: the elements
+   (floats by their bits, through Marshal), every node and element
+   name, the analysis cards, the probes, the title and the structural
+   signature; or the error it raised. *)
+type parse_outcome =
+  | Deck of string * string
+  | Error_at of int * string
+  | Raised of string
+
+let netlist_outcome nl tran ac probes title =
+  let nodes = List.init (Netlist.node_count nl) (Netlist.node_name nl) in
+  let elems = Netlist.elements nl in
+  let names = List.init (Array.length elems) (Netlist.element_name nl) in
+  Deck
+    ( Marshal.to_string (elems, nodes, names, tran, ac, probes, title) [],
+      Netlist.structural_signature nl )
+
+let scanner_outcome text =
+  match Parser.parse_string text with
+  | d ->
+      netlist_outcome d.Parser.netlist d.Parser.tran
+        (Option.map
+           (fun a -> Parser.(a.points_per_decade, a.fstart, a.fstop))
+           d.Parser.ac)
+        d.Parser.probes d.Parser.title
+  | exception Parser.Parse_error (line, msg) -> Error_at (line, msg)
+  | exception e -> Raised (Printexc.to_string e)
+
+let reference_outcome text =
+  match Ref_parser.parse_string text with
+  | d ->
+      netlist_outcome d.Ref_parser.netlist d.Ref_parser.tran
+        (Option.map
+           (fun a ->
+             Ref_parser.(a.points_per_decade, a.fstart, a.fstop))
+           d.Ref_parser.ac)
+        d.Ref_parser.probes d.Ref_parser.title
+  | exception Ref_parser.Parse_error (line, msg) -> Error_at (line, msg)
+  | exception e -> Raised (Printexc.to_string e)
+
+let show_outcome = function
+  | Deck (_, signature) -> "deck " ^ signature
+  | Error_at (line, msg) -> Printf.sprintf "line %d: %s" line msg
+  | Raised e -> "raised " ^ e
+
+(* Random decks over every card kind, in mixed case, with tabs, CRLF
+   line ends, '$' and ';' comments, parens and commas, SPICE suffixes,
+   a title or a card on the first line, and malformed cards. *)
+module Deck_gen = struct
+  open QCheck2.Gen
+
+  let mixcase s =
+    map
+      (fun bits ->
+        String.mapi
+          (fun i c ->
+            if bits land (1 lsl (i mod 20)) <> 0 then Char.uppercase_ascii c
+            else c)
+          s)
+      (int_bound 0xfffff)
+
+  let node =
+    oneofl [ "a"; "b"; "out"; "in"; "n1"; "n_2_3"; "0"; "gnd"; "mid"; "far" ]
+    >>= mixcase
+
+  let digits_g = map (fun (p, f) -> Printf.sprintf "%.*g" p f)
+  let precise = pair (int_range 1 19) (float_range 1e-3 1e3)
+
+  let mantissa =
+    frequency
+      [
+        (4, map string_of_int (int_range 1 999));
+        (4, map (Printf.sprintf "%.3g") (float_range 0.01 100.0));
+        (2, digits_g precise);
+        (2, map (Printf.sprintf "%.4e") (float_range 1e-3 1e3));
+        ( 3,
+          oneofl
+            [
+              ".5"; "5."; "+2"; "-0.6"; "1e-9"; "2.5E+3"; "1.2345678901234567";
+              "12345678901234567890"; "0.000000000000000000000123"; "1e30";
+              "7e-25"; "1e400"; "00012"; "-0"; "3e22"; "1e23"; "4.5e23";
+              "12e21"; "7e-23"; "4.e-3"; "1E-21"; "123456789012345";
+              "1234567890123456"; "0.1234567890123456e5";
+            ] );
+      ]
+
+  let suffix =
+    oneofl
+      [
+        ""; ""; ""; "f"; "p"; "n"; "u"; "m"; "k"; "meg"; "MEG"; "Meg"; "g";
+        "t"; "pF"; "nH"; "V"; "ohm"; "x"; "mil";
+      ]
+
+  let good_suffix =
+    oneofl
+      [
+        ""; ""; ""; "f"; "p"; "n"; "u"; "m"; "k"; "meg"; "MEG"; "g"; "pF";
+        "nH"; "V"; "ohm";
+      ]
+
+  let good_mantissa =
+    oneof
+      [
+        map string_of_int (int_range 1 999);
+        map (Printf.sprintf "%.3g") (float_range 0.01 100.0);
+        digits_g precise;
+        oneofl
+          [
+            ".5"; "5."; "+2"; "1e-9"; "2.5E+3"; "1.2345678901234567"; "00012";
+            "4.e-3";
+          ];
+      ]
+
+  (* [bad] decks draw from every value, malformed ones included, and
+     damage their cards; the others are well formed *)
+  let value bad =
+    if bad then
+      frequency
+        [
+          (10, map2 ( ^ ) mantissa suffix);
+          ( 1,
+            oneofl
+              [ "abc"; "1.2.3"; "--1"; "e5"; "."; "1e"; "+"; "1e.5"; "0x10" ] );
+        ]
+    else map2 ( ^ ) good_mantissa good_suffix
+
+  let name letter =
+    map2 (fun l k -> l ^ string_of_int k) (mixcase letter) (int_range 1 300)
+
+  let kv key v = map2 (fun k v -> k ^ "=" ^ v) (mixcase key) v
+
+  let seg =
+    frequency
+      [
+        (8, map string_of_int (int_range 1 4)); (1, oneofl [ "2.7"; "x"; "0" ]);
+      ]
+
+  (* a card's tokens, sometimes with one dropped or one extra *)
+  let damage bad toks =
+    if not bad then pure toks
+    else
+      let drop i =
+        let k = 1 + (i mod max 1 (List.length toks - 1)) in
+        List.filteri (fun j _ -> j <> k) toks
+      in
+      frequency
+        [
+          (6, pure toks);
+          (1, map drop nat);
+          ( 1,
+            map
+              (fun v -> toks @ [ v ])
+              (oneof [ value bad; kv "foo" (value bad); node ]) );
+        ]
+
+  let card bad =
+    let value = value bad in
+    let two_terminal =
+      triple
+        (oneofl [ "R"; "C"; "L"; "r"; "c"; "l" ] >>= name)
+        (pair node node) value
+    in
+    let pair_kvs =
+      if bad then flatten_l [ kv "r" value; kv "l" value; kv "m" value ]
+      else
+        flatten_l
+          [
+            kv "r" value; kv "l" (pure "2n");
+            kv "m" (oneofl [ "0"; "0.5n"; "1.9n" ]);
+          ]
+    in
+    let waveform =
+      oneof
+        [
+          map (fun v -> [ "DC"; v ]) value;
+          (if bad then
+             map (fun vs -> ("PULSE(" :: vs) @ [ ")" ]) (list_repeat 7 value)
+           else pure [ "PULSE(0"; "1.2"; "0"; "10p"; "10p"; "1n"; "2n)" ]);
+          pure [ "pulse"; "0"; "1"; "0"; "10p"; "10p"; "1n"; "2n" ];
+          pure [ "PWL(0"; "0"; "1n"; "1"; "2n"; "0)" ];
+          map (fun vs -> "pwl" :: vs) (list_size (int_range 0 5) value);
+          (if bad then pure [ "SIN"; "0"; "1" ] else pure [ "dc"; "1" ]);
+        ]
+    in
+    let inverter_kvs =
+      flatten_l
+        [
+          kv "r_on" value; kv "c_in" value; kv "c_out" value;
+          kv "vdd" (if bad then value else pure "1.2");
+        ]
+      >>= fun kvs ->
+      map
+        (fun extra -> kvs @ extra)
+        (oneofl [ []; [ "vth=0.5" ]; [ "ttr=30p" ]; [ "VTH=0.4"; "ttr=1p" ] ])
+    in
+    let tran =
+      let ok = map2 (fun dt t -> [ ".tran"; dt; t ]) value value in
+      if bad then oneof [ ok; pure [ ".tran"; "1x"; "abc" ] ] else ok
+    in
+    let ac =
+      map2
+        (fun n (f1, f2) -> [ ".ac"; "dec"; n; f1; f2 ])
+        (oneofl (if bad then [ "10"; "0"; "2.5" ] else [ "10"; "2.5" ]))
+        (if bad then pair value value else pure ("1meg", "10g"))
+    in
+    let probe =
+      map
+        (fun ps -> ".probe" :: List.concat ps)
+        (list_size (int_range 0 3)
+           (frequency
+              [
+                (6, map (fun n -> [ "v(" ^ n ^ ")" ]) node);
+                (2, map (fun n -> [ "i(" ^ n ^ ")" ]) (name "R"));
+                ((if bad then 1 else 0), oneofl [ [ "v" ]; [ "q(a)" ] ]);
+              ]))
+    in
+    let other =
+      if bad then
+        oneofl
+          [
+            [ ".END"; "x" ]; [ ".option"; "rshunt=1e12" ];
+            [ "Q1"; "a"; "b"; "1k" ];
+          ]
+      else oneofl [ [ ".end" ]; [ "*"; "comment" ] ]
+    in
+    frequency
+      [
+        (6, map (fun (n, (a, b), v) -> [ n; a; b; v ]) two_terminal);
+        ( 2,
+          map2
+            (fun (n, a, b) kvs -> n :: a :: b :: kvs)
+            (triple (name "b") node node)
+            (flatten_l [ kv "r" value; kv "l" value ] >>= shuffle_l) );
+        ( 2,
+          map2
+            (fun (n, a, b) kvs -> n :: a :: b :: kvs)
+            (triple (name "w") node node)
+            (flatten_l
+               [
+                 kv "r" value; kv "l" value; kv "c" value; kv "len" value;
+                 kv "seg" seg;
+               ]
+            >>= shuffle_l) );
+        ( 1,
+          map2
+            (fun (n, (a1, b1), (a2, b2)) kvs -> [ n; a1; b1; a2; b2 ] @ kvs)
+            (triple (name "p") (pair node node) (pair node node))
+            pair_kvs );
+        ( 3,
+          map2
+            (fun (n, a, b) wave -> n :: a :: b :: wave)
+            (triple (oneofl [ "V"; "I"; "v" ] >>= name) node node)
+            waveform );
+        ( 1,
+          map2
+            (fun (n, a, b) kvs -> n :: a :: b :: "INV" :: kvs)
+            (triple (name "x") node node)
+            inverter_kvs );
+        (1, tran);
+        (1, ac);
+        (1, probe);
+        (1, other);
+      ]
+    >>= damage bad
+
+  let sep bad =
+    frequency
+      [
+        (10, pure " "); (2, pure "  "); ((if bad then 1 else 0), pure "\t");
+        (1, pure ", "); (1, pure " ( ");
+      ]
+
+  let rec join bad = function
+    | [] -> pure ""
+    | [ t ] -> pure t
+    | t :: rest -> map2 (fun s r -> t ^ s ^ r) (sep bad) (join bad rest)
+
+  let line bad =
+    frequency
+      [
+        (12, card bad >>= join bad);
+        (1, pure "");
+        (1, pure "   ");
+        (1, map (fun c -> "* " ^ c) (oneofl [ "comment"; "R1 a b 1k" ]));
+      ]
+    >>= fun l ->
+    map2
+      (fun tail lead -> lead ^ l ^ tail)
+      (frequency
+         [
+           (8, pure ""); (1, pure " $ trailing"); (1, pure "; note");
+           (1, pure "\t");
+         ])
+      (frequency [ (8, pure ""); (1, pure "  "); (1, pure "\t") ])
+
+  let first_line bad =
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              "rc lowpass demo"; "RESISTOR test 5"; "r a b"; "a deck: v(out)";
+              ""; "R1 5"; "rc filter 1k"; "vin in 0 x=1"; "Lowpass, 2 poles";
+              "w line len 1mil";
+            ] );
+        (3, line bad);
+      ]
+
+  let deck =
+    frequency [ (3, pure false); (1, pure true) ] >>= fun bad ->
+    map2
+      (fun (first, lines) (crlf, last_nl) ->
+        let eol = if crlf then "\r\n" else "\n" in
+        String.concat eol (first :: lines) ^ if last_nl then eol else "")
+      (pair (first_line bad) (list_size (int_range 0 14) (line bad)))
+      (pair bool bool)
+end
+
+let parser_matches_reference =
+  QCheck2.Test.make ~name:"scanner matches the reference parser" ~count:3000
+    ~print:String.escaped Deck_gen.deck (fun text ->
+      let got = scanner_outcome text and want = reference_outcome text in
+      got = want
+      || QCheck2.Test.fail_reportf "scanner: %s\nreference: %s"
+           (show_outcome got) (show_outcome want))
+
+let value_matches_reference =
+  QCheck2.Test.make ~name:"parse_value matches the reference bit for bit"
+    ~count:3000 ~print:String.escaped
+    QCheck2.Gen.(
+      map2
+        (fun v pad -> pad ^ v ^ pad)
+        (Deck_gen.value true)
+        (oneofl [ ""; " "; "\t" ]))
+    (fun s ->
+      let bits f =
+        match f s with
+        | v -> Ok (Int64.bits_of_float v)
+        | exception Failure m -> Error m
+      in
+      bits Parser.parse_value = bits Ref_parser.parse_value)
+
+(* the decks under examples/netlists and the benchmark's deck shapes *)
+let test_parser_matches_reference_on_decks () =
+  let dir = "../examples/netlists" in
+  let files =
+    List.concat_map
+      (fun d ->
+        Sys.readdir d |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".sp")
+        |> List.map (Filename.concat d))
+      [ dir; Filename.concat dir "bad" ]
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let grid =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "* rc grid\nV1 n_0_0 0 DC 1\n";
+    for r = 0 to 5 do
+      for c = 0 to 5 do
+        if c < 5 then
+          Printf.bprintf b "Rh%d_%d n_%d_%d n_%d_%d %.6g\n" r c r c r (c + 1) 10.3;
+        if r < 5 then
+          Printf.bprintf b "Rv%d_%d n_%d_%d n_%d_%d %.6g\n" r c r c (r + 1) c 12.1;
+        Printf.bprintf b "C%d_%d n_%d_%d 0 %.6gp\n" r c r c 0.517
+      done
+    done;
+    Buffer.add_string b "Rload n_5_5 0 1000\n.end\n";
+    Buffer.contents b
+  in
+  List.iter
+    (fun (what, text) ->
+      let got = scanner_outcome text and want = reference_outcome text in
+      if got <> want then
+        Alcotest.failf "%s: scanner %s, reference %s" what (show_outcome got)
+          (show_outcome want))
+    (("grid", grid) :: List.map (fun f -> (f, read f)) files)
 
 (* ---------------- Writer ---------------- *)
 
@@ -1293,6 +1683,8 @@ let () =
           Alcotest.test_case "nodes" `Quick test_netlist_nodes;
           Alcotest.test_case "elements" `Quick test_netlist_elements;
           Alcotest.test_case "validation" `Quick test_netlist_validation;
+          Alcotest.test_case "validation names the node" `Quick
+            test_netlist_validation_names_node;
           Alcotest.test_case "duplicate names" `Quick
             test_netlist_duplicate_names;
         ] );
@@ -1400,6 +1792,12 @@ let () =
             test_parser_names_after_edit;
           Alcotest.test_case "parsed decks are not retained" `Quick
             test_parser_retains_nothing;
+          Alcotest.test_case "scanner matches the reference on decks" `Quick
+            test_parser_matches_reference_on_decks;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+            parser_matches_reference;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+            value_matches_reference;
         ] );
       ( "writer",
         [

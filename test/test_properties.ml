@@ -587,7 +587,7 @@ let prop_sparse_matches_dense_oracle =
       let nl, _ = build_netlist recipe in
       let asm = Assembly.of_netlist nl in
       let size, g, _, _ = dense_oracle nl in
-      let plan = Solver.plan ~backend:Solver.Sparse asm.Assembly.adj in
+      let plan = Solver.plan ~backend:Solver.Sparse (Assembly.adjacency asm) in
       let fact =
         Solver.factor plan ~fill:(fun put -> Assembly.Coo.iter asm.Assembly.g put)
       in
