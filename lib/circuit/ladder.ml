@@ -15,6 +15,15 @@ let make ?(name_prefix = "line") netlist spec ~from_node ~to_node =
   (* a W card of a deck expands here: the names are built without
      Printf, which would dominate a long line's parse *)
   let name part k = String.concat "" [ name_prefix; part; string_of_int k ] in
+  (* the internal joints follow the deck's node rule: their names are
+     lowercased, and a joint another card already named is joined *)
+  let joint_prefix = String.lowercase_ascii name_prefix ^ "_n" in
+  let joint k =
+    let key = joint_prefix ^ string_of_int k in
+    match Netlist.find_node netlist key with
+    | Some node -> node
+    | None -> Netlist.fresh_node ~name:key netlist
+  in
   let dh = spec.length /. float_of_int n in
   let r_seg = spec.r *. dh in
   let l_seg = spec.l *. dh in
@@ -27,13 +36,7 @@ let make ?(name_prefix = "line") netlist spec ~from_node ~to_node =
   let rec build i node =
     if i = n then node
     else begin
-      let next =
-        if i = n - 1 then to_node
-        else
-          Netlist.fresh_node
-            ~name:(name "_n" (i + 1))
-            netlist
-      in
+      let next = if i = n - 1 then to_node else joint (i + 1) in
       Netlist.add_rl_branch
         ~name:(name "_seg" i)
         netlist node next ~ohms:r_seg ~henries:l_seg;

@@ -27,7 +27,12 @@ val make :
     joints.  The series branch of segment [i] (0-based) is named
     ["<prefix>_seg<i>"], so currents along the wire can be probed:
     segment 0 carries the near-end (driver) current.
-    [name_prefix] defaults to ["line"]; it must be unique per netlist.
+    The joint after segment [i] is the node ["<prefix>_n<i+1>"] in
+    lowercase, the deck's node rule, so a deck's cards and probes can
+    name it in any case; a joint the netlist already has by that name
+    is joined, not duplicated.  Element names keep the prefix as
+    written.  [name_prefix] defaults to ["line"]; it must be unique
+    per netlist.
     Raises [Invalid_argument] on non-positive sizes or
     [segments < 1]. *)
 

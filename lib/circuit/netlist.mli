@@ -122,10 +122,10 @@ type structural_key = {
 (** The hash/signature pairing every compiled-artifact reuse decision
     is made on.  {!structural_hash} alone is too coarse (permuted
     decks collide); {!structural_signature} alone is too expensive as
-    a table key.  Layers that cache compiled decks (the serving
-    layer's {!Rlc_serve.Deck_cache}, the {!Whatif} workspace) key by
-    [hash] and verify [signature], and they all obtain the pair
-    through this one type so the two halves cannot drift apart. *)
+    a table key.  A layer that caches compiled decks (the serving
+    layer's {!Rlc_serve.Deck_cache}) keys by [hash] and verifies
+    [signature], obtaining the pair through this one type so the two
+    halves cannot drift apart. *)
 
 val structural_key : t -> structural_key
 

@@ -18,13 +18,10 @@ type term = {
   tmat : [ `G | `C ];
   tu : vec;
   tv : vec;
-  mutable u_dense : float array option;
-  mutable v_dense : float array option;
+  mutable dense : (float array * float array) option;  (* u, v densified *)
 }
 
 type param = {
-  p_name : string;
-  p_kind : [ `R | `L | `C | `M ];
   p_base : float;
   p_terms : term array;
   p_delta : float -> float;  (* absolute value -> stamp delta *)
@@ -42,7 +39,6 @@ type t = {
   netlist : Netlist.t;
   elems : Netlist.element array;
   asm : Assembly.t;
-  wkey : Netlist.structural_key;
   f_threshold : float;
   max_rank : int;
   condition_limit : float;
@@ -50,6 +46,7 @@ type t = {
   g_symbolic : Solver.symbolic option;
   rhs0 : float array;
   x0 : float array;  (* base_factor^-1 rhs0, from the DC system *)
+  b0c : Cx.t array Lazy.t;  (* the first source's B column, complex *)
   zcache : (int, float array) Hashtbl.t;  (* term id -> G^-1 u *)
   mutable tfactor : Solver.factor option;  (* lazy factor of G^T *)
   params : (string * [ `R | `L | `C | `M ], param) Hashtbl.t;
@@ -62,7 +59,6 @@ type t = {
 }
 
 let assembly t = t.asm
-let key t = t.wkey
 
 let compile ?(max_rank = 8) ?(condition_limit = 1e8) ?(f = 0.5) netlist =
   if max_rank < 0 then invalid_arg "Whatif.compile: max_rank < 0";
@@ -76,7 +72,6 @@ let compile ?(max_rank = 8) ?(condition_limit = 1e8) ?(f = 0.5) netlist =
     netlist;
     elems = Netlist.elements netlist;
     asm;
-    wkey = Netlist.structural_key netlist;
     f_threshold = f;
     max_rank;
     condition_limit;
@@ -84,6 +79,7 @@ let compile ?(max_rank = 8) ?(condition_limit = 1e8) ?(f = 0.5) netlist =
     g_symbolic = Dc.g_symbolic sys;
     rhs0 = Dc.rhs sys;
     x0 = Array.copy (Dc.unknowns sys);
+    b0c = lazy (Array.map Cx.of_float (Assembly.b_column asm 0));
     zcache = Hashtbl.create 16;
     tfactor = None;
     params = Hashtbl.create 16;
@@ -97,21 +93,42 @@ let compile ?(max_rank = 8) ?(condition_limit = 1e8) ?(f = 0.5) netlist =
 
 (* ---------------- parameters ---------------- *)
 
-let node_vec pairs =
-  let entries = List.filter (fun (n, _) -> n <> Netlist.ground) pairs in
+let node_vec a b =
+  let entries =
+    List.filter (fun (n, _) -> n <> Netlist.ground) [ (a, 1.0); (b, -1.0) ]
+  in
   {
     vidx = Array.of_list (List.map (fun (n, _) -> n - 1) entries);
     vsgn = Array.of_list (List.map snd entries);
   }
 
-let row_vec row = { vidx = [| row |]; vsgn = [| 1.0 |] }
-
-let fresh_term t tmat tu tv =
+let fresh_term t (tmat, tu, tv) =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  { tid; tmat; tu; tv; u_dense = None; v_dense = None }
+  { tid; tmat; tu; tv; dense = None }
 
 let positive v = v > 0.0 && Float.is_finite v
+
+(* The two handle shapes.  A conductance handle stamps 1/value on one
+   node-pair direction of G; an additive handle shifts each of its
+   (matrix, u, v) terms by value - base. *)
+let conductance t base w =
+  {
+    p_base = base;
+    p_terms = [| fresh_term t (`G, w, w) |];
+    p_delta = (fun r -> (1.0 /. r) -. (1.0 /. base));
+    p_ddelta = (fun r -> -1.0 /. (r *. r));
+    p_ok = positive;
+  }
+
+let additive t base terms =
+  {
+    p_base = base;
+    p_terms = Array.map (fresh_term t) terms;
+    p_delta = (fun v -> v -. base);
+    p_ddelta = (fun _ -> 1.0);
+    p_ok = positive;
+  }
 
 let param t name kind =
   match Hashtbl.find_opt t.params (name, kind) with
@@ -126,104 +143,35 @@ let param t name kind =
         invalid_arg
           (Printf.sprintf "Whatif.param: element %s has no %s value" name what)
       in
-      let rows = t.asm.Assembly.current_rows.(id) in
-      let w = node_vec in
+      (* the element's k-th branch-current row *)
+      let row k =
+        { vidx = [| t.asm.Assembly.current_rows.(id).(k) |]; vsgn = [| 1.0 |] }
+      in
       let p =
         match (t.elems.(id), kind) with
-        | Netlist.Resistor { a; b; ohms }, `R ->
-            let wv = w [ (a, 1.0); (b, -1.0) ] in
-            {
-              p_name = name;
-              p_kind = `R;
-              p_base = ohms;
-              p_terms = [| fresh_term t `G wv wv |];
-              p_delta = (fun r -> (1.0 /. r) -. (1.0 /. ohms));
-              p_ddelta = (fun r -> -1.0 /. (r *. r));
-              p_ok = positive;
-            }
-        | Netlist.Rl_branch { a; b; ohms; henries }, `R ->
-            if henries = 0.0 then begin
-              (* stamps as a plain conductance: no branch row *)
-              let wv = w [ (a, 1.0); (b, -1.0) ] in
-              {
-                p_name = name;
-                p_kind = `R;
-                p_base = ohms;
-                p_terms = [| fresh_term t `G wv wv |];
-                p_delta = (fun r -> (1.0 /. r) -. (1.0 /. ohms));
-                p_ddelta = (fun r -> -1.0 /. (r *. r));
-                p_ok = positive;
-              }
-            end
-            else begin
-              let rv = row_vec rows.(0) in
-              {
-                p_name = name;
-                p_kind = `R;
-                p_base = ohms;
-                p_terms = [| fresh_term t `G rv rv |];
-                p_delta = (fun r -> r -. ohms);
-                p_ddelta = (fun _ -> 1.0);
-                p_ok = positive;
-              }
-            end
+        (* a zero-henry branch stamps as a plain conductance: no branch
+           row *)
+        | ( Netlist.Resistor { a; b; ohms }
+          | Netlist.Rl_branch { a; b; ohms; henries = 0.0 } ),
+          `R ->
+            conductance t ohms (node_vec a b)
+        | Netlist.Rl_branch { ohms; _ }, `R ->
+            additive t ohms [| (`G, row 0, row 0) |]
+        | Netlist.Rl_branch { henries = 0.0; _ }, `L ->
+            reject "inductance (henries = 0 stamps as a resistor)"
         | Netlist.Rl_branch { henries; _ }, `L ->
-            if henries = 0.0 then
-              reject "inductance (henries = 0 stamps as a resistor)"
-            else begin
-              let rv = row_vec rows.(0) in
-              {
-                p_name = name;
-                p_kind = `L;
-                p_base = henries;
-                p_terms = [| fresh_term t `C rv rv |];
-                p_delta = (fun l -> l -. henries);
-                p_ddelta = (fun _ -> 1.0);
-                p_ok = positive;
-              }
-            end
+            additive t henries [| (`C, row 0, row 0) |]
         | Netlist.Capacitor { a; b; farads }, `C ->
-            let wv = w [ (a, 1.0); (b, -1.0) ] in
-            {
-              p_name = name;
-              p_kind = `C;
-              p_base = farads;
-              p_terms = [| fresh_term t `C wv wv |];
-              p_delta = (fun c -> c -. farads);
-              p_ddelta = (fun _ -> 1.0);
-              p_ok = positive;
-            }
+            let w = node_vec a b in
+            additive t farads [| (`C, w, w) |]
         | Netlist.Coupled_rl { ohms; _ }, `R ->
-            let r1 = row_vec rows.(0) and r2 = row_vec rows.(1) in
-            {
-              p_name = name;
-              p_kind = `R;
-              p_base = ohms;
-              p_terms = [| fresh_term t `G r1 r1; fresh_term t `G r2 r2 |];
-              p_delta = (fun r -> r -. ohms);
-              p_ddelta = (fun _ -> 1.0);
-              p_ok = positive;
-            }
+            additive t ohms [| (`G, row 0, row 0); (`G, row 1, row 1) |]
         | Netlist.Coupled_rl { henries; _ }, `L ->
-            let r1 = row_vec rows.(0) and r2 = row_vec rows.(1) in
-            {
-              p_name = name;
-              p_kind = `L;
-              p_base = henries;
-              p_terms = [| fresh_term t `C r1 r1; fresh_term t `C r2 r2 |];
-              p_delta = (fun l -> l -. henries);
-              p_ddelta = (fun _ -> 1.0);
-              p_ok = positive;
-            }
+            additive t henries [| (`C, row 0, row 0); (`C, row 1, row 1) |]
         | Netlist.Coupled_rl { mutual; _ }, `M ->
-            let r1 = row_vec rows.(0) and r2 = row_vec rows.(1) in
             {
-              p_name = name;
-              p_kind = `M;
-              p_base = mutual;
-              p_terms = [| fresh_term t `C r1 r2; fresh_term t `C r2 r1 |];
-              p_delta = (fun m -> m -. mutual);
-              p_ddelta = (fun _ -> 1.0);
+              (additive t mutual [| (`C, row 0, row 1); (`C, row 1, row 0) |])
+              with
               p_ok = (fun m -> m >= 0.0 && Float.is_finite m);
             }
         | Netlist.Resistor _, (`L | `C | `M) -> reject "non-resistance"
@@ -245,37 +193,26 @@ type target =
   | Delay of Netlist.node
   | Ac_mag of Netlist.node * float
 
-exception Reject
-
 let size t = t.asm.Assembly.size
 let plan t = t.asm.Assembly.plan
 
-let dense_u t term =
-  match term.u_dense with
-  | Some a -> a
+let dense t term =
+  match term.dense with
+  | Some uv -> uv
   | None ->
-      let a = Array.make (size t) 0.0 in
-      Array.iteri (fun k i -> a.(i) <- a.(i) +. term.tu.vsgn.(k)) term.tu.vidx;
-      term.u_dense <- Some a;
-      a
-
-let dense_v t term =
-  match term.v_dense with
-  | Some a -> a
-  | None ->
-      let a = Array.make (size t) 0.0 in
-      Array.iteri (fun k j -> a.(j) <- a.(j) +. term.tv.vsgn.(k)) term.tv.vidx;
-      term.v_dense <- Some a;
-      a
+      let densify vec =
+        let a = Array.make (size t) 0.0 in
+        Array.iteri (fun k i -> a.(i) <- a.(i) +. vec.vsgn.(k)) vec.vidx;
+        a
+      in
+      let uv = (densify term.tu, densify term.tv) in
+      term.dense <- Some uv;
+      uv
 
 let sparse_dot vec x =
   let acc = ref 0.0 in
   Array.iteri (fun k i -> acc := !acc +. (vec.vsgn.(k) *. x.(i))) vec.vidx;
   !acc
-
-let check_set set =
-  if List.exists (fun (p, v) -> not (Float.is_finite v && p.p_ok v)) set then
-    raise Reject
 
 (* Active (term, delta) pairs on one matrix for a settings list. *)
 let active_terms which set =
@@ -289,27 +226,47 @@ let active_terms which set =
                if term.tmat = which then Some (term, d) else None))
     set
 
-(* Delta stamps of a (term, delta) list through a fill accumulator:
-   4 entries per rank-1 term (fewer at ground).  Every position is
-   inside the base pattern, so a refactor through this fill can replay
-   the base symbolic analysis. *)
-let stamp_deltas terms add =
+(* The delta-stamp fill behind every refactor and transposed factor
+   the workspace builds, real or complex ([scale k d] is the scalar's
+   k * d): the base stamps through [base], then 4 entries per rank-1
+   (term, delta) pair (fewer at ground).  Every position is inside the
+   base pattern, so the factor can replay the base symbolic analysis.
+   [transpose] stamps (j, i) for (i, j): the MNA pattern is
+   structurally symmetric (the skew branch coupling occupies mirrored
+   slots), so the adjoint's transposed stamps respect the same plan
+   bandwidths and replay the same symbolic (with the usual repivot
+   fallback). *)
+let fill ~transpose ~scale base terms add =
+  let add = if transpose then fun i j v -> add j i v else add in
+  base add;
   List.iter
     (fun (tm, d) ->
       Array.iteri
         (fun a i ->
           let si = tm.tu.vsgn.(a) in
           Array.iteri
-            (fun b j -> add i j (d *. si *. tm.tv.vsgn.(b)))
+            (fun b j -> add i j (scale (si *. tm.tv.vsgn.(b)) d))
             tm.tv.vidx)
         tm.tu.vidx)
     terms
+
+let factor_g t ~transpose gterms =
+  Solver.factor ?symbolic:t.g_symbolic (plan t)
+    ~fill:
+      (fill ~transpose ~scale:( *. ) (Assembly.Coo.iter t.asm.Assembly.g)
+         gterms)
+
+(* A G delta shifts A = G + sC by [delta u v^T], a C delta by
+   [s delta u v^T]. *)
+let factor_ac t ~s ~transpose terms =
+  Solver.cfactor ?symbolic:t.ac_sym (plan t)
+    ~fill:(fill ~transpose ~scale:Cx.scale (Assembly.cfill t.asm s) terms)
 
 let count_update t =
   t.n_updates <- t.n_updates + 1;
   if M.recording () then M.incr m_update
 
-let count_refactor ?(fallback = false) t =
+let count_refactor t ~fallback =
   t.n_refactors <- t.n_refactors + 1;
   if fallback then t.n_fallbacks <- t.n_fallbacks + 1;
   if M.recording () then begin
@@ -317,11 +274,47 @@ let count_refactor ?(fallback = false) t =
     if fallback then M.incr m_fallback
   end
 
+(* The one rank-k guard, for the real DC system and the complex AC one
+   alike: [k] delta terms are served by the Woodbury view [make ()]
+   unless [max_rank] is 0, k is over it, the view's capacitance matrix
+   is worse conditioned than [condition_limit] or singular; then by a
+   counted numeric [refactor ()].  A tripped guard is a fallback: it
+   is journaled with its reason, and the solve counts as degraded when
+   conditioning, not bookkeeping, caused it. *)
+let guarded t k ~make ~condition ~updated ~refactor =
+  let fallback reason extra =
+    if Rlc_instr.Journal.capturing () then
+      Rlc_instr.Journal.record "smw.guard"
+        ([
+           ("reason", Rlc_instr.Journal.Str reason);
+           ("rank", Rlc_instr.Journal.Int k);
+         ]
+        @ extra);
+    if reason <> "rank" then
+      Rlc_instr.Health.degraded ~kind:"smw" ~reason:("guard: " ^ reason);
+    count_refactor t ~fallback:true;
+    refactor ()
+  in
+  if t.max_rank = 0 then begin
+    count_refactor t ~fallback:false;
+    refactor ()
+  end
+  else if k > t.max_rank then fallback "rank" []
+  else
+    match make () with
+    | upd when condition upd <= t.condition_limit ->
+        count_update t;
+        updated upd
+    | upd ->
+        fallback "condition"
+          [ ("condition", Rlc_instr.Journal.Num (condition upd)) ]
+    | exception Update.Singular -> fallback "singular" []
+
 let zcol t term =
   match Hashtbl.find_opt t.zcache term.tid with
   | Some z -> z
   | None ->
-      let z = Solver.solve (plan t) t.base_factor (dense_u t term) in
+      let z = Solver.solve (plan t) t.base_factor (fst (dense t term)) in
       Hashtbl.add t.zcache term.tid z;
       z
 
@@ -332,60 +325,22 @@ type resolved =
   | R_updated of Update.t
   | R_refactored of Solver.factor
 
-let refactor_g ?(fallback = false) t gterms =
-  count_refactor ~fallback t;
-  let fill add =
-    Assembly.Coo.iter t.asm.Assembly.g add;
-    stamp_deltas gterms add
-  in
-  R_refactored (Solver.factor ?symbolic:t.g_symbolic (plan t) ~fill)
-
-(* A tripped SMW guard means the rank-k path was abandoned for a full
-   refactor: journal the reason (and count the solve degraded only
-   when conditioning, not bookkeeping, caused it). *)
-let guard_trip ~reason ~rank ?condition () =
-  if Rlc_instr.Journal.capturing () then
-    Rlc_instr.Journal.record "smw.guard"
-      ([
-         ("reason", Rlc_instr.Journal.Str reason);
-         ("rank", Rlc_instr.Journal.Int rank);
-       ]
-      @
-      match condition with
-      | Some c -> [ ("condition", Rlc_instr.Journal.Num c) ]
-      | None -> []);
-  if reason <> "rank" then
-    Rlc_instr.Health.degraded ~kind:"smw" ~reason:("guard: " ^ reason)
-
 let resolve_g t gterms =
   match gterms with
   | [] -> R_base
-  | _ -> begin
-      let k = List.length gterms in
-      if t.max_rank = 0 then refactor_g t gterms
-      else if k > t.max_rank then begin
-        guard_trip ~reason:"rank" ~rank:k ();
-        refactor_g ~fallback:true t gterms
-      end
-      else begin
-        let terms = Array.of_list gterms in
-        let u = Array.map (fun (tm, _) -> dense_u t tm) terms in
-        let v = Array.map (fun (tm, _) -> dense_v t tm) terms in
-        let z = Array.map (fun (tm, _) -> zcol t tm) terms in
-        let scale = Array.map snd terms in
-        match Update.make ~z ~scale (plan t) t.base_factor ~u ~v with
-        | upd when Update.condition upd <= t.condition_limit ->
-            count_update t;
-            R_updated upd
-        | upd ->
-            guard_trip ~reason:"condition" ~rank:k
-              ~condition:(Update.condition upd) ();
-            refactor_g ~fallback:true t gterms
-        | exception Update.Singular ->
-            guard_trip ~reason:"singular" ~rank:k ();
-            refactor_g ~fallback:true t gterms
-      end
-    end
+  | _ ->
+      let terms = Array.of_list gterms in
+      guarded t (Array.length terms)
+        ~make:(fun () ->
+          let u = Array.map (fun (tm, _) -> fst (dense t tm)) terms in
+          let v = Array.map (fun (tm, _) -> snd (dense t tm)) terms in
+          let z = Array.map (fun (tm, _) -> zcol t tm) terms in
+          let scale = Array.map snd terms in
+          Update.make ~z ~scale (plan t) t.base_factor ~u ~v)
+        ~condition:Update.condition
+        ~updated:(fun upd -> R_updated upd)
+        ~refactor:(fun () ->
+          R_refactored (factor_g t ~transpose:false gterms))
 
 let solve_resolved t res b =
   match res with
@@ -421,7 +376,9 @@ let crossing_tau ~f ~b1 ~b2 =
   if not (b1 > 0.0 && b2 > 0.0) then Float.nan
   else Rlc_core.Delay.of_coeffs ~f { Rlc_core.Pade.b1; b2 }
 
-let two_pole ~m0 ~m1 ~m2 =
+(* The Pade pair of the moments [m] at unknown [p]. *)
+let two_pole m p =
+  let m0 = m.(0).(p) and m1 = m.(1).(p) and m2 = m.(2).(p) in
   if Float.abs m0 < 1e-300 then (Float.nan, Float.nan)
   else begin
     let r1 = m1 /. m0 in
@@ -432,36 +389,47 @@ let require_source t ctx =
   if Array.length t.asm.Assembly.inputs = 0 then
     invalid_arg ("Whatif." ^ ctx ^ ": deck has no sources")
 
-(* C' * y with the value deltas applied on the fly. *)
-let cmatvec t cterms y =
-  let r = Assembly.Coo.mul_vec t.asm.Assembly.c y in
+(* The unknown a delay target probes. *)
+let delay_unknown t node ctx =
+  check_node t node ctx;
+  if node = Netlist.ground then
+    invalid_arg ("Whatif." ^ ctx ^ ": delay at ground");
+  require_source t ctx;
+  node - 1
+
+(* C' * y, or C'^T * y with [transpose], with the value deltas applied
+   on the fly. *)
+let cmatvec t cterms ~transpose y =
+  let r = Array.make (size t) 0.0 in
+  let acc i j v = r.(i) <- r.(i) +. (v *. y.(j)) in
+  Assembly.Coo.iter t.asm.Assembly.c
+    (if transpose then fun i j v -> acc j i v else acc);
   List.iter
     (fun (tm, d) ->
-      let vy = sparse_dot tm.tv y in
-      Array.iteri
-        (fun a i -> r.(i) <- r.(i) +. (d *. tm.tu.vsgn.(a) *. vy))
-        tm.tu.vidx)
+      let u, v = if transpose then (tm.tv, tm.tu) else (tm.tu, tm.tv) in
+      let vy = sparse_dot v y in
+      Array.iteri (fun a i -> r.(i) <- r.(i) +. (d *. u.vsgn.(a) *. vy)) u.vidx)
     cterms;
   r
 
-let moments t set node =
-  check_node t node "evaluate";
-  if node = Netlist.ground then
-    invalid_arg "Whatif.evaluate: delay at ground";
-  require_source t "evaluate";
-  let gterms = active_terms `G set in
-  let cterms = active_terms `C set in
-  let res = resolve_g t gterms in
-  let b0 = Assembly.b_column t.asm 0 in
-  let y0 = solve_resolved t res b0 in
-  let y1 = Array.map Float.neg (solve_resolved t res (cmatvec t cterms y0)) in
-  let y2 = Array.map Float.neg (solve_resolved t res (cmatvec t cterms y1)) in
-  (res, cterms, y0, y1, y2)
+(* The first three moments y0 = solve b, y(k+1) = -solve (C' yk): the
+   transfer from the deck's first source through the forward factor,
+   or with [transpose] the adjoint recurrence from a unit probe
+   through the transposed one. *)
+let moments t cterms ~transpose solve b =
+  let y0 = solve b in
+  let y1 = Array.map Float.neg (solve (cmatvec t cterms ~transpose y0)) in
+  let y2 = Array.map Float.neg (solve (cmatvec t cterms ~transpose y1)) in
+  [| y0; y1; y2 |]
 
 let delay_eval t set node =
-  let _, _, y0, y1, y2 = moments t set node in
-  let p = node - 1 in
-  let b1, b2 = two_pole ~m0:y0.(p) ~m1:y1.(p) ~m2:y2.(p) in
+  let p = delay_unknown t node "evaluate" in
+  let res = resolve_g t (active_terms `G set) in
+  let ys =
+    moments t (active_terms `C set) ~transpose:false (solve_resolved t res)
+      (Assembly.b_column t.asm 0)
+  in
+  let b1, b2 = two_pole ys p in
   crossing_tau ~f:t.f_threshold ~b1 ~b2
 
 (* ---------------- AC ---------------- *)
@@ -478,9 +446,12 @@ let ac_point t omega =
       (match t.ac_sym with
       | None -> t.ac_sym <- Solver.csymbolic_of acf
       | Some _ -> ());
-      let b0 = Array.map Cx.of_float (Assembly.b_column t.asm 0) in
       let pt =
-        { acf; ac_x0 = Solver.csolve (plan t) acf b0; ac_z = Hashtbl.create 8 }
+        {
+          acf;
+          ac_x0 = Solver.csolve (plan t) acf (Lazy.force t.b0c);
+          ac_z = Hashtbl.create 8;
+        }
       in
       Hashtbl.add t.ac omega pt;
       pt
@@ -489,79 +460,43 @@ let czcol t pt term =
   match Hashtbl.find_opt pt.ac_z term.tid with
   | Some z -> z
   | None ->
-      let u = Array.map Cx.of_float (dense_u t term) in
+      let u = Array.map Cx.of_float (fst (dense t term)) in
       let z = Solver.csolve (plan t) pt.acf u in
       Hashtbl.add pt.ac_z term.tid z;
       z
 
-(* AC terms: a G delta shifts A = G + sC by [delta u v^T], a C delta
-   by [s delta u v^T]. *)
 let ac_terms ~s set =
   List.map (fun (tm, d) -> (tm, Cx.of_float d)) (active_terms `G set)
   @ List.map
       (fun (tm, d) -> (tm, Cx.scale d s))
       (active_terms `C set)
 
-let ac_refactor ?(fallback = false) ?(count = true) t ~s terms =
-  if count then count_refactor ~fallback t;
-  let fill add =
-    Assembly.cfill t.asm s add;
-    List.iter
-      (fun (tm, d) ->
-        Array.iteri
-          (fun a i ->
-            let si = tm.tu.vsgn.(a) in
-            Array.iteri
-              (fun b j ->
-                add i j (Cx.scale (si *. tm.tv.vsgn.(b)) d))
-              tm.tv.vidx)
-          tm.tu.vidx)
-      terms
-  in
-  Solver.cfactor ?symbolic:t.ac_sym (plan t) ~fill
-
 let ac_solution t set omega =
   let s = Cx.make 0.0 omega in
   let pt = ac_point t omega in
   match ac_terms ~s set with
   | [] -> pt.ac_x0
-  | terms -> begin
-      let k = List.length terms in
-      let solve_refactored ~fallback =
-        let acf = ac_refactor ~fallback t ~s terms in
-        let b0 = Array.map Cx.of_float (Assembly.b_column t.asm 0) in
-        Solver.csolve (plan t) acf b0
+  | terms ->
+      let arr = Array.of_list terms in
+      let columns side =
+        Array.map (fun (tm, _) -> Array.map Cx.of_float (side (dense t tm))) arr
       in
-      if t.max_rank = 0 then solve_refactored ~fallback:false
-      else if k > t.max_rank then begin
-        guard_trip ~reason:"rank" ~rank:k ();
-        solve_refactored ~fallback:true
-      end
-      else begin
-        let terms = Array.of_list terms in
-        let u =
-          Array.map (fun (tm, _) -> Array.map Cx.of_float (dense_u t tm)) terms
-        in
-        let v =
-          Array.map (fun (tm, _) -> Array.map Cx.of_float (dense_v t tm)) terms
-        in
-        let z = Array.map (fun (tm, _) -> czcol t pt tm) terms in
-        let scale = Array.map snd terms in
-        match Update.cmake ~z ~scale (plan t) pt.acf ~u ~v with
-        | upd when Update.ccondition upd <= t.condition_limit ->
-            count_update t;
-            let x = Array.make (size t) Cx.zero in
-            Update.capply upd ~x0:pt.ac_x0 ~x;
-            x
-        | upd ->
-            guard_trip ~reason:"condition" ~rank:k
-              ~condition:(Update.ccondition upd) ();
-            solve_refactored ~fallback:true
-        | exception Update.Singular ->
-            guard_trip ~reason:"singular" ~rank:k ();
-            solve_refactored ~fallback:true
-      end
-    end
+      guarded t (Array.length arr)
+        ~make:(fun () ->
+          let u = columns fst in
+          let v = columns snd in
+          let z = Array.map (fun (tm, _) -> czcol t pt tm) arr in
+          let scale = Array.map snd arr in
+          Update.cmake ~z ~scale (plan t) pt.acf ~u ~v)
+        ~condition:Update.ccondition
+        ~updated:(fun upd ->
+          let x = Array.make (size t) Cx.zero in
+          Update.capply upd ~x0:pt.ac_x0 ~x;
+          x)
+        ~refactor:(fun () ->
+          Solver.csolve (plan t)
+            (factor_ac t ~s ~transpose:false terms)
+            (Lazy.force t.b0c))
 
 let ac_eval t set node omega =
   check_node t node "evaluate";
@@ -573,40 +508,34 @@ let ac_eval t set node omega =
 
 (* ---------------- evaluate ---------------- *)
 
+(* The rejection convention of [evaluate] and [gradient]: a
+   non-physical setting, a singular system or a failed crossing
+   answers [nan ()]. *)
+let rejecting set ~nan f =
+  if List.exists (fun (p, v) -> not (Float.is_finite v && p.p_ok v)) set then
+    nan ()
+  else
+    try f () with
+    | Solver.Singular
+    | Roots.No_bracket
+    | Rlc_core.Delay.No_delay
+    | Roots.No_convergence _ ->
+        nan ()
+
 let evaluate ?(set = []) t target =
-  try
-    check_set set;
-    match target with
-    | Dc_voltage node -> dc_eval t set node
-    | Delay node -> delay_eval t set node
-    | Ac_mag (node, omega) -> ac_eval t set node omega
-  with
-  | Reject
-  | Solver.Singular
-  | Roots.No_bracket
-  | Rlc_core.Delay.No_delay
-  | Roots.No_convergence _ ->
-      Float.nan
+  rejecting set ~nan:(fun () -> Float.nan) (fun () ->
+      match target with
+      | Dc_voltage node -> dc_eval t set node
+      | Delay node -> delay_eval t set node
+      | Ac_mag (node, omega) -> ac_eval t set node omega)
 
 (* ---------------- adjoint gradients ---------------- *)
-
-(* Transposed factors.  The G pattern is structurally symmetric (the
-   skew branch coupling occupies mirrored slots), so the transposed
-   stamps respect the same plan bandwidths, and the sparse symbolic
-   replays against transposed values like any other value-only
-   restamp (with the usual repivot fallback). *)
-let transpose_factor t gterms =
-  let fill add =
-    Assembly.Coo.iter t.asm.Assembly.g (fun i j v -> add j i v);
-    stamp_deltas gterms (fun i j v -> add j i v)
-  in
-  Solver.factor ?symbolic:t.g_symbolic (plan t) ~fill
 
 let base_transpose_factor t =
   match t.tfactor with
   | Some f -> f
   | None ->
-      let f = transpose_factor t [] in
+      let f = factor_g t ~transpose:true [] in
       t.tfactor <- Some f;
       f
 
@@ -617,13 +546,7 @@ let base_transpose_factor t =
 let gradient_factors t gterms =
   match gterms with
   | [] -> (t.base_factor, base_transpose_factor t)
-  | _ ->
-      let fill add =
-        Assembly.Coo.iter t.asm.Assembly.g add;
-        stamp_deltas gterms add
-      in
-      ( Solver.factor ?symbolic:t.g_symbolic (plan t) ~fill,
-        transpose_factor t gterms )
+  | _ -> (factor_g t ~transpose:false gterms, factor_g t ~transpose:true gterms)
 
 let unit_vec n p =
   let e = Array.make n 0.0 in
@@ -660,50 +583,30 @@ let dc_gradient t set node ~wrt =
       wrt
   end
 
-(* C'^T * y with deltas. *)
-let ctmatvec t cterms y =
-  let r = Array.make (size t) 0.0 in
-  Assembly.Coo.iter t.asm.Assembly.c (fun i j v ->
-      r.(j) <- r.(j) +. (v *. y.(i)));
-  List.iter
-    (fun (tm, d) ->
-      let uy = sparse_dot tm.tu y in
-      Array.iteri
-        (fun b j -> r.(j) <- r.(j) +. (d *. tm.tv.vsgn.(b) *. uy))
-        tm.tv.vidx)
-    cterms;
-  r
-
 let delay_gradient t set node ~wrt =
-  check_node t node "gradient";
-  if node = Netlist.ground then
-    invalid_arg "Whatif.gradient: delay at ground";
-  require_source t "gradient";
+  let p = delay_unknown t node "gradient" in
   let gterms = active_terms `G set in
   let cterms = active_terms `C set in
   let fwd, adj = gradient_factors t gterms in
-  let solve_f b = Solver.solve (plan t) fwd b in
-  let solve_a b = Solver.solve (plan t) adj b in
-  let b0 = Assembly.b_column t.asm 0 in
-  let y0 = solve_f b0 in
-  let y1 = Array.map Float.neg (solve_f (cmatvec t cterms y0)) in
-  let y2 = Array.map Float.neg (solve_f (cmatvec t cterms y1)) in
-  let p = node - 1 in
-  let m0 = y0.(p) and m1 = y1.(p) and m2 = y2.(p) in
-  let b1, b2 = two_pole ~m0 ~m1 ~m2 in
+  let ys =
+    moments t cterms ~transpose:false (Solver.solve (plan t) fwd)
+      (Assembly.b_column t.asm 0)
+  in
+  let b1, b2 = two_pole ys p in
   let tau = crossing_tau ~f:t.f_threshold ~b1 ~b2 in
   if Float.is_nan tau then Array.make (Array.length wrt) Float.nan
   else begin
-    let l0 = solve_a (unit_vec (size t) p) in
-    let l1 = Array.map Float.neg (solve_a (ctmatvec t cterms l0)) in
-    let l2 = Array.map Float.neg (solve_a (ctmatvec t cterms l1)) in
+    let ls =
+      moments t cterms ~transpose:true (Solver.solve (plan t) adj)
+        (unit_vec (size t) p)
+    in
+    let m0 = ys.(0).(p) and m1 = ys.(1).(p) and m2 = ys.(2).(p) in
     (* the crossing's sensitivities to the two coefficients by the
        implicit function theorem on v(tau; b1, b2) = f:
        dtau/db = -(dv/db) / (dv/dt), all in closed form *)
     let sr = Rlc_core.Step_response.partials { Rlc_core.Pade.b1; b2 } tau in
     let dtau_db1 = -.sr.v_b1 /. sr.v_t in
     let dtau_db2 = -.sr.v_b2 /. sr.v_t in
-    let ys = [| y0; y1; y2 |] and ls = [| l0; l1; l2 |] in
     Array.map
       (fun pr ->
         let dd = pr.p_ddelta (value_at set pr) in
@@ -718,13 +621,8 @@ let delay_gradient t set node ~wrt =
                 let lu = sparse_dot tm.tu ls.(i) in
                 let vy = sparse_dot tm.tv ys.(k) in
                 let contraction = dd *. lu *. vy in
-                match tm.tmat with
-                | `G ->
-                    if i + k <= 2 then
-                      dm.(i + k) <- dm.(i + k) -. contraction
-                | `C ->
-                    if i + k + 1 <= 2 then
-                      dm.(i + k + 1) <- dm.(i + k + 1) -. contraction
+                let j = if tm.tmat = `G then i + k else i + k + 1 in
+                if j <= 2 then dm.(j) <- dm.(j) -. contraction
               done
             done)
           pr.p_terms;
@@ -751,27 +649,11 @@ let ac_gradient t set node omega ~wrt =
       | [] -> (ac_point t omega).ac_x0
       | _ ->
           (* part of the gradient, not a sweep refactor: don't count *)
-          let acf = ac_refactor ~count:false t ~s terms in
-          let b0 = Array.map Cx.of_float (Assembly.b_column t.asm 0) in
-          Solver.csolve (plan t) acf b0
+          Solver.csolve (plan t)
+            (factor_ac t ~s ~transpose:false terms)
+            (Lazy.force t.b0c)
     in
-    let adj =
-      let fill add =
-        Assembly.cfill t.asm s (fun i j v -> add j i v);
-        List.iter
-          (fun (tm, d) ->
-            Array.iteri
-              (fun a i ->
-                let si = tm.tu.vsgn.(a) in
-                Array.iteri
-                  (fun b j ->
-                    add j i (Cx.scale (si *. tm.tv.vsgn.(b)) d))
-                  tm.tv.vidx)
-              tm.tu.vidx)
-          terms
-      in
-      Solver.cfactor ?symbolic:t.ac_sym (plan t) ~fill
-    in
+    let adj = factor_ac t ~s ~transpose:true terms in
     let e = Array.make (size t) Cx.zero in
     e.(node - 1) <- Cx.one;
     let lambda = Solver.csolve (plan t) adj e in
@@ -807,19 +689,13 @@ let ac_gradient t set node omega ~wrt =
 
 let gradient ?(set = []) t target ~wrt =
   if M.recording () then M.incr m_adjoint;
-  try
-    check_set set;
-    match target with
-    | Dc_voltage node -> dc_gradient t set node ~wrt
-    | Delay node -> delay_gradient t set node ~wrt
-    | Ac_mag (node, omega) -> ac_gradient t set node omega ~wrt
-  with
-  | Reject
-  | Solver.Singular
-  | Roots.No_bracket
-  | Rlc_core.Delay.No_delay
-  | Roots.No_convergence _ ->
-      Array.make (Array.length wrt) Float.nan
+  rejecting set
+    ~nan:(fun () -> Array.make (Array.length wrt) Float.nan)
+    (fun () ->
+      match target with
+      | Dc_voltage node -> dc_gradient t set node ~wrt
+      | Delay node -> delay_gradient t set node ~wrt
+      | Ac_mag (node, omega) -> ac_gradient t set node omega ~wrt)
 
 (* ---------------- stats ---------------- *)
 

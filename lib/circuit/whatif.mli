@@ -56,11 +56,6 @@ val compile :
 
 val assembly : t -> Assembly.t
 
-val key : t -> Netlist.structural_key
-(** The deck's structural identity — the same hash/signature pairing
-    the serving layer's compiled-deck cache keys by, obtained through
-    the one shared {!Netlist.structural_key} helper. *)
-
 (** {1 Parameters} *)
 
 type param

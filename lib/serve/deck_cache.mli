@@ -46,9 +46,8 @@ type lookup =
 val find_key : t -> Rlc_circuit.Netlist.structural_key -> lookup
 (** Looks a deck up by its {!Rlc_circuit.Netlist.structural_key}; the
     alias decision goes through the one shared
-    {!Rlc_circuit.Netlist.key_reusable} predicate (the same pairing
-    {!Rlc_circuit.Whatif} keys its workspaces by), so the two caches
-    can never diverge on what counts as "the same deck".  Counts the
+    {!Rlc_circuit.Netlist.key_reusable} predicate, so every user of
+    the key agrees on what counts as "the same deck".  Counts the
     outcome ([serve.cache.hit] / [.alias] / [.miss]) and refreshes the
     entry's LRU position on a hit. *)
 

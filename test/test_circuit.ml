@@ -1123,6 +1123,43 @@ let test_parser_probe_gnd () =
         (Parser.node_of_name deck "a") (Some a)
   | _ -> Alcotest.fail "expected two node probes"
 
+(* a W card's joints follow the card-node rule: a probe resolves them
+   in any case, and a card naming one, before or after the W card,
+   joins it; its elements keep the card's case *)
+let test_parser_w_joint_names () =
+  let deck =
+    Parser.parse_string
+      "V1 in 0 DC 1\nR0 W1_n2 0 2k\n\
+       W1 in far r=4.4k l=1.5u c=123p len=10m seg=4\nR1 W1_n1 0 1k\n\
+       .probe v(W1_n1) v(w1_n1) v(W1_N3)\n"
+  in
+  let nl = deck.Parser.netlist in
+  (match deck.Parser.probes with
+  | [ Transient.Node_v upper; Transient.Node_v lower; Transient.Node_v n3 ] ->
+      Alcotest.(check int) "either case, one node" lower upper;
+      Alcotest.(check (option int)) "joint 3" (Parser.node_of_name deck "w1_n3")
+        (Some n3)
+  | _ -> Alcotest.fail "expected three node probes");
+  (* ground, in, far and the three joints: R0 and R1 made none *)
+  Alcotest.(check int) "nodes" 6 (Netlist.node_count nl);
+  let joint k = Parser.node_of_name deck (Printf.sprintf "w1_n%d" k) in
+  let ends name =
+    match Netlist.find_element nl name with
+    | Some id -> begin
+        match (Netlist.elements nl).(id) with
+        | Netlist.Resistor { a; _ } -> Some a
+        | Netlist.Rl_branch { b; _ } -> Some b
+        | _ -> None
+      end
+    | None -> Alcotest.failf "no element %s" name
+  in
+  Alcotest.(check (option int)) "R1 on joint 1" (joint 1) (ends "R1");
+  Alcotest.(check (option int)) "R0 on joint 2" (joint 2) (ends "R0");
+  Alcotest.(check (option int)) "W1_seg0 ends on joint 1" (joint 1)
+    (ends "W1_seg0");
+  Alcotest.(check (option int)) "element names keep their case" None
+    (Netlist.find_element nl "w1_seg0")
+
 (* name lookups read the deck's netlist, so they survive edits to it *)
 let test_parser_names_after_edit () =
   let deck = Parser.parse_string sample_deck in
@@ -1788,6 +1825,8 @@ let () =
           Alcotest.test_case ".ac card" `Quick test_parser_ac_card;
           Alcotest.test_case "B card" `Quick test_parser_b_card;
           Alcotest.test_case "probe of GND" `Quick test_parser_probe_gnd;
+          Alcotest.test_case "W joints follow the node rule" `Quick
+            test_parser_w_joint_names;
           Alcotest.test_case "names after a netlist edit" `Quick
             test_parser_names_after_edit;
           Alcotest.test_case "parsed decks are not retained" `Quick

@@ -248,7 +248,7 @@ let test_random_perturbations_match_fresh () =
       (fun (label, target) ->
         let fast = Whatif.evaluate ~set ws target in
         let reference = Whatif.evaluate fresh_ws target in
-        check_close ~tol:1e-9
+        check_rel ~tol:1e-9
           (Printf.sprintf "trial %d %s (k=%d)" trial label k)
           reference fast)
       (targets out)
@@ -273,7 +273,7 @@ let test_update_vs_refactor_paths () =
     in
     List.iter
       (fun (label, target) ->
-        check_close ~tol:1e-9
+        check_rel ~tol:1e-9
           (Printf.sprintf "trial %d %s" trial label)
           (Whatif.evaluate ~set:(set slow) slow target)
           (Whatif.evaluate ~set:(set fast) fast target))
@@ -301,7 +301,7 @@ let test_guard_fallbacks () =
   in
   List.iter
     (fun (label, target) ->
-      check_close ~tol:1e-9 ("rank-capped " ^ label)
+      check_rel ~tol:1e-9 ("rank-capped " ^ label)
         (Whatif.evaluate ~set:(set reference) reference target)
         (Whatif.evaluate ~set:(set capped) capped target))
     (targets out);
@@ -423,11 +423,11 @@ let test_delay_matches_core () =
     (Rlc_core.Delay.of_coeffs ~f:0.9 cs)
     (Whatif.evaluate ws9 (Whatif.Delay out));
   let dense = dense_coeffs ws out in
-  check_close ~tol:1e-12 "dense moments"
+  check_rel ~tol:1e-12 "dense moments"
     (Rlc_core.Delay.of_coeffs ~f:0.5 dense)
     (Whatif.evaluate ws (Whatif.Delay out));
   (* and a non-default threshold *)
-  check_close ~tol:1e-12 "dense moments, f = 0.9"
+  check_rel ~tol:1e-12 "dense moments, f = 0.9"
     (Rlc_core.Delay.of_coeffs ~f:0.9 dense)
     (Whatif.evaluate ws9 (Whatif.Delay out));
   (* the overdamped deck: evaluate and gradient finite, the gradient
@@ -543,7 +543,7 @@ let test_coupled_mutual_perturbation () =
       let set = [ (Whatif.param ws name kind, value) ] in
       List.iter
         (fun (label, target) ->
-          check_close ~tol:1e-9
+          check_rel ~tol:1e-9
             (Printf.sprintf "%s %s" name label)
             (Whatif.evaluate fresh target)
             (Whatif.evaluate ~set ws target))
@@ -642,10 +642,7 @@ let test_structural_key_pairing () =
     (Netlist.key_reusable ~cached:key ~probe:key);
   let alias = { key with Netlist.signature = key.Netlist.signature ^ "x" } in
   Alcotest.(check bool) "signature mismatch" false
-    (Netlist.key_reusable ~cached:key ~probe:alias);
-  let ws = Whatif.compile netlist in
-  Alcotest.(check string) "workspace key = netlist key"
-    key.Netlist.signature (Whatif.key ws).Netlist.signature
+    (Netlist.key_reusable ~cached:key ~probe:alias)
 
 (* The alias-safety regression: a probe whose hash matches a cached
    entry but whose signature differs must never be served the cached
@@ -733,6 +730,115 @@ let test_serve_delay_sens () =
     end
   | _ -> Alcotest.fail "expected one delay-sens result"
 
+(* ---------------- bit pins ---------------- *)
+
+(* A 3 x 3 RC mesh driven at one corner and loaded at the other, with
+   a sense node hung off the load corner by a coupling capacitor and
+   terminated by 1 ohm to ground.  At DC that terminator is the sense
+   node's only path, so setting it to 1e300 ohm makes the rank-1
+   capacitance matrix 1 - (1/R)(R) exactly 0: the singular-S path. *)
+let rc_grid () =
+  let n = Netlist.create () in
+  let src = Netlist.fresh_node ~name:"src" n in
+  Netlist.add_vsource ~name:"vin" n src Netlist.ground (Stimulus.Dc 1.0);
+  let g =
+    Array.init 3 (fun i ->
+        Array.init 3 (fun j ->
+            Netlist.fresh_node ~name:(Printf.sprintf "g%d%d" i j) n))
+  in
+  Netlist.add_resistor ~name:"rdrv" n src g.(0).(0) 50.0;
+  for i = 0 to 2 do
+    for j = 0 to 2 do
+      let k = float_of_int ((3 * i) + j) in
+      if j < 2 then
+        Netlist.add_resistor ~name:(Printf.sprintf "rh%d%d" i j) n g.(i).(j)
+          g.(i).(j + 1) (20.0 +. k);
+      if i < 2 then
+        Netlist.add_resistor ~name:(Printf.sprintf "rv%d%d" i j) n g.(i).(j)
+          g.(i + 1).(j) (30.0 -. k);
+      Netlist.add_capacitor ~name:(Printf.sprintf "c%d%d" i j) n g.(i).(j)
+        Netlist.ground (1e-13 +. (1e-14 *. k))
+    done
+  done;
+  Netlist.add_resistor ~name:"rload" n g.(2).(2) Netlist.ground 800.0;
+  let sense = Netlist.fresh_node ~name:"sense" n in
+  Netlist.add_capacitor ~name:"csense" n g.(2).(2) sense 2e-14;
+  Netlist.add_resistor ~name:"rsense" n sense Netlist.ground 1.0;
+  (n, g.(2).(2))
+
+(* Per deck: the netlist, the probed node, the gradient's parameters,
+   a setting the fast path serves, one over rank 2 for the rank guard
+   (max_rank 2), a rank-2 setting for the condition guard, and a
+   setting whose capacitance matrix is singular, if the deck has
+   one. *)
+let pin_decks () =
+  let coupled =
+    let deck = Parser.parse_file "../examples/netlists/coupled_pair.sp" in
+    let nl = deck.Parser.netlist in
+    (nl, Option.get (Netlist.find_node nl "a2"))
+  in
+  [
+    ( ladder ~segments:6 (),
+      [ ("rs", `R); ("seg2", `R); ("seg3", `L); ("cap4", `C); ("rload", `R) ],
+      [ ("seg2", `R, 11.0); ("cap4", `C, 7e-14) ],
+      [ ("seg1", `R, 12.0); ("seg4", `R, 4.0); ("seg6", `R, 15.0) ],
+      [ ("seg2", `R, 80.0); ("seg5", `R, 3.0) ],
+      [] );
+    ( coupled,
+      [ ("P1", `R); ("P1", `L); ("P1", `M); ("Ra", `R); ("Ca", `C) ],
+      [ ("P1", `M, 4.1e-9); ("Ra", `R, 30.0) ],
+      [ ("P1", `R, 30.0); ("Ra", `R, 20.0); ("Rb", `R, 33.0) ],
+      [ ("Ra", `R, 40.0); ("Rb", `R, 12.0) ],
+      [] );
+    ( rc_grid (),
+      [ ("rdrv", `R); ("rh11", `R); ("rv01", `R); ("c12", `C); ("rload", `R) ],
+      [ ("rh11", `R, 31.0) ],
+      [ ("rh00", `R, 9.0); ("rv10", `R, 44.0); ("rh21", `R, 7.0) ],
+      [ ("rh01", `R, 90.0); ("rv11", `R, 2.0) ],
+      [ ("rsense", `R, 1e300) ] );
+  ]
+
+(* The %h bits of [evaluate] and [gradient] for all three targets on
+   every serving path (base point, Woodbury update, rank guard,
+   condition guard, singular S, a max_rank 0 refactor) and each
+   workspace's stats.  Recorded before the workspace's fills, guards
+   and handle constructors were merged; a refactor that keeps every
+   float operation in order passes it unedited. *)
+let whatif_digest = "795d9aa7b20c186838d2d73f8d024321"
+
+let test_whatif_bits_pinned () =
+  let buf = Buffer.create 4096 in
+  let omega = 2.0 *. Float.pi *. 1.2e9 in
+  List.iter
+    (fun ((netlist, out), specs, fast, rank, cond, singular) ->
+      let run ?max_rank ?condition_limit settings =
+        let ws = Whatif.compile ?max_rank ?condition_limit netlist in
+        let wrt =
+          Array.of_list (List.map (fun (n, k) -> Whatif.param ws n k) specs)
+        in
+        let set =
+          List.map (fun (n, k, v) -> (Whatif.param ws n k, v)) settings
+        in
+        List.iter
+          (fun target ->
+            Printf.bprintf buf "%h;" (Whatif.evaluate ~set ws target);
+            Array.iter (Printf.bprintf buf "%h,")
+              (Whatif.gradient ~set ws target ~wrt))
+          Whatif.[ Dc_voltage out; Delay out; Ac_mag (out, omega) ];
+        let s = Whatif.stats ws in
+        Printf.bprintf buf "|%d %d %d\n" s.Whatif.updates s.Whatif.refactors
+          s.Whatif.fallbacks
+      in
+      run [];
+      run fast;
+      run ~max_rank:2 rank;
+      run ~condition_limit:(1.0 +. 1e-12) cond;
+      if singular <> [] then run singular;
+      run ~max_rank:0 fast)
+    (pin_decks ());
+  Alcotest.(check string) "digest" whatif_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -764,6 +870,8 @@ let () =
             test_ac_matches_fresh;
           Alcotest.test_case "coupled r/l/m perturbations" `Quick
             test_coupled_mutual_perturbation;
+          Alcotest.test_case "whatif bits pinned" `Quick
+            test_whatif_bits_pinned;
         ] );
       ( "adjoint",
         [
