@@ -16,6 +16,11 @@ type backend = Solver.backend = Auto | Dense | Banded | Sparse
 
 type probe = Node_v of Netlist.node | Branch_i of string
 
+(* The companion system's structure analysis, shared by every run of a
+   structural family: the plan, and the sparse symbolic analysis once a
+   run has factorised the system.  Immutable. *)
+type structure = { plan : Solver.plan; symbolic : Solver.symbolic option }
+
 module Config = struct
   type t = {
     integration : integration;
@@ -26,7 +31,7 @@ module Config = struct
     rtol : float;
     atol : float;
     dt_min : float option;
-    plan_hint : Solver.plan option;
+    plan_hint : structure option;
   }
 
   let default =
@@ -77,6 +82,7 @@ type result = {
   final_v : float array;
   histogram : int array;
   stats : Stats.t;
+  structure : structure;
 }
 
 let time r = Array.copy r.time
@@ -84,6 +90,7 @@ let final_voltages r = Array.copy r.final_v
 let steps_taken r = r.stats.Stats.steps
 let state_iteration_histogram r = Array.copy r.histogram
 let stats r = r.stats
+let final_structure r = r.structure
 
 (* Counters mirror the per-run [Stats.t] into the registry at the end
    of each driver.  LU factorizations are *not* re-added here — every
@@ -268,10 +275,12 @@ type engine = {
       (* the companion matrix: its pattern and slot index are built by
          the first factorisation; later ones reset its values and
          restamp *)
-  mutable sparse_sym : Solver.symbolic option;
-      (* the sparse backend's symbolic analysis, discovered by the
-         first factorisation and replayed by every later (method, dt)
-         restamp — the companion pattern never changes, only values *)
+  mutable structure : structure;
+      (* [plan] and the sparse symbolic analysis every factorisation
+         replays — the companion pattern never changes, only values.
+         The hint itself while its symbolic holds; the first
+         factorisation without one, or a repivot, puts the fresh
+         analysis in a new value *)
 }
 
 let vi node = node - 1
@@ -317,23 +326,25 @@ let stamp_coo coo (circ : circuit) co =
   done
 
 (* Compile and plan: the one path of every engine and of
-   [structure_plan], which the serving layer computes once per
-   structural family and feeds back as [Config.plan_hint] (the
-   *companion* system's plan, distinct from the MNA plan of
-   {!Assembly.of_netlist}).  The companion structure is dt-independent,
-   so one probe stamp (any positive dt) gives the adjacency the shared
-   plan (RCM ordering + bandwidth + backend choice) is built from; a
-   [hint] sized for this system skips the probe and the ordering. *)
-let structure ?hint ~backend netlist =
+   [structure_plan] (the *companion* system's plan, distinct from the
+   MNA plan of {!Assembly.of_netlist}).  The companion structure is
+   dt-independent, so one probe stamp (any positive dt) gives the
+   adjacency the shared plan (RCM ordering + bandwidth + backend
+   choice) is built from; a [hint] sized for this system — a
+   structurally identical deck's [structure_plan] or
+   [final_structure], as the serving layer keeps per family — skips
+   the probe and the ordering. *)
+let analyse ?hint ~backend netlist =
   let circ = compile netlist in
-  match hint with
-  | Some p when p.Solver.n = circ.m -> (circ, p)
+  match (hint : structure option) with
+  | Some s when s.plan.Solver.n = circ.m -> (circ, s)
   | Some _ | None ->
       let probe = Assembly.Coo.create ~size:circ.m in
       stamp_coo probe circ (coefficients circ Trapezoidal 1.0);
-      (circ, Solver.plan ~backend (Assembly.Coo.adjacency probe))
+      let plan = Solver.plan ~backend (Assembly.Coo.adjacency probe) in
+      (circ, { plan; symbolic = None })
 
-let structure_plan ?(backend = Auto) netlist = snd (structure ~backend netlist)
+let structure_plan ?(backend = Auto) netlist = snd (analyse ~backend netlist)
 
 (* An engine whose steps are [top / 2^level] for level < [levels], or
    off that grid. *)
@@ -341,10 +352,11 @@ let make_engine (config : Config.t) netlist ~top ~levels =
   let max_state_iterations = config.Config.max_state_iterations in
   if max_state_iterations < 1 then
     invalid_arg "Transient: max_state_iterations < 1";
-  let circ, plan =
-    structure ?hint:config.Config.plan_hint ~backend:config.Config.backend
+  let circ, structure =
+    analyse ?hint:config.Config.plan_hint ~backend:config.Config.backend
       netlist
   in
+  let plan = structure.plan in
   let n = circ.n_nodes and n_el = Array.length circ.tag in
   let n_invs = Array.length circ.devs in
   let state () =
@@ -381,7 +393,7 @@ let make_engine (config : Config.t) netlist ~top ~levels =
     past_t = Array.make 3 0.0;
     histogram = Array.make max_state_iterations 0;
     max_state_iterations; nonconverged = 0; factorizations = 0;
-    coo = Assembly.Coo.create ~size:circ.m; sparse_sym = None;
+    coo = Assembly.Coo.create ~size:circ.m; structure;
   }
 
 (* The companion of [meth] at [eng.step.dt]: at [level] on the grid,
@@ -408,13 +420,17 @@ let companion eng meth level =
       let co = coefficients eng.circ meth dt in
       Assembly.Coo.reset eng.coo;
       stamp_coo eng.coo eng.circ co;
+      let s = eng.structure in
       let factor =
         try
-          Solver.factor ?symbolic:eng.sparse_sym eng.plan
+          Solver.factor ?symbolic:s.symbolic eng.plan
             ~fill:(Assembly.Coo.iter eng.coo)
         with Solver.Singular -> failwith "Transient: singular MNA matrix"
       in
-      if eng.sparse_sym = None then eng.sparse_sym <- Solver.symbolic_of factor;
+      (match (s.symbolic, Solver.symbolic_of factor) with
+      | Some a, Some b when a == b -> ()
+      | None, None -> ()
+      | _, symbolic -> eng.structure <- { s with symbolic });
       let c = { co; factor } in
       eng.levels.(slot) <- Some c;
       if level < 0 then eng.off_dt.(mi) <- dt;
@@ -687,6 +703,7 @@ let finish eng probes bufs ~steps ~rejected ~forced =
           if node = 0 then 0.0 else eng.cur.v.(eng.plan.Solver.perm.(vi node)));
     histogram = Array.copy eng.histogram;
     stats;
+    structure = eng.structure;
   }
 
 (* ---------------- fixed-step driver ---------------- *)

@@ -44,6 +44,19 @@ type probe =
 
 type result
 
+type structure = private {
+  plan : Rlc_numerics.Solver.plan;
+      (** ordering + backend choice over the companion-model pattern *)
+  symbolic : Rlc_numerics.Solver.symbolic option;
+      (** the sparse symbolic analysis of the companion matrix, once a
+          run on a sparse plan has factorised it *)
+}
+(** The companion system's structure analysis, shared by every run of
+    a structural family (equal {!Netlist.structural_signature}).
+    Immutable — safe to share across {!Rlc_parallel.Pool} domains.
+    {!structure_plan} builds one without a symbolic; a run's
+    {!final_structure} carries the symbolic it factorised with. *)
+
 (** Engine configuration as a single record instead of a growing spread
     of optional labels.  Build one with functional record update:
 
@@ -69,24 +82,33 @@ module Config : sig
     dt_min : float option;  (** adaptive step floor, rounded down to
         the dt_max / 2^k grid, and the size of an adaptive run's
         first three steps (default [dt_max /. 4096.]) *)
-    plan_hint : Rlc_numerics.Solver.plan option;
-        (** a {!structure_plan} of a structurally identical deck
-            (equal {!Netlist.structural_signature}): skips the
-            engine's structure probe and ordering pass.  Ignored when
-            its size does not match.  Since a plan is a pure function
-            of the companion structure, waveforms are bit-identical
-            with or without the hint — it only saves the analysis.
-            (default [None]) *)
+    plan_hint : structure option;
+        (** a {!structure} of a structurally identical deck (equal
+            {!Netlist.structural_signature}), from {!structure_plan}
+            or a run's {!final_structure}: skips the engine's
+            structure probe and ordering pass, and when it carries a
+            symbolic, every factorisation replays it (a numeric
+            refactor, no pivot search) instead of the first one
+            analysing.  Ignored when its size does not match.  The
+            plan is a pure function of the companion structure and a
+            replay is numerically the factorisation of its pivot
+            sequence, so waveforms are bit-identical with or without
+            the hint wherever the value variant's own analysis picks
+            the same pivots — it only saves the analysis.  A replay
+            that turns unstable re-analyses
+            ({!Rlc_numerics.Solver.factor}).  (default [None]) *)
   }
 
   val default : t
 end
 
-val structure_plan : ?backend:backend -> Netlist.t -> Rlc_numerics.Solver.plan
+val structure_plan : ?backend:backend -> Netlist.t -> structure
 (** The engine's structure analysis (RCM/min-degree ordering +
     backend choice over the companion-model pattern) without building
-    an engine — compute once per structural family, reuse via
-    [Config.plan_hint].  Note the companion system's unknown count is
+    an engine or factorising — compute once per structural family,
+    reuse via [Config.plan_hint].  Its [symbolic] is [None]: the first
+    run given it discovers the symbolic, and its {!final_structure}
+    carries it.  Note the companion system's unknown count is
     [nodes - 1 + vsources], distinct from {!Assembly.of_netlist}'s MNA
     plan.  Raises [Invalid_argument] on an empty circuit. *)
 
@@ -157,6 +179,15 @@ val final_voltages : result -> float array
 (** Node voltages at [t_end] (index = node id). *)
 
 val steps_taken : result -> int
+
+val final_structure : result -> structure
+(** The companion structure the run ended with.  It is the
+    [Config.plan_hint] itself (physically) when the run used the hint
+    and every factorisation replayed its symbolic, or found none to
+    discover (dense and banded plans); otherwise a new value with the
+    run's plan and the symbolic of its last analysis — the first one
+    on a hint without a symbolic, or a repivot's.  A cache compares
+    it physically with the hint it gave to know when to store it. *)
 
 (** Per-run work/diagnostic counters, as one record.  The same numbers
     are also published to the {!Rlc_instr.Metrics} registry

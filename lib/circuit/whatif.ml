@@ -59,14 +59,16 @@ type t = {
 }
 
 let assembly t = t.asm
+let g_symbolic t = t.g_symbolic
 
-let compile ?(max_rank = 8) ?(condition_limit = 1e8) ?(f = 0.5) netlist =
+let compile ?(max_rank = 8) ?(condition_limit = 1e8) ?(f = 0.5) ?assembly
+    ?symbolic netlist =
   if max_rank < 0 then invalid_arg "Whatif.compile: max_rank < 0";
   if not (condition_limit > 1.0) then
     invalid_arg "Whatif.compile: condition_limit <= 1";
   if f <= 0.0 || f >= 1.0 then invalid_arg "Whatif.compile: f outside (0,1)";
-  let asm = Assembly.of_netlist netlist in
-  let sys = Dc.make ~assembly:asm netlist in
+  let sys = Dc.make ?assembly ?symbolic netlist in
+  let asm = Dc.assembly sys in
   M.incr m_compile;
   {
     netlist;

@@ -43,6 +43,8 @@ val compile :
   ?max_rank:int ->
   ?condition_limit:float ->
   ?f:float ->
+  ?assembly:Assembly.t ->
+  ?symbolic:Rlc_numerics.Solver.symbolic ->
   Netlist.t ->
   t
 (** Compile and factor once.  [max_rank] (default 8) bounds the update
@@ -52,9 +54,25 @@ val compile :
     on the Woodbury capacitance matrix.  [f] (default 0.5) is the
     threshold fraction of the {!target.Delay} objective.  Raises like
     {!Dc.make} (singular deck, unsettled inverters) and
-    [Invalid_argument] on bad arguments. *)
+    [Invalid_argument] on bad arguments.
+
+    [?assembly] and [?symbolic] are {!Dc.make}'s compiled-deck hooks,
+    passed through: an already-stamped IR of [netlist] (the workspace
+    only reads it, so it may be shared) skips planning and
+    validation, and a sparse analysis of the same G pattern turns the
+    base factorisation, and every refactor-path evaluation, into a
+    numeric replay.  Sound only across decks with equal
+    {!Netlist.structural_signature}; with them, the workspace is
+    bit-identical to a plain [compile] wherever the variant's own
+    analysis would pick the same pivots.  The workspace itself stays
+    per caller: it is mutable. *)
 
 val assembly : t -> Assembly.t
+
+val g_symbolic : t -> Rlc_numerics.Solver.symbolic option
+(** The sparse analysis behind the base factor, as {!Dc.g_symbolic}:
+    physically the [?symbolic] passed to {!compile} unless its replay
+    fell back to a fresh analysis. *)
 
 (** {1 Parameters} *)
 

@@ -12,7 +12,7 @@ type entry = {
   asm_plan : Solver.plan;
   mutable dc_sym : Solver.symbolic option;
   mutable ac_sym : Solver.symbolic option;
-  mutable tran_plan : Solver.plan option;
+  mutable tran_plan : Rlc_circuit.Transient.structure option;
 }
 
 type t = {

@@ -3,10 +3,19 @@
 
     An entry holds everything about a deck that depends only on its
     {e structure} — the {!Rlc_numerics.Solver.plan} of the MNA
-    assembly, the sparse symbolic analyses of the DC factorisation and
-    the AC sweep engine, and the transient companion-system plan — so
-    a value-only variant of a cached deck skips validation, ordering
-    and symbolic analysis and goes straight to numeric refactor.
+    assembly, the sparse symbolic analyses of the DC factorisation
+    (which delay-sens what-if workspaces replay too) and the AC sweep
+    engine, and the transient companion structure (plan and symbolic)
+    — so a value-only variant of a cached deck skips validation,
+    ordering and symbolic analysis and goes straight to numeric
+    refactor.
+
+    The serving layer builds the MNA plan when it first stamps a
+    family, and the DC and AC symbolics in its prepare phase the first
+    time a family needs them.  A job that ends with an artifact other
+    than the one it was given — the first transient run of a family,
+    with its companion structure, or any repivot fallback — hands it
+    back, and the coordinator installs it between batches.
 
     Because the order-independent hash is coarser than what artifact
     reuse requires, each entry also records the deck's exact
@@ -26,10 +35,11 @@ type entry = {
   asm_plan : Solver.plan;  (** the {!Rlc_circuit.Assembly} plan *)
   mutable dc_sym : Solver.symbolic option;
   mutable ac_sym : Solver.symbolic option;
-  mutable tran_plan : Solver.plan option;
-      (** the transient companion-system plan — a different structure
-          than [asm_plan] (no inductor branch rows, symmetric vsource
-          rows), see {!Rlc_circuit.Transient.structure_plan} *)
+  mutable tran_plan : Rlc_circuit.Transient.structure option;
+      (** the transient companion structure — a different system
+          than [asm_plan]'s (no inductor branch rows, symmetric vsource
+          rows), see {!Rlc_circuit.Transient.structure}; handed back
+          by the family's first transient run *)
 }
 
 type t

@@ -129,14 +129,16 @@ let deck_text = function
 
 let sparse_plan (p : Solver.plan) = p.Solver.choice = Solver.Sparse_lu
 
-(* Build the artifacts [query] needs that [e] still lacks — runs at
-   most once per (family, query kind), sequentially, so the entry
-   mutation is domain-safe.  The failures its three calls raise on a
-   bad deck (a singular matrix, an empty circuit) are swallowed:
-   execution hits the same condition on the same values and reports it
-   per job, keeping cold and warm passes identical.  Anything else
-   ([Out_of_memory], [Stack_overflow], a bug) propagates. *)
-let ensure_artifacts e netlist query asm =
+(* Build the DC and AC symbolics [query] needs that [e] still lacks —
+   runs at most once per (family, query kind), sequentially, so the
+   entry mutation is domain-safe.  The transient companion structure is
+   not built here: the family's first run plans and analyses it anyway
+   and hands it back (see [install]).  The failures its two calls raise
+   on a bad deck (a singular matrix) are swallowed: execution hits the
+   same condition on the same values and reports it per job, keeping
+   cold and warm passes identical.  Anything else ([Out_of_memory],
+   [Stack_overflow], a bug) propagates. *)
+let ensure_artifacts e query asm =
   try
     match query with
     | Protocol.Q_dc _ | Protocol.Q_delay_sens _ ->
@@ -148,9 +150,7 @@ let ensure_artifacts e netlist query asm =
           e.Deck_cache.ac_sym <-
             Assembly.cengine_symbolic
               (Assembly.cengine asm ~s_ref:(Ac.s_of_freq fstart))
-    | Protocol.Q_tran _ | Protocol.Q_delay _ ->
-        if e.Deck_cache.tran_plan = None then
-          e.Deck_cache.tran_plan <- Some (Transient.structure_plan netlist)
+    | Protocol.Q_tran _ | Protocol.Q_delay _ -> ()
   with
   | Failure _ | Invalid_argument _ | Solver.Singular -> ()
 
@@ -224,7 +224,7 @@ let stage t text query =
         Deck_cache.insert_key t.cache skey e;
         Some e
   in
-  Option.iter (fun e -> ensure_artifacts e netlist query asm) entry;
+  Option.iter (fun e -> ensure_artifacts e query asm) entry;
   (netlist, entry, asm)
 
 let prepare t line =
@@ -277,29 +277,49 @@ let waveform_summary w =
     values;
   (values.(n - 1), !vmin, !vmax)
 
+(* What a job hands back to phase C: the artifact it ended with, for
+   the entry slot it read [given] from, when the two differ — the
+   companion structure of a family's first transient run, or the
+   symbolic of a repivot fallback that abandoned the cached analysis
+   (the factor no longer shares it physically). *)
+type handback =
+  | Dc_sym of { given : Solver.symbolic option; ended : Solver.symbolic }
+  | Tran_structure of {
+      given : Transient.structure option;
+      ended : Transient.structure;
+    }
+
+let dc_handback given ended =
+  match (given, ended) with
+  | Some g, Some e when g == e -> None
+  | _, Some ended -> Some (Dc_sym { given; ended })
+  | _, None -> None
+
 let simulate_probe entry netlist node ~dt ~t_end =
-  let plan_hint = Option.bind entry (fun e -> e.Deck_cache.tran_plan) in
-  let config = { Transient.Config.default with plan_hint } in
+  let given = Option.bind entry (fun e -> e.Deck_cache.tran_plan) in
+  let config = { Transient.Config.default with plan_hint = given } in
   let probe = Transient.Node_v node in
   let res = Transient.simulate ~config netlist ~t_end ~dt ~probes:[ probe ] in
-  (Transient.get res probe, Transient.steps_taken res)
+  let ended = Transient.final_structure res in
+  let handback =
+    match given with
+    | Some g when g == ended -> None
+    | _ -> Some (Tran_structure { given; ended })
+  in
+  (Transient.get res probe, Transient.steps_taken res, handback)
 
-(* Runs on a pool worker.  Returns the job's outcome plus, for DC, the
-   fresh symbolic when the cached one was abandoned by the repivot
-   fallback (the factor no longer shares it physically) — the
-   coordinator installs it in phase C. *)
+(* Runs on a pool worker: the job's outcome and its hand-back, which
+   the coordinator installs in phase C.  Every query reads the memo
+   entry's stamped assembly and the family's cached symbolics, so a
+   warm job plans and analyses nothing. *)
 let run_query ~entry ~asm (job : Protocol.job) netlist =
+  let dc_sym = Option.bind entry (fun e -> e.Deck_cache.dc_sym) in
   match job.Protocol.query with
   | Protocol.Q_dc { node } ->
       let n = resolve_node netlist node in
-      let symbolic = Option.bind entry (fun e -> e.Deck_cache.dc_sym) in
-      let sys = Dc.make ~assembly:asm ?symbolic netlist in
-      let refresh =
-        match (symbolic, Dc.g_symbolic sys) with
-        | Some cached, (Some fresh as r) when not (cached == fresh) -> r
-        | _ -> None
-      in
-      (Protocol.R_dc (Dc.voltages sys).(n), refresh)
+      let sys = Dc.make ~assembly:asm ?symbolic:dc_sym netlist in
+      ( Protocol.R_dc (Dc.voltages sys).(n),
+        dc_handback dc_sym (Dc.g_symbolic sys) )
   | Protocol.Q_ac { node; points_per_decade; fstart; fstop } ->
       let n = resolve_node netlist node in
       if n = Netlist.ground then failwith "cannot ac-probe ground";
@@ -322,21 +342,25 @@ let run_query ~entry ~asm (job : Protocol.job) netlist =
       (Protocol.R_ac points, None)
   | Protocol.Q_tran { node; dt; t_end } ->
       let n = resolve_node netlist node in
-      let w, steps = simulate_probe entry netlist n ~dt ~t_end in
+      let w, steps, handback = simulate_probe entry netlist n ~dt ~t_end in
       let final, vmin, vmax = waveform_summary w in
-      (Protocol.R_tran { final; vmin; vmax; steps }, None)
+      (Protocol.R_tran { final; vmin; vmax; steps }, handback)
   | Protocol.Q_delay { node; fraction; dt; t_end } ->
       let n = resolve_node netlist node in
-      let w, _ = simulate_probe entry netlist n ~dt ~t_end in
+      let w, _, handback = simulate_probe entry netlist n ~dt ~t_end in
       let v_final, _, _ = waveform_summary w in
       ( Protocol.R_delay
           (Rlc_waveform.Measure.threshold_delay w ~fraction ~v_final),
-        None )
+        handback )
   | Protocol.Q_delay_sens { node; fraction; params } ->
       let n = resolve_node netlist node in
       if n = Netlist.ground then
         failwith "cannot take delay sensitivities at ground";
-      let ws = Whatif.compile ~f:fraction netlist in
+      (* the workspace is mutable, so it is built per job, but from
+         the cached assembly and DC symbolic *)
+      let ws =
+        Whatif.compile ~f:fraction ~assembly:asm ?symbolic:dc_sym netlist
+      in
       let parse_param tok =
         let bad () =
           failwith (Printf.sprintf "bad param %S (want name:r|l|c|m)" tok)
@@ -366,7 +390,8 @@ let run_query ~entry ~asm (job : Protocol.job) netlist =
       let sens =
         Array.map2 (fun tok v -> (tok, v)) (Array.of_list params) g
       in
-      (Protocol.R_delay_sens { tau; sens }, None)
+      ( Protocol.R_delay_sens { tau; sens },
+        dc_handback dc_sym (Whatif.g_symbolic ws) )
 
 let latency_hist = function
   | Protocol.Q_dc _ -> m_dc_s
@@ -406,9 +431,9 @@ let execute prep =
       match
         Span.with_ "serve.job" (fun () -> run_query ~entry ~asm job netlist)
       with
-      | outcome, refresh ->
+      | outcome, handback ->
           finish ~status:"ok"
-            ({ Protocol.id = job.Protocol.id; reply = Ok outcome }, refresh)
+            ({ Protocol.id = job.Protocol.id; reply = Ok outcome }, handback)
       | exception e ->
           let msg =
             match e with
@@ -435,6 +460,29 @@ let health_note prep =
           Some (Printf.sprintf "%s (%s)" (Health.to_string c) reason)
       | None -> None)
 
+(* Phase C's one install rule, for every cached symbolic: a hand-back
+   replaces the slot it was read from while the slot still holds what
+   the job was given, so the first hand-back of a batch wins.  Replacing
+   a cached artifact (a repivot) counts as a resym; filling an empty
+   slot (a first discovery) does not. *)
+let install t e prov handback =
+  let replaced =
+    match handback with
+    | Dc_sym { given; ended } when e.Deck_cache.dc_sym == given ->
+        e.Deck_cache.dc_sym <- Some ended;
+        Option.is_some given
+    | Tran_structure { given; ended } when e.Deck_cache.tran_plan == given ->
+        e.Deck_cache.tran_plan <- Some ended;
+        Option.is_some given
+    | Dc_sym _ | Tran_structure _ -> false
+  in
+  if replaced then begin
+    t.resyms <- t.resyms + 1;
+    M.incr m_resym;
+    if Journal.capturing () then
+      Journal.with_provenance prov (fun () -> Journal.record "cache.resym" [])
+  end
+
 let run_batch t lines =
   let clock = Timer.start () in
   let preps =
@@ -445,15 +493,9 @@ let run_batch t lines =
   let capturing = Journal.capturing () in
   let rendered =
     Array.mapi
-      (fun i (result, refresh) ->
-        (match (refresh, preps.(i)) with
-        | Some _, E_run { entry = Some e; prov; _ } ->
-            e.Deck_cache.dc_sym <- refresh;
-            t.resyms <- t.resyms + 1;
-            M.incr m_resym;
-            if capturing then
-              Journal.with_provenance prov (fun () ->
-                  Journal.record "cache.resym" [])
+      (fun i (result, handback) ->
+        (match (handback, preps.(i)) with
+        | Some h, E_run { entry = Some e; prov; _ } -> install t e prov h
         | _ -> ());
         (match result.Protocol.reply with
         | Error _ ->

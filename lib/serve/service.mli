@@ -8,22 +8,27 @@
       deck, probe the cache by structural hash + signature, and — for
       the first job of each structural family and query kind — build
       the shared artifacts (MNA plan, DC / AC sparse symbolic
-      analyses, transient companion plan).  All cache mutation happens
-      here, on the coordinating domain.
+      analyses).  The transient companion structure is not built
+      here: the family's first [tran] or [delay] run hands back the
+      one it planned and analysed.
     + {b execute} (parallel): solve each job on the pool, reading the
       immutable cached artifacts.  Every exception is caught and
       becomes that job's [err] result — a bad job never aborts the
       stream.  Results come back slot-indexed, so the output order is
       the input order at any domain count.
-    + {b postprocess} (sequential): install refreshed DC symbolics
-      (see below), bump counters, and render result lines.
+    + {b postprocess} (sequential): install the hand-backs — a
+      symbolic a job ended with other than the one it was given — in
+      the entry slot it was read from, while that slot still holds
+      what the job was given; bump counters, and render result lines.
+      All cache mutation happens in prepare and postprocess, on the
+      coordinating domain.
 
-    {b Determinism.}  Because artifacts are created only in the
-    sequential prepare phase — always by the first job of a family —
-    every execution, including the very first, goes through the same
-    refactor-with-cached-symbolic path.  A cold service and a warm one
-    therefore produce bit-identical result streams, as do runs at any
-    [RLC_JOBS] setting.
+    {b Determinism.}  Plans are pure functions of structure, and a
+    replayed sparse analysis gives the bits a fresh one would wherever
+    the variant's own analysis picks the same pivots.  Under that
+    condition a cold service and a warm one produce bit-identical
+    result streams, as do runs at any [RLC_JOBS] setting and batch
+    size.
 
     {b Cache poisoning visibility.}  When a value-only variant drifts
     far enough that the replayed pivot sequence goes bad,
@@ -31,8 +36,8 @@
     analysis (counted on [solver.sparse.repivot]).  The service
     detects the fallback per job — the resulting factor no longer
     shares the cached symbolic — counts it on [serve.cache.resym],
-    and installs the fresh symbolic in the entry so later variants
-    replay the better-conditioned pivots. *)
+    and hands the fresh symbolic back for the entry, so later
+    variants replay the better-conditioned pivots. *)
 
 type config = {
   pool : Rlc_parallel.Pool.t;  (** execution pool; {!default_config}

@@ -625,7 +625,7 @@ let test_rc_opt_tau_is_elmore_at_optimum () =
   let stage =
     Stage.of_node node250 ~l:0.0 ~h:rc.Rc_opt.h_opt ~k:rc.Rc_opt.k_opt
   in
-  check_close "tau_opt = Elmore(h*,k*)" rc.Rc_opt.tau_opt
+  check_rel "tau_opt = Elmore(h*,k*)" rc.Rc_opt.tau_opt
     (Elmore.stage_delay stage)
 
 let test_derive_driver_roundtrip () =
@@ -943,7 +943,7 @@ let test_km_dominant_pole_accuracy () =
   Alcotest.(check bool) "applicable" true (Kahng_muddu.is_applicable cs);
   let km = Kahng_muddu.delay cs in
   let exact = Delay.of_coeffs cs in
-  check_close "km vs exact" exact km ~tol:0.05
+  check_rel "km vs exact" exact km ~tol:0.05
 
 let test_km_critical_fallback_is_b2_over_b1 () =
   (* inside the fallback band the KM delay is 1.9 b2 / b1.  b1 does

@@ -110,7 +110,7 @@ let test_talbot_50pct_delay () =
     Rlc_waveform.Waveform.of_fn ~n:1200 exact ~t0:0.0 ~t1:(6.0 *. tau)
   in
   let w = simulate_stage ~segments:40 stage ~t_end:(6.0 *. tau) ~dt:(tau /. 2000.0) in
-  check_close "talbot vs ladder 50% delay" (delay_50 exact_wf) (delay_50 w)
+  check_rel "talbot vs ladder 50% delay" (delay_50 exact_wf) (delay_50 w)
     ~tol:0.03
 
 (* ---- optimizer vs brute-force grid ---- *)

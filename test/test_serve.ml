@@ -3,8 +3,9 @@
    (malformed lines become per-job errors, never a crash), the
    compiled-deck cache (hits on value-only variants, alias safety, LRU
    eviction, zero repivot fallbacks on value-only sweeps), and the
-   cache hooks themselves (Dc ?assembly/?symbolic, Transient
-   plan_hint, cengine ?symbolic all bitwise-neutral). *)
+   cache hooks themselves (Dc ?assembly/?symbolic, Whatif
+   ?assembly/?symbolic, Transient plan_hint with and without a
+   companion symbolic, cengine ?symbolic all bitwise-neutral). *)
 
 open Rlc_circuit
 open Rlc_numerics
@@ -330,6 +331,20 @@ let mixed_lines =
     job "e0" "dc nowhere" (divider_deck "1k");
   ]
 
+(* transient, delay and delay-sens jobs on a sparse grid at two value
+   scales: the second scale replays the first's companion and DC
+   symbolics once they are cached *)
+let grid_lines =
+  List.concat_map
+    (fun (tag, scale) ->
+      let deck = grid_deck ~scale 24 in
+      [
+        job ("t" ^ tag) "tran n_23_23 100p 5n" deck;
+        job ("y" ^ tag) "delay n_23_23 0.5 100p 5n" deck;
+        job ("s" ^ tag) "delay-sens n_23_23 0.5 Rh0_0:r Rv0_0:r C1_1:c" deck;
+      ])
+    [ ("0", 1.0); ("1", 1.1) ]
+
 let test_cold_warm_identical () =
   let svc = Service.create () in
   let cold = Service.process_lines svc mixed_lines in
@@ -343,13 +358,43 @@ let test_cold_warm_identical () =
   let fresh, _ = run_lines mixed_lines in
   Alcotest.(check (list string)) "fresh service agrees" cold fresh
 
+let test_grid_cold_warm_identical () =
+  let svc = Service.create () in
+  let cold = Service.process_lines svc grid_lines in
+  List.iter
+    (fun l ->
+      if not (String.starts_with ~prefix:"ok " l) || String.length l < 20
+      then Alcotest.failf "job failed: %s" l)
+    cold;
+  with_recording true (fun () ->
+      let count name = M.value (M.counter name) in
+      let analyze = count "solver.sparse.analyze"
+      and canalyze = count "solver.sparse.canalyze" in
+      let warm = Service.process_lines svc grid_lines in
+      Alcotest.(check (list string))
+        "warm grid pass is bit-identical to the cold pass" cold warm;
+      Alcotest.(check (float 0.0))
+        "a warm pass does no sparse analysis" analyze
+        (count "solver.sparse.analyze");
+      Alcotest.(check (float 0.0))
+        "a warm pass does no complex sparse analysis" canalyze
+        (count "solver.sparse.canalyze"));
+  Alcotest.(check int) "no symbolic refreshes" 0
+    (Service.summary svc).Service.resyms;
+  let fresh, _ = run_lines grid_lines in
+  Alcotest.(check (list string)) "fresh service agrees" cold fresh
+
 let test_domain_count_invariance () =
   let sequential, _ = run_lines mixed_lines in
   let pool = Pool.create ~domains:4 () in
   let config = { Service.default_config with pool; batch_size = 3 } in
   let parallel, _ = run_lines ~config mixed_lines in
   Alcotest.(check (list string))
-    "4-domain stream equals sequential stream" sequential parallel
+    "4-domain stream equals sequential stream" sequential parallel;
+  let sequential, _ = run_lines grid_lines in
+  let parallel, _ = run_lines ~config grid_lines in
+  Alcotest.(check (list string))
+    "4-domain grid stream equals sequential stream" sequential parallel
 
 (* the exact-text memo is a pure shortcut: disabling it (capacity 0)
    must not change a byte of the stream, warm or cold *)
@@ -368,7 +413,16 @@ let test_memo_transparent () =
   let config = { Service.default_config with memo_capacity = 1 } in
   let tiny, _ = run_lines ~config mixed_lines in
   Alcotest.(check (list string)) "memo capacity 1: stream unchanged"
-    baseline tiny
+    baseline tiny;
+  let baseline, _ = run_lines grid_lines in
+  let config = { Service.default_config with memo_capacity = 0 } in
+  let svc = Service.create ~config () in
+  let cold = Service.process_lines svc grid_lines in
+  let warm = Service.process_lines svc grid_lines in
+  Alcotest.(check (list string)) "memo off: cold grid stream unchanged"
+    baseline cold;
+  Alcotest.(check (list string)) "memo off: warm grid stream unchanged"
+    baseline warm
 
 (* ---------------- memory: a dropped service leaves nothing -------- *)
 
@@ -463,6 +517,86 @@ let test_transient_plan_hint_bitwise () =
   in
   check_bits "mismatched hint ignored" plain mismatched
 
+(* The delay-sens hooks: a workspace compiled from a cached assembly
+   and DC symbolic evaluates and differentiates exactly like a plain
+   one, at the deck the symbolic came from and at a value variant that
+   replays it. *)
+let test_whatif_hooks_bitwise () =
+  let base_nl = parse (grid_deck 24) in
+  let base_asm = Assembly.of_netlist base_nl in
+  let symbolic = Solver.symbolic_of (Assembly.factor_g base_asm) in
+  Alcotest.(check bool) "grid-24 factors sparse" true (symbolic <> None);
+  let sample ws nl =
+    let far = Option.get (Netlist.find_node nl "n_23_23") in
+    let target = Whatif.Delay far in
+    let wrt =
+      [|
+        Whatif.param ws "Rh0_0" `R;
+        Whatif.param ws "Rv0_0" `R;
+        Whatif.param ws "C1_1" `C;
+      |]
+    in
+    let set = [ (wrt.(0), 1.2 *. Whatif.base_value wrt.(0)) ] in
+    Array.concat
+      [
+        [| Whatif.evaluate ws target; Whatif.evaluate ~set ws target |];
+        Whatif.gradient ws target ~wrt;
+      ]
+  in
+  List.iter
+    (fun scale ->
+      let nl = parse (grid_deck ~scale 24) in
+      let assembly =
+        Assembly.of_netlist ~plan:base_asm.Assembly.plan ~validate:false nl
+      in
+      let hooked = Whatif.compile ~assembly ?symbolic nl in
+      let plain = sample (Whatif.compile nl) nl in
+      if not (Array.for_all Float.is_finite plain) then
+        Alcotest.failf "scale %g: delay or gradient not finite" scale;
+      check_bits
+        (Printf.sprintf "scale %g: hooked workspace bit-identical" scale)
+        plain (sample hooked nl);
+      match (symbolic, Whatif.g_symbolic hooked) with
+      | Some a, Some b when a == b -> ()
+      | _ -> Alcotest.failf "scale %g: the base factor must replay" scale)
+    [ 1.0; 1.1 ]
+
+(* The companion structure a run ends with carries its sparse symbolic;
+   handed to a value variant it replaces every analysis with a replay
+   and leaves the waveform bit-identical. *)
+let test_transient_structure_bitwise () =
+  let run ?hint ?scale n =
+    let nl = parse (grid_deck ?scale n) in
+    let far = Netlist.find_node nl (Printf.sprintf "n_%d_%d" (n - 1) (n - 1)) in
+    let probe = Transient.Node_v (Option.get far) in
+    let config = { Transient.Config.default with plan_hint = hint } in
+    let r =
+      Transient.simulate ~config nl ~t_end:5e-9 ~dt:1e-10 ~probes:[ probe ]
+    in
+    ( Rlc_waveform.Waveform.values (Transient.get r probe),
+      Transient.final_structure r )
+  in
+  let _, learned = run 24 in
+  Alcotest.(check bool) "grid-24 companion plans sparse" true
+    (learned.Transient.plan.Solver.choice = Solver.Sparse_lu);
+  Alcotest.(check bool) "the run hands back its symbolic" true
+    (learned.Transient.symbolic <> None);
+  let plain, _ = run ~scale:1.1 24 in
+  with_recording true (fun () ->
+      let analyze = M.counter "solver.sparse.analyze" in
+      let before = M.value analyze in
+      let hinted, ended = run ~hint:learned ~scale:1.1 24 in
+      check_bits "replayed companion symbolic leaves the waveform bit-identical"
+        plain hinted;
+      Alcotest.(check (float 0.0)) "no analysis under the hint" before
+        (M.value analyze);
+      Alcotest.(check bool) "the replayed hint is handed back unchanged" true
+        (ended == learned));
+  (* a structure sized for another deck is ignored *)
+  let plain, _ = run 6 in
+  let mismatched, _ = run ~hint:learned 6 in
+  check_bits "mismatched structure ignored" plain mismatched
+
 let test_cengine_symbolic_bitwise () =
   let asm = Assembly.of_netlist (parse (grid_deck 24)) in
   let freqs = Ac.decade_grid ~points_per_decade:3 ~fstart:1e6 ~fstop:1e9 in
@@ -555,6 +689,8 @@ let () =
           Alcotest.test_case "domain-count invariant" `Quick
             test_domain_count_invariance;
           Alcotest.test_case "memo transparent" `Quick test_memo_transparent;
+          Alcotest.test_case "grids: cold = warm = fresh, no analyses" `Quick
+            test_grid_cold_warm_identical;
         ] );
       ( "memory",
         [
@@ -569,6 +705,10 @@ let () =
             test_transient_plan_hint_bitwise;
           Alcotest.test_case "cengine ?symbolic" `Quick
             test_cengine_symbolic_bitwise;
+          Alcotest.test_case "whatif ?assembly/?symbolic" `Quick
+            test_whatif_hooks_bitwise;
+          Alcotest.test_case "transient companion symbolic" `Quick
+            test_transient_structure_bitwise;
         ] );
       ( "metrics",
         [ Alcotest.test_case "hist_quantiles" `Quick test_hist_quantiles ]

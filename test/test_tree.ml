@@ -233,7 +233,7 @@ let test_buffering_dp_matches_exhaustive () =
           if d < !best then best := d)
         choices)
     choices;
-  check_close "dp equals exhaustive optimum" !best plan.Buffering.worst_delay
+  check_rel "dp equals exhaustive optimum" !best plan.Buffering.worst_delay
     ~tol:1e-9
 
 let test_buffering_plan_evaluates_consistently () =
