@@ -6,13 +6,12 @@ all: build
 
 # what CI runs (see .github/workflows/ci.yml): the test suite under a
 # sequential and a 4-domain pool, once more with metrics recording on
-# (results must not change by a bit), the bench smoke (which asserts
-# the parallel runs are bit-identical, gates the disabled-path
-# instrumentation overhead and the serving layer's warm >= 2x cache
-# speedup, and records BENCH_parallel.json / BENCH_instr.json /
-# BENCH_serve.json), the rlcserved demo round-trip, the rlcsim
-# example-netlist golden, and the observability gate below (in-process
-# vs offline trace identity)
+# (results must not change by a bit), the bench smoke (every gated
+# section of bench/main.ml: it fails on the first missed gate and
+# records each section's payload plus a "gates" object of value,
+# bound and margin in the seven smoke BENCH_*.json files), the
+# rlcserved demo round-trip, the rlcsim example-netlist golden, and
+# the observability gate below (in-process vs offline trace identity)
 check: build test test-jobs4 stats-check bench-smoke serve-demo netlist-demo obs-check
 
 # observability self-check: run the demo job stream with both
@@ -59,7 +58,9 @@ bench:
 bench-fast:
 	dune exec bench/main.exe -- --fast
 
-# tiny dense-vs-banded cross-check (also part of `dune runtest`)
+# the gated bench sections at small sizes (also part of `dune runtest`,
+# after the test suites); rewrites BENCH_opt, _sparse, _mor, _instr,
+# _parallel, _whatif and _serve.json in the current directory
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 

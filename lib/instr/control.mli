@@ -1,10 +1,6 @@
 (** The on/off switch and the CLI-facing conveniences behind
     [--stats] / [--trace] / [--journal] / [RLC_STATS]. *)
 
-val env_stats : bool
-(** Whether [RLC_STATS] was set truthy ([1]/[true]/[yes]/[on]) when
-    the process started. Recording defaults to this. *)
-
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Flip recording globally. Flip only at quiescent points (no worker

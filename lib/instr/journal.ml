@@ -63,23 +63,23 @@ let events () =
 let line_of_event e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"ts_us\":";
-  Buffer.add_string buf (Shard.json_num e.ts_us);
+  Buffer.add_string buf (Jsonv.number e.ts_us);
   Buffer.add_string buf (Printf.sprintf ",\"shard\":%d" e.shard);
   if e.provenance <> "" then begin
     Buffer.add_string buf ",\"prov\":";
-    Shard.add_json_string buf e.provenance
+    Jsonv.add_quoted buf e.provenance
   end;
   Buffer.add_string buf ",\"event\":";
-  Shard.add_json_string buf e.name;
+  Jsonv.add_quoted buf e.name;
   List.iter
     (fun (k, v) ->
       Buffer.add_char buf ',';
-      Shard.add_json_string buf k;
+      Jsonv.add_quoted buf k;
       Buffer.add_char buf ':';
       match v with
-      | Num x -> Buffer.add_string buf (Shard.json_num x)
+      | Num x -> Buffer.add_string buf (Jsonv.number x)
       | Int n -> Buffer.add_string buf (string_of_int n)
-      | Str s -> Shard.add_json_string buf s)
+      | Str s -> Jsonv.add_quoted buf s)
     e.fields;
   Buffer.add_char buf '}';
   Buffer.contents buf

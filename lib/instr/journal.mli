@@ -80,8 +80,6 @@ val write : string -> unit
 
 (** {1 Typed field access} *)
 
-val field : event -> string -> field option
-
 val num_field : event -> string -> float option
 (** [Num] and [Int] fields, as float. *)
 

@@ -1,8 +1,10 @@
-(* A small recursive-descent JSON reader — just enough for rlcstat to
-   load journal JSONL lines and BENCH_*.json snapshots without pulling
-   a dependency into the toolchain.  Numbers are floats (the emitters
-   here only produce doubles); out-of-range literals like the 1e999
-   the metric snapshots use for infinity parse to [infinity], which is
+(* The JSON format of [rlc_instr], both ways: a small recursive-descent
+   reader -- just enough for rlcstat to load journal JSONL lines and
+   BENCH_*.json snapshots without pulling a dependency into the
+   toolchain -- and the one printer every emitter here (metric
+   snapshots, journal lines, Chrome traces, the bench's BENCH files)
+   writes through.  Numbers are floats; out-of-range literals like the
+   1e999 the printer uses for infinity parse to [infinity], which is
    exactly the round-trip intent. *)
 
 type t =
@@ -198,3 +200,62 @@ let to_float = function
   | Null | Str _ | List _ | Obj _ -> None
 
 let to_string = function Str s -> Some s | _ -> None
+
+(* ---------------- printer ---------------- *)
+
+(* Non-finite values must never corrupt a JSON document: NaN becomes
+   null and the infinities overflow to ±inf when parsed back.  Finite
+   values print exactly (integers plainly, the rest with %.17g), so a
+   parse round-trips every bit. *)
+let number v =
+  if Float.is_nan v then "null"
+  else if v = infinity then "1e999"
+  else if v = neg_infinity then "-1e999"
+  else if Float.is_integer v && Float.abs v < 1e15 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.17g" v
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec add buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num v -> Buffer.add_string buf (number v)
+  | Str s -> add_quoted buf s
+  | List vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          add buf v)
+        vs;
+      Buffer.add_char buf ']'
+  | Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_quoted buf k;
+          Buffer.add_char buf ':';
+          add buf v)
+        kvs;
+      Buffer.add_char buf '}'
+
+let encode v =
+  let buf = Buffer.create 256 in
+  add buf v;
+  Buffer.contents buf

@@ -222,34 +222,30 @@ let dump ppf =
             width name s.count s.sum s.mean s.min s.p50 s.p95 s.max)
     entries
 
-let json_num = Shard.json_num
+let to_json () =
+  let num v = Jsonv.Num v in
+  Jsonv.Obj
+    (List.filter_map
+       (fun (name, v) ->
+         match v with
+         | Counter_v v when v <> 0.0 -> Some (name, num v)
+         | Gauge_v (Some v) -> Some (name, num v)
+         | Hist_v (Some s) ->
+             Some
+               ( name,
+                 Jsonv.Obj
+                   [
+                     ("count", num (float_of_int s.count));
+                     ("sum", num s.sum);
+                     ("mean", num s.mean);
+                     ("min", num s.min);
+                     ("p50", num s.p50);
+                     ("p95", num s.p95);
+                     ("max", num s.max);
+                   ] )
+         | Counter_v _ | Gauge_v None | Hist_v None -> None)
+       (snapshot ()))
 
-let has_data = function
-  | Counter_v v -> v <> 0.0
-  | Gauge_v g -> g <> None
-  | Hist_v s -> s <> None
-
-let json_snapshot () =
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Shard.add_json_string buf name;
-      Buffer.add_char buf ':';
-      match v with
-      | Counter_v v -> Buffer.add_string buf (json_num v)
-      | Gauge_v None -> Buffer.add_string buf "null"
-      | Gauge_v (Some v) -> Buffer.add_string buf (json_num v)
-      | Hist_v None -> Buffer.add_string buf "null"
-      | Hist_v (Some s) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"count\":%d,\"sum\":%s,\"mean\":%s,\"min\":%s,\"p50\":%s,\"p95\":%s,\"max\":%s}"
-               s.count (json_num s.sum) (json_num s.mean) (json_num s.min)
-               (json_num s.p50) (json_num s.p95) (json_num s.max)))
-    (List.filter (fun (_, v) -> has_data v) (snapshot ()));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let json_snapshot () = Jsonv.encode (to_json ())
 
 let reset = Shard.reset

@@ -79,23 +79,19 @@ val hist_quantiles : hist -> float array -> float array option
     samples were recorded; raises [Invalid_argument] on a quantile
     outside [\[0, 1\]] (validated even when the histogram is empty). *)
 
-type snapshot_entry =
-  | Counter_v of float
-  | Gauge_v of float option
-  | Hist_v of summary option
-
-val snapshot : unit -> (string * snapshot_entry) list
-(** Every registered metric with its merged value, sorted by name. *)
-
 val dump : Format.formatter -> unit
-(** Human-readable table of [snapshot ()]. *)
+(** Human-readable table of every registered metric with its merged
+    value, sorted by name. *)
+
+val to_json : unit -> Jsonv.t
+(** The registry as a JSON object, name -> value (histograms as
+    [{count, sum, mean, min, p50, p95, max}]), sorted by name, of the
+    metrics that hold data since the last {!reset}: zero counters,
+    unset gauges and empty histograms are left out.  The bench embeds
+    it as the ["metrics"] block of every [BENCH_*.json] file. *)
 
 val json_snapshot : unit -> string
-(** Compact single-line JSON object, name -> value (histograms as
-    [{count, sum, mean, min, p50, p95, max}]) of the metrics that hold
-    data since the last {!reset}: zero counters, unset gauges and empty
-    histograms are left out.  Suitable for embedding in the bench's
-    [BENCH_*.json] files. *)
+(** [Jsonv.encode (to_json ())]: one compact line. *)
 
 val reset : unit -> unit
 (** Zero all shards (metrics, span trees, trace buffers). Call only at

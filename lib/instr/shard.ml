@@ -227,33 +227,3 @@ let reset () =
       sh.dropped_jevents <- 0;
       sh.current_prov <- "")
     (all_shards ())
-
-(* The JSON emitters of Metrics, Journal and Trace share these two.
-   [add_json_string buf s] appends [s] as a quoted JSON string. *)
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-(* Non-finite values must never corrupt a JSON document: NaN becomes
-   null and the infinities overflow to ±inf when parsed back.  Finite
-   values print exactly (integers plainly, the rest with %.17g), so a
-   parse round-trips every bit. *)
-let json_num v =
-  if Float.is_nan v then "null"
-  else if v = infinity then "1e999"
-  else if v = neg_infinity then "-1e999"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v

@@ -13,10 +13,6 @@ val with_ : string -> (unit -> 'a) -> 'a
 (** [with_ name f] runs [f] inside a span. Exception-safe; a plain
     call to [f] when recording is off. *)
 
-val enter : string -> unit
-(** Open a span manually. Every [enter] must be matched by {!exit} on
-    the same domain; prefer {!with_}. *)
-
 val exit : unit -> unit
 (** Close the innermost open span. No-op if none is open (so a
     mid-span disable cannot unbalance the stack). *)

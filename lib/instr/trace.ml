@@ -8,13 +8,13 @@ let add_span buf (e : Journal.event) =
   let name = Option.value ~default:"" (Journal.str_field e "name") in
   let dur = Option.value ~default:0.0 (Journal.num_field e "dur_us") in
   Buffer.add_string buf "{\"name\":";
-  Shard.add_json_string buf name;
+  Jsonv.add_quoted buf name;
   Printf.bprintf buf
     ",\"cat\":\"rlc\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
     e.ts_us dur e.shard;
   if e.provenance <> "" then begin
     Buffer.add_string buf ",\"args\":{\"prov\":";
-    Shard.add_json_string buf e.provenance;
+    Jsonv.add_quoted buf e.provenance;
     Buffer.add_char buf '}'
   end;
   Buffer.add_char buf '}'

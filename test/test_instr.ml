@@ -223,6 +223,92 @@ let test_snapshot_escaping () =
       Alcotest.(check bool) "-inf survives" true
         (contains s "\"test.esc_ninf\":-1e999"))
 
+(* ---------------- the JSON printer -------------------------------- *)
+
+module Jsonv = Rlc_instr.Jsonv
+
+(* Random trees over every corner the printer must keep exact: finite
+   floats at any magnitude, integers at and past 1e15 (where the plain
+   integer form stops), subnormals and the infinities; strings with
+   quotes, backslashes, control bytes and bytes >= 0x80; empty and
+   nested lists and objects.  NaN has no JSON form and is checked
+   apart. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+  let number =
+    oneof
+      [
+        finite;
+        map (fun k -> 1e15 +. float_of_int k) nat;
+        map (fun k -> Float.ldexp (float_of_int k) 40) int;
+        map
+          (fun m -> Float.ldexp (float_of_int m) (-1074))
+          (int_bound 1_000_000);
+        oneofl [ infinity; neg_infinity; 0.0; -0.0; Float.min_float ];
+      ]
+  in
+  let byte =
+    oneof
+      [
+        oneofl [ '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127';
+                 '\128'; '\255' ];
+        char;
+      ]
+  in
+  let text = string_size ~gen:byte (int_bound 10) in
+  let leaf =
+    oneof
+      [
+        pure Jsonv.Null;
+        map (fun b -> Jsonv.Bool b) bool;
+        map (fun v -> Jsonv.Num v) number;
+        map (fun s -> Jsonv.Str s) text;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map
+                   (fun l -> Jsonv.List l)
+                   (list_size (int_bound 4) (self (depth - 1))) );
+               ( 1,
+                 map
+                   (fun kvs -> Jsonv.Obj kvs)
+                   (list_size (int_bound 4) (pair text (self (depth - 1)))) );
+             ])
+
+let test_encode_round_trip =
+  QCheck2.Test.make ~name:"parse (encode v) = Ok v" ~count:2000
+    ~print:Jsonv.encode json_gen (fun v ->
+      Jsonv.parse (Jsonv.encode v) = Ok v)
+
+let test_encode_nan () =
+  Alcotest.(check string) "nan is null" "[null,1e999,-1e999]"
+    (Jsonv.encode (Jsonv.List [ Jsonv.Num Float.nan; Jsonv.Num infinity;
+                                Jsonv.Num neg_infinity ]));
+  Alcotest.(check bool) "and parses back as null" true
+    (Jsonv.parse (Jsonv.encode (Jsonv.Num Float.nan)) = Ok Jsonv.Null)
+
+(* The snapshot's bytes are what BENCH files and rlcstat read, so they
+   are pinned: a counter, a gauge, a histogram and an escaped name. *)
+let test_snapshot_golden () =
+  M.reset ();
+  with_recording true (fun () ->
+      M.add (M.counter "golden.counter") 3.0;
+      M.set (M.gauge "golden.gauge") 0.1;
+      let h = M.hist "golden.hist" in
+      List.iter (M.observe h) [ 1e-6; 2.5e-3; 0.75; 42.0 ];
+      M.incr (M.counter "golden \"esc\"\\\t\x01\xc3\xa9");
+      Alcotest.(check string) "snapshot bytes"
+        {|{"golden \"esc\"\\\t\u0001é":1,"golden.counter":3,"golden.gauge":0.10000000000000001,"golden.hist":{"count":4,"sum":42.752501000000002,"mean":10.688125250000001,"min":9.9999999999999995e-07,"p50":0.00390625,"p95":42,"max":42}}|}
+        (M.json_snapshot ()))
+
 (* ---------------- histogram quantile edges ------------------------ *)
 
 let test_hist_quantile_edges () =
@@ -453,6 +539,14 @@ let () =
             test_hist_quantile_clamp;
           Alcotest.test_case "hist quantile edges" `Quick
             test_hist_quantile_edges;
+          Alcotest.test_case "snapshot golden bytes" `Quick
+            test_snapshot_golden;
+        ] );
+      ( "jsonv",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            test_encode_round_trip;
+          Alcotest.test_case "nan encodes as null" `Quick test_encode_nan;
         ] );
       ( "identity",
         [
